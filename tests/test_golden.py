@@ -1,0 +1,137 @@
+"""Stored golden trajectories: refactors must reproduce them to 1e-12.
+
+Each file under tests/golden/ holds the trajectories of one small base
+config run with several losses, one row per (loss, t).  The numbers are
+compared at rtol = atol = 1e-12 (not as bytes), so a change that only
+reorders a BLAS sum still passes; the `#` metadata block is skipped.
+
+Regenerate deliberately, never to make a failing comparison pass:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ttalab import (
+    ExperimentConfig,
+    GaussianModel,
+    Mode,
+    alternating_pm_mu_sampler,
+    build_benchmark_domains,
+    parse_loss_id,
+    run_population,
+    run_stochastic,
+)
+from ttalab.serialize import config_flat, csv_with_meta_text
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+HEADER = "loss,t,a,b,r,cos,loss01,overflow"
+ALL_LOSSES = ("hard+square", "hard+logistic", "hard+exp",
+              "conj+square", "conj+logistic", "conj+exp")
+CONJ_LOSSES = ("conj+square", "conj+logistic", "conj+exp")
+
+_MU = np.array([0.8, -0.3, 0.5])
+_W0 = np.array([1.0, 0.4, -0.2])
+
+
+def _benchmark_base():
+    _, mu, sigma, w_init = build_benchmark_domains(10, seed=1)
+    return dict(mu=mu, sigma=sigma, w_init=w_init)
+
+
+# name -> (base fields, losses, stream)
+GOLDEN = {
+    "stochastic_noisy": (
+        dict(mu=_MU, sigma=0.7, w_init=_W0, mode=Mode.STOCHASTIC, eta=0.5,
+             horizon=12, seed=11, batch_size=4),
+        ALL_LOSSES, "sampled"),
+    "stochastic_benchmark": (
+        dict(**_benchmark_base(), mode=Mode.STOCHASTIC, eta=1.0, horizon=20,
+             seed=3, batch_size=32),
+        ("hard+exp", "conj+exp", "hard+logistic", "conj+logistic"), "sampled"),
+    "stochastic_overflow": (
+        dict(mu=_MU, sigma=0.7, w_init=_W0, mode=Mode.STOCHASTIC, eta=20.0,
+             horizon=200, seed=5, batch_size=4),
+        ("conj+square",), "sampled"),
+    "alternating": (
+        dict(mu=_MU, sigma=0.5, w_init=_W0, mode=Mode.STOCHASTIC, eta=1.0,
+             horizon=20, seed=0, batch_size=1),
+        ("hard+square", "conj+square"), "alternating-pm-mu"),
+    "population_noisy": (
+        dict(mu=_MU, sigma=0.6, w_init=_W0, mode=Mode.POPULATION, eta=0.5,
+             horizon=15, seed=0),
+        CONJ_LOSSES, "population"),
+    "population_noiseless": (
+        dict(mu=_MU, sigma=0.0, w_init=_W0, mode=Mode.POPULATION, eta=0.5,
+             horizon=15, seed=0),
+        ALL_LOSSES, "population"),
+}
+
+
+def _configs(name):
+    fields, losses, stream = GOLDEN[name]
+    fields = dict(fields)
+    model = GaussianModel(mu=fields.pop("mu"), sigma=fields.pop("sigma"))
+    return [ExperimentConfig(model=model, loss=parse_loss_id(loss), **fields)
+            for loss in losses], stream
+
+
+def golden_rows(name):
+    configs, stream = _configs(name)
+    rows = []
+    for config in configs:
+        if stream == "population":
+            points = run_population(config)
+        elif stream == "alternating-pm-mu":
+            points = run_stochastic(config, sampler=alternating_pm_mu_sampler(config.model))
+        else:
+            points = run_stochastic(config)
+        rows += [[config.loss.name, p.t, p.a, p.b, p.r, p.cos, p.loss01, p.overflow]
+                 for p in points]
+    return rows
+
+
+def golden_text(name):
+    configs, stream = _configs(name)
+    meta = config_flat(configs[0])
+    meta.pop("loss.rule")
+    meta.pop("loss.family")
+    meta["losses"] = [c.loss.name for c in configs]
+    meta["stream"] = stream
+    return csv_with_meta_text(HEADER, golden_rows(name), meta)
+
+
+def _rows(text):
+    lines = text.splitlines()
+    assert lines[0] == HEADER
+    return [line.split(",") for line in lines[1:] if line and not line.startswith("#")]
+
+
+def _stored_rows(name):
+    return _rows((GOLDEN_DIR / f"{name}.csv").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_trajectories_match_golden(name):
+    stored = _stored_rows(name)
+    fresh = _rows(golden_text(name))
+    assert [(r[0], r[1], r[7]) for r in fresh] == [(r[0], r[1], r[7]) for r in stored]
+    got = np.array([[float(v) for v in r[2:7]] for r in fresh])
+    want = np.array([[float(v) for v in r[2:7]] for r in stored])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, equal_nan=True)
+
+
+def test_golden_set_covers_an_overflow():
+    rows = _stored_rows("stochastic_overflow")
+    assert rows[-1][7] == "true"
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for golden_name in GOLDEN:
+        (GOLDEN_DIR / f"{golden_name}.csv").write_text(golden_text(golden_name),
+                                                      encoding="utf-8")
+        print(GOLDEN_DIR / f"{golden_name}.csv")
