@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .model import (
     GaussianModel,
     PredictorDecomposition,
-    Sample,
     decompose,
     derive_stream_seed,
     gauss_upper_tail,
@@ -57,7 +56,6 @@ from .analysis import (
     nu_star,
     log_rate_check,
     record_text,
-    records_csv,
     stein_identity_check,
     tail_rate_curve,
     verify_club,
@@ -74,12 +72,12 @@ from .presets import (
     render_figure_svg,
     reproduce_figure,
 )
-from .harness import GridPoint, grid_search, run_config, run_experiment
+from .harness import GridPoint, grid_search, run_config, run_experiment, step_size_sweep
 
 __all__ = [
     "__version__",
     # model
-    "GaussianModel", "Sample", "PredictorDecomposition", "sample_batch",
+    "GaussianModel", "PredictorDecomposition", "sample_batch",
     "derive_stream_seed", "gauss_upper_tail", "zero_one_loss", "decompose",
     "is_epsilon_optimal",
     # losses
@@ -95,11 +93,10 @@ __all__ = [
     "ClubCertificate", "TailRateCurve", "RecursionReport", "LogRateReport",
     "SteinReport", "verify_club", "tail_rate_curve", "recursion_bound_run",
     "log_rate_check", "stein_identity_check", "nu_star", "record_text",
-    "records_csv",
     # io and presets
     "ConfigError", "RunManifest", "parse_config_file", "ETA_GRID",
     "FIGURE_IDS", "FigurePreset", "FigureResult", "build_benchmark_domains",
     "build_figure_preset", "alternating_pm_mu_sampler", "reproduce_figure",
-    "render_figure_svg", "GridPoint", "grid_search", "run_config",
-    "run_experiment",
+    "render_figure_svg", "GridPoint", "grid_search", "step_size_sweep",
+    "run_config", "run_experiment",
 ]

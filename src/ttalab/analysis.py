@@ -20,7 +20,7 @@ Everything here turns an analytic statement into a falsifiable finite check:
 
 Certificates are grid-based: a for-all-reals claim is checked on a dense
 finite grid and the gap is the grid granularity.  Reports serialize to
-key = value text and to CSV rows.
+key = value text.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "stein_identity_check",
     "nu_star",
     "record_text",
-    "records_csv",
 ]
 
 # exp(-L a) underflows past a ~ 745/L; beyond ~700/L the tail bound is
@@ -253,7 +252,7 @@ def recursion_bound_run(r1: float, c: float, L: float, T: int,
 
     nu = nu_star(L)
     tau = (nu * nu / c) if (nu is not None and c > 0.0) else 0.0
-    holds, first = _check_shifted_log_bound(seq, c, L, tau, T)
+    holds, first, _ = _check_shifted_log_bound(seq, c, L, tau, T)
     report = RecursionReport(c=float(c), L=float(L), r1=float(r1), horizon=int(T),
                              equality=bool(equality), tau_star=tau,
                              bound_holds=holds, first_violation_t=first)
@@ -261,20 +260,25 @@ def recursion_bound_run(r1: float, c: float, L: float, T: int,
 
 
 def _check_shifted_log_bound(seq: np.ndarray, c: float, L: float, tau: float,
-                             T: int) -> tuple[bool, int | None]:
+                             T: int) -> tuple[bool, int | None, float]:
+    """(holds, first violating t, minimum slack) of r_{t - ceil(tau)} >=
+    log(c (t-1)) / (2 L) over every integer t > tau + 1 up to T whose
+    shifted index is a valid sequence position."""
     if c == 0.0:
         # log of 0 is -inf: the bound is vacuous for a constant sequence.
-        return True, None
+        return True, None, math.inf
+    values = seq.tolist()
     offset = math.ceil(tau)
-    t_start = math.floor(tau + 1.0) + 1
-    for t in range(t_start, T + 1):
-        idx = t - offset
-        if idx < 1:
-            continue
-        rhs = math.log(c * (t - 1)) / (2.0 * L)
-        if seq[idx - 1] < rhs:
-            return False, t
-    return True, None
+    first = None
+    min_slack = math.inf
+    for t in range(max(math.floor(tau + 1.0) + 1, offset + 1), T + 1):
+        slack = values[t - offset - 1] - math.log(c * (t - 1)) / (2.0 * L)
+        if slack < min_slack:
+            min_slack = slack
+            # the first negative slack is always a new minimum
+            if first is None and slack < 0.0:
+                first = t
+    return first is None, first, min_slack
 
 
 def log_rate_check(loss: SelfTrainingLoss, a1: float, b1: float, eta: float,
@@ -311,18 +315,7 @@ def log_rate_check(loss: SelfTrainingLoss, a1: float, b1: float, eta: float,
     exponent = loss.club.L * b1
     nu = nu_star(exponent)
     tau = (nu * nu / c) if (nu is not None and c > 0.0) else 0.0
-    holds, first = _check_shifted_log_bound(r_seq, c, exponent, tau, T)
-
-    offset = math.ceil(tau)
-    t_start = math.floor(tau + 1.0) + 1
-    min_slack = math.inf
-    for t in range(t_start, T + 1):
-        idx = t - offset
-        if idx < 1:
-            continue
-        slack = r_seq[idx - 1] - math.log(c * (t - 1)) / (2.0 * exponent)
-        min_slack = min(min_slack, slack)
-
+    holds, first, min_slack = _check_shifted_log_bound(r_seq, c, exponent, tau, T)
     return LogRateReport(rule=loss.rule.value, family=loss.family.value,
                        L=loss.club.L, a_min=loss.club.a_min, a1=float(a1),
                        b1=float(b1), eta=float(eta), mu_norm=float(mu_norm),
@@ -373,17 +366,4 @@ def record_text(report) -> str:
         if isinstance(value, np.ndarray):
             continue
         lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
-
-
-def records_csv(reports) -> str:
-    """CSV serialization of a homogeneous list of report dataclasses."""
-    reports = list(reports)
-    if not reports:
-        return ""
-    names = [f.name for f in dataclasses.fields(reports[0])
-             if not isinstance(getattr(reports[0], f.name), np.ndarray)]
-    lines = [",".join(names)]
-    for rep in reports:
-        lines.append(",".join(str(getattr(rep, name)) for name in names))
     return "\n".join(lines) + "\n"

@@ -17,12 +17,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import recursion_bound_run, record_text, records_csv, stein_identity_check, verify_club
+from .analysis import recursion_bound_run, record_text, stein_identity_check, verify_club
 from .dynamics import UnsupportedLossError
 from .harness import grid_search, run_experiment
 from .losses import club_losses, parse_loss_id
 from .presets import FIGURE_IDS, reproduce_figure
-from .serialize import ConfigError, parse_config_file
+from .serialize import ConfigError, config_flat, csv_with_meta_text, parse_config_file
 
 __all__ = ["main"]
 
@@ -107,7 +107,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         summary_path = out / f"{Path(args.config).stem}.grid.csv"
-        summary_path.write_text(records_csv(rows), encoding="utf-8")
+        summary_path.write_text(
+            csv_with_meta_text("eta,final_loss01,overflow",
+                               [[p.eta, p.mean_final_loss01, p.overflow] for p in rows],
+                               config_flat(base)),
+            encoding="utf-8")
         print(summary_path)
         print(f"best_eta = {best_eta}")
         return 0

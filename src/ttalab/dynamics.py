@@ -25,12 +25,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .losses import LabelRule, SelfTrainingLoss
-from .model import GaussianModel, Sample, decompose, gauss_upper_tail, sample_batch
+from .model import GaussianModel, decompose, gauss_upper_tail, sample_batch
 
 __all__ = [
     "Mode",
@@ -89,6 +89,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"w has length {w.size} but the model dimension is {self.model.d}"
             )
+        if not np.all(np.isfinite(w)):
+            raise ValueError("w must be finite")
         if float(np.linalg.norm(w)) == 0.0:
             raise ValueError("w must be a nonzero vector")
         w.setflags(write=False)
@@ -102,7 +104,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrajectoryPoint:
-    """State of the run at iteration t (pre-update for t <= horizon)."""
+    """State of the run at iteration t (pre-update for t <= horizon).
+
+    overflow flags the last record of a run that stopped early: a component
+    became non-finite or larger than OVERFLOW_LIMIT, or a sampled iterate
+    became exactly 0 (then a = b = 0, and r, cos and loss01 are NaN).
+    """
 
     t: int
     a: float
@@ -113,24 +120,26 @@ class TrajectoryPoint:
     overflow: bool = False
 
 
-Sampler = Callable[[int, np.random.Generator], Sequence[Sample]]
+# (t, rng) -> the step's batch as an (n, d) array, one sample per row
+Sampler = Callable[[int, np.random.Generator], np.ndarray]
 
 
-def gd_step(w: np.ndarray, batch: Sequence[Sample], loss: SelfTrainingLoss,
+def gd_step(w: np.ndarray, xs: np.ndarray, loss: SelfTrainingLoss,
             eta: float) -> np.ndarray:
     """One descent step on the batch-mean self-training gradient.
 
-    Only x is read from the samples; the step is w - eta * mean_i psi'(w^T x_i) x_i.
-    Averaging (rather than summing) keeps eta comparable across batch sizes.
+    xs is the (n, d) batch, one sample per row; the step is
+    w - eta * mean_i psi'(w^T x_i) x_i.  Averaging (rather than summing) keeps
+    eta comparable across batch sizes.
     """
-    if len(batch) == 0:
-        raise ValueError("batch must be non-empty")
     w = np.asarray(w, dtype=float).reshape(-1)
-    xs = np.stack([np.asarray(s.x, dtype=float) for s in batch])
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[0] == 0:
+        raise ValueError("batch must be a non-empty (n, d) array")
     if xs.shape[1] != w.size:
         raise ValueError(f"dimension mismatch: len(w)={w.size}, samples have d={xs.shape[1]}")
     coeff = np.asarray(loss.dpsi(xs @ w), dtype=float)
-    grad = (xs.T @ coeff) / len(batch)
+    grad = (xs.T @ coeff) / xs.shape[0]
     return w - eta * grad
 
 
@@ -141,8 +150,9 @@ def run_stochastic(config: ExperimentConfig,
     By default each step draws a fresh batch from the model; `sampler`
     overrides the stream (e.g. the deterministic alternating +-mu stream used
     by the figure presets) and receives (t, rng).  Deterministic given the
-    seed.  If an iterate overflows, the run stops early and its last record
-    has overflow=True; direction-based metrics stay valid up to the stop.
+    seed.  If an iterate overflows or becomes exactly 0, the run stops early
+    and its last record has overflow=True; direction-based metrics stay valid
+    up to the stop.
     """
     if config.mode is not Mode.STOCHASTIC:
         raise ValueError(f"config.mode is {config.mode.value}, expected stochastic")
@@ -154,7 +164,7 @@ def run_stochastic(config: ExperimentConfig,
         batch = sampler(t, rng) if sampler is not None else sample_batch(
             config.model, rng, config.batch_size)
         w = gd_step(w, batch, config.loss, config.eta)
-        if _overflowed(w):
+        if _broke_down(w):
             points.append(_point_from_w(t + 1, w, config.model, overflow=True))
             return points
     points.append(_point_from_w(config.horizon + 1, w, config.model))
@@ -244,11 +254,6 @@ def run_population(config: ExperimentConfig) -> list[TrajectoryPoint]:
     if config.mode is not Mode.POPULATION:
         raise ValueError(f"config.mode is {config.mode.value}, expected population")
     model = config.model
-    if model.sigma > 0.0 and not config.loss.smooth_second_derivative:
-        raise UnsupportedLossError(
-            f"unsupported: distributional psi'' ({config.loss.name} cannot run "
-            "population dynamics at sigma > 0)"
-        )
     dec = decompose(config.w_init, model)
     a, b = dec.a, dec.b
     points: list[TrajectoryPoint] = []
@@ -304,12 +309,16 @@ def epsilon_iteration_bound(eps: float, r1: float, eta: float, mu_norm: float,
 # --- helpers -------------------------------------------------------------------
 
 
-def _overflowed(w: np.ndarray) -> bool:
-    return bool(not np.all(np.isfinite(w)) or np.max(np.abs(w)) > OVERFLOW_LIMIT)
+def _broke_down(w: np.ndarray) -> bool:
+    return bool(not np.all(np.isfinite(w)) or np.max(np.abs(w)) > OVERFLOW_LIMIT
+                or not np.any(w))
 
 
 def _point_from_w(t: int, w: np.ndarray, model: GaussianModel,
                   overflow: bool = False) -> TrajectoryPoint:
+    if not np.any(w):
+        return TrajectoryPoint(t=t, a=0.0, b=0.0, r=math.nan, cos=math.nan,
+                               loss01=math.nan, overflow=overflow)
     dec = decompose(w, model)
     return TrajectoryPoint(t=t, a=dec.a, b=dec.b, r=dec.r, cos=dec.cos,
                            loss01=_loss01_from_cos(dec.a, dec.cos, model),

@@ -5,31 +5,48 @@ the trajectory CSV next to a JSON manifest recording config, code version,
 seed and output paths.  Rerunning the same config produces byte-identical
 CSV output (the manifest differs only in its wall-clock stamp).
 
-grid_search runs one configuration per step size, each on its own derived
-seed stream, and picks the step size with the smallest final expected 0-1
-loss.  Runs that overflowed rank last; ties break toward the smaller step.
+step_size_sweep runs a base config at every step size on one list of seed
+streams.  Every step size reads the same streams (common random numbers), so
+a step size's row does not depend on the rest of the grid.  Overflowing step
+sizes rank last, then the lowest mean final expected 0-1 loss wins, ties
+going to the smaller step.  grid_search is the sweep on one stream; the fig4
+presets run it on ten.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+
+import numpy as np
 
 from .dynamics import ExperimentConfig, Mode, TrajectoryPoint, run_population, run_stochastic
 from .model import derive_stream_seed
-from .serialize import RunManifest, config_flat, parse_config_file, write_manifest, write_trajectory_csv
+from .serialize import RunManifest, config_flat, parse_config_file, trajectory_csv_text, write_manifest
 
-__all__ = ["GridPoint", "run_config", "run_experiment", "grid_search"]
+__all__ = ["GridPoint", "run_config", "run_experiment", "step_size_sweep", "grid_search"]
 
 
 @dataclass(frozen=True)
 class GridPoint:
-    """Summary of one step-size trial."""
+    """Outcome of one step size over a sweep's seed streams.
+
+    mean_final_loss01 is the mean final expected 0-1 loss; it is inf, and its
+    std NaN, when any run overflowed.  The std is also NaN for a single
+    stream.  curve is the mean 0-1 loss at each t over the runs that did not
+    overflow (all NaN when none did); it takes no part in ==.
+    """
 
     eta: float
-    seed: int
-    final_loss01: float
-    overflow: bool
+    mean_final_loss01: float
+    std_final_loss01: float
+    n_overflow: int
+    curve: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def overflow(self) -> bool:
+        return self.n_overflow > 0
 
 
 def run_config(config: ExperimentConfig) -> list[TrajectoryPoint]:
@@ -50,33 +67,55 @@ def run_experiment(config_path: str | Path, out_dir: str | Path = ".") -> RunMan
     stem = config_path.stem
     csv_path = out / f"{stem}.trajectory.csv"
     manifest_path = out / f"{stem}.manifest.json"
-    write_trajectory_csv(csv_path, points, config_flat(config))
+    csv_path.write_text(trajectory_csv_text(points, config_flat(config)), encoding="utf-8")
     return write_manifest(manifest_path, config, outputs=[csv_path],
                           notes={"points": len(points),
                                  "overflow": points[-1].overflow})
+
+
+def step_size_sweep(base: ExperimentConfig, eta_grid,
+                    stream_seeds) -> tuple[GridPoint, list[GridPoint]]:
+    """Run base at every step size on every seed stream; return (best, rows).
+
+    Rows come in ascending step-size order, duplicates merged.  Only the
+    final losses and one mean curve per step size are kept, not the
+    trajectories.
+    """
+    etas = sorted(set(float(e) for e in eta_grid))
+    if not etas:
+        raise ValueError("eta grid must be non-empty")
+    seeds = list(stream_seeds)
+    if not seeds:
+        raise ValueError("at least one seed stream is needed")
+    rows: list[GridPoint] = []
+    for eta in etas:
+        finals, curves = [], []
+        for seed in seeds:
+            points = run_config(replace(base, eta=eta, seed=seed))
+            if not points[-1].overflow:
+                finals.append(points[-1].loss01)
+                curves.append([p.loss01 for p in points])
+        n_overflow = len(seeds) - len(finals)
+        if n_overflow == 0:
+            mean = float(np.mean(finals))
+            std = float(np.std(finals, ddof=1)) if len(finals) > 1 else math.nan
+        else:
+            mean, std = math.inf, math.nan
+        curve = (np.mean(np.asarray(curves), axis=0) if curves
+                 else np.full(base.horizon + 1, math.nan))
+        rows.append(GridPoint(eta=eta, mean_final_loss01=mean, std_final_loss01=std,
+                              n_overflow=n_overflow, curve=curve))
+    best = min(rows, key=lambda p: (p.overflow, p.mean_final_loss01, p.eta))
+    return best, rows
 
 
 def grid_search(base_config: ExperimentConfig,
                 eta_grid: list[float]) -> tuple[float, list[GridPoint]]:
     """Run base_config once per step size and select the best one.
 
-    Step sizes are processed in sorted order and each gets its own seed
-    stream derived from the base seed, so the outcome does not depend on the
-    order the grid was supplied in.
+    Every step size reads the same seed stream, derive_stream_seed(seed, 0),
+    so the rows do not depend on the order or the other members of the grid.
     """
-    etas = sorted(set(float(e) for e in eta_grid))
-    if not etas:
-        raise ValueError("eta grid must be non-empty")
-    rows: list[GridPoint] = []
-    for index, eta in enumerate(etas):
-        seed = derive_stream_seed(base_config.seed, index)
-        config = ExperimentConfig(
-            model=base_config.model, loss=base_config.loss, eta=eta,
-            mode=base_config.mode, horizon=base_config.horizon, seed=seed,
-            w_init=base_config.w_init, batch_size=base_config.batch_size)
-        points = run_config(config)
-        rows.append(GridPoint(eta=eta, seed=seed,
-                              final_loss01=points[-1].loss01,
-                              overflow=points[-1].overflow))
-    best = min(rows, key=lambda p: (p.overflow, p.final_loss01, p.eta))
+    best, rows = step_size_sweep(base_config, eta_grid,
+                                 [derive_stream_seed(base_config.seed, 0)])
     return best.eta, rows

@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "GaussianModel",
-    "Sample",
     "PredictorDecomposition",
     "sample_batch",
     "derive_stream_seed",
@@ -61,14 +60,6 @@ class GaussianModel:
         object.__setattr__(self, "mu_norm", norm)
 
 
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """One labelled draw; adaptation code only ever reads x."""
-
-    x: np.ndarray
-    y: int
-
-
 @dataclass(frozen=True)
 class PredictorDecomposition:
     """Split of a predictor w relative to the class mean mu.
@@ -87,18 +78,18 @@ class PredictorDecomposition:
     cos: float
 
 
-def sample_batch(model: GaussianModel, rng: np.random.Generator, n: int) -> list[Sample]:
-    """Draw n i.i.d. samples x = y (mu + sigma xi) from the model.
+def sample_batch(model: GaussianModel, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw n i.i.d. samples x = y (mu + sigma xi) as the rows of an (n, d) array.
 
     Labels are drawn first, then the n x d noise block, so a given generator
-    state always yields the same batch.
+    state always yields the same batch.  The labels are not returned:
+    adaptation only ever reads x.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     y = rng.integers(0, 2, size=n) * 2 - 1
     xi = rng.standard_normal((n, model.d))
-    xs = y[:, None] * (model.mu[None, :] + model.sigma * xi)
-    return [Sample(x=xs[i], y=int(y[i])) for i in range(n)]
+    return y[:, None] * (model.mu[None, :] + model.sigma * xi)
 
 
 def derive_stream_seed(root_seed: int, index: int) -> int:

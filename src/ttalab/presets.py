@@ -37,10 +37,10 @@ from .dynamics import (
     TrajectoryPoint,
     run_stochastic,
 )
+from .harness import step_size_sweep
 from .losses import make_loss, parse_loss_id
 from .model import (
     GaussianModel,
-    Sample,
     decompose,
     derive_stream_seed,
     gauss_upper_tail,
@@ -109,12 +109,11 @@ def best_achievable_error(model: GaussianModel) -> float:
 
 
 def alternating_pm_mu_sampler(model: GaussianModel):
-    """Deterministic stream: +mu at odd steps, -mu at even steps."""
+    """Deterministic stream: +mu at odd steps, -mu at even steps (one row each)."""
+    plus, minus = model.mu[None, :], -model.mu[None, :]
 
-    def sampler(t: int, rng: np.random.Generator) -> list[Sample]:
-        if t % 2 == 1:
-            return [Sample(x=model.mu, y=1)]
-        return [Sample(x=-model.mu, y=-1)]
+    def sampler(t: int, rng: np.random.Generator) -> np.ndarray:
+        return plus if t % 2 == 1 else minus
 
     return sampler
 
@@ -286,34 +285,13 @@ def _emit_fig4(preset: FigurePreset, out: Path):
     curves = {}
     summary: dict = {"best_error": preset.best_error}
     for name, base in preset.configs.items():
-        per_eta = {}
-        for eta in preset.eta_grid:
-            finals, trajs, overflow_count = [], [], 0
-            for k in range(preset.seed_count):
-                config = ExperimentConfig(
-                    model=base.model, loss=base.loss, eta=eta, mode=base.mode,
-                    horizon=base.horizon,
-                    seed=derive_stream_seed(base.seed, k),
-                    w_init=base.w_init, batch_size=base.batch_size)
-                points = run_stochastic(config)
-                if points[-1].overflow or not math.isfinite(points[-1].loss01):
-                    overflow_count += 1
-                else:
-                    finals.append(points[-1].loss01)
-                    trajs.append([p.loss01 for p in points])
-            if overflow_count == 0:
-                mean = float(np.mean(finals))
-                std = float(np.std(finals, ddof=1))
-            else:
-                mean, std = math.inf, math.nan
-            per_eta[eta] = (mean, std, trajs, overflow_count)
-            grid_rows.append([name.split("+")[0], eta, mean, std, overflow_count])
-        # overflowing step sizes rank last; ties break toward the smaller eta
-        best_eta = min(per_eta, key=lambda e: (per_eta[e][0], e))
-        mean, std, trajs, _ = per_eta[best_eta]
-        curves[name] = np.mean(np.asarray(trajs), axis=0)
-        summary[name] = {"best_eta": best_eta, "mean_final_loss01": mean,
-                         "std_final_loss01": std}
+        streams = [derive_stream_seed(base.seed, k) for k in range(preset.seed_count)]
+        best, rows = step_size_sweep(base, preset.eta_grid, streams)
+        grid_rows += [[name.split("+")[0], p.eta, p.mean_final_loss01,
+                       p.std_final_loss01, p.n_overflow] for p in rows]
+        curves[name] = best.curve
+        summary[name] = {"best_eta": best.eta, "mean_final_loss01": best.mean_final_loss01,
+                         "std_final_loss01": best.std_final_loss01}
 
     grid_path = out / f"{preset.id}_grid.csv"
     grid_path.write_text(

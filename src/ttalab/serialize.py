@@ -49,7 +49,6 @@ __all__ = [
     "config_flat",
     "csv_with_meta_text",
     "trajectory_csv_text",
-    "write_trajectory_csv",
     "read_csv_with_meta",
     "format_value",
     "RunManifest",
@@ -213,14 +212,6 @@ def trajectory_csv_text(points: list[TrajectoryPoint], meta: dict) -> str:
     meta["overflow"] = any(p.overflow for p in points)
     rows = [[p.t, p.a, p.b, p.r, p.cos, p.loss01] for p in points]
     return csv_with_meta_text(TRAJECTORY_HEADER, rows, meta)
-
-
-def write_trajectory_csv(path: str | Path, points: list[TrajectoryPoint],
-                         meta: dict) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(trajectory_csv_text(points, meta), encoding="utf-8")
-    return path
 
 
 def read_csv_with_meta(path: str | Path) -> tuple[list[str], list[list], dict]:

@@ -12,7 +12,6 @@ from ttalab import (
     nu_star,
     log_rate_check,
     record_text,
-    records_csv,
     stein_identity_check,
     tail_rate_curve,
     verify_club,
@@ -246,11 +245,3 @@ class TestReportSerialization:
         lines = text.strip().splitlines()
         assert "rule = conj" in lines
         assert any(line.startswith("max_violation = ") for line in lines)
-
-    def test_csv_records(self):
-        reports = [stein_identity_check(make_loss("conj", "exp"), m, 1.0, 1000, seed=1)
-                   for m in (0.0, 1.0)]
-        text = records_csv(reports)
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("rule,family,m,s,n,lhs,rhs")
-        assert len(lines) == 3

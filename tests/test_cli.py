@@ -74,6 +74,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="init.w"):
             parse_config_file(path)
 
+    def test_non_finite_init_w_names_the_field(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", **{"init.w": [math.nan, 1.0]})
+        with pytest.raises(ConfigError, match="init.w: w must be finite"):
+            parse_config_file(path)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+        assert "init.w" in capsys.readouterr().err
+        assert not (tmp_path / "c.trajectory.csv").exists()
+
     def test_bad_mode_diagnosed(self, tmp_path):
         path = write_config(tmp_path / "c.json", **{"run.mode": "minibatch"})
         with pytest.raises(ConfigError, match="run.mode"):
@@ -140,10 +148,23 @@ class TestGridSearch:
 
     def test_overflowing_step_ranks_last(self):
         # eta = 100 on the conjugate square loss diverges; eta = 0.01 does not
-        best, rows = grid_search(self.base(horizon=400), [100.0, 0.01])
-        assert best == 0.01
-        by_eta = {r.eta: r for r in rows}
-        assert by_eta[100.0].overflow and not by_eta[0.01].overflow
+        for grid, best_eta in (([100.0, 0.01], 0.01), ([100.0], 100.0)):
+            best, rows = grid_search(self.base(horizon=400), grid)
+            assert best == best_eta
+            by_eta = {r.eta: r for r in rows}
+            assert by_eta[100.0].overflow and by_eta[100.0].mean_final_loss01 == math.inf
+            assert all(not r.overflow for r in rows if r.eta != 100.0)
+
+    def test_row_does_not_depend_on_the_rest_of_the_grid(self):
+        base = self.base()
+        base = ExperimentConfig(model=GaussianModel(mu=base.model.mu, sigma=0.8),
+                                loss=make_loss("conj", "exp"), eta=1.0,
+                                mode=Mode.STOCHASTIC, horizon=30, seed=5,
+                                w_init=base.w_init, batch_size=4)
+        _, alone = grid_search(base, [0.5])
+        _, among = grid_search(base, [0.05, 0.5, 1.0])
+        assert alone[0] == next(r for r in among if r.eta == 0.5)
+        np.testing.assert_array_equal(alone[0].curve, among[1].curve)
 
     def test_grid_order_does_not_matter(self):
         best_a, rows_a = grid_search(self.base(), [0.5, 0.05, 1.0])
@@ -307,7 +328,12 @@ class TestCliExitCodes:
                      "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "best_eta" in out
-        assert (tmp_path / "g.grid.csv").exists()
+        cols, rows, meta = read_csv_with_meta(tmp_path / "g.grid.csv")
+        assert cols == ["eta", "final_loss01", "overflow"]
+        assert [row[0] for row in rows] == [0.05, 0.5]
+        assert {row[2] for row in rows} == {"false"}
+        assert meta["run.seed"] == 7 and meta["loss.family"] == "exp"
+        assert meta["prng"] == "numpy-pcg64-seedsequence"
 
     def test_figure_command(self, tmp_path, capsys):
         assert main(["figure", "fig2", "--out", str(tmp_path)]) == 0

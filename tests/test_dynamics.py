@@ -9,7 +9,6 @@ from ttalab import (
     ExperimentConfig,
     GaussianModel,
     Mode,
-    Sample,
     UnsupportedLossError,
     alternating_pm_mu_sampler,
     conj_square_ratio_closed_form,
@@ -48,14 +47,14 @@ class TestGdStep:
         model = axis_model(1.0, 0.0, d=2)
         loss = make_loss("hard", "square")
         w = np.array([0.5, 0.7])
-        w2 = gd_step(w, [Sample(x=model.mu, y=1)], loss, eta=1.0)
+        w2 = gd_step(w, model.mu[None, :], loss, eta=1.0)
         assert w2[0] == pytest.approx(1.0, abs=1e-15)
         assert w2[1] == 0.7
 
     def test_zero_step_size_is_identity(self):
         rng = np.random.default_rng(0)
         w = rng.standard_normal(4)
-        batch = [Sample(x=rng.standard_normal(4), y=1) for _ in range(5)]
+        batch = rng.standard_normal((5, 4))
         for loss_name in (("hard", "exp"), ("conj", "logistic")):
             w2 = gd_step(w, batch, make_loss(*loss_name), eta=1e-300)
             np.testing.assert_allclose(w2, w, rtol=0, atol=1e-290)
@@ -65,23 +64,23 @@ class TestGdStep:
         loss = make_loss("conj", "square")
         rng = np.random.default_rng(1)
         w, x = rng.standard_normal(3), rng.standard_normal(3)
-        w2 = gd_step(w, [Sample(x=x, y=1)], loss, eta=0.3)
+        w2 = gd_step(w, x[None, :], loss, eta=0.3)
         np.testing.assert_allclose(w2, w + 0.3 * float(w @ x) * x, rtol=1e-14)
 
     def test_batch_mean_not_sum(self):
         loss = make_loss("conj", "square")
         w = np.array([1.0, 0.0])
         x = np.array([1.0, 1.0])
-        one = gd_step(w, [Sample(x=x, y=1)], loss, 0.1)
-        four = gd_step(w, [Sample(x=x, y=1)] * 4, loss, 0.1)
+        one = gd_step(w, x[None, :], loss, 0.1)
+        four = gd_step(w, np.tile(x, (4, 1)), loss, 0.1)
         np.testing.assert_allclose(one, four, rtol=1e-15)
 
     def test_rejects_empty_and_mismatched(self):
         loss = make_loss("conj", "square")
         with pytest.raises(ValueError):
-            gd_step(np.ones(2), [], loss, 0.1)
+            gd_step(np.ones(2), np.empty((0, 2)), loss, 0.1)
         with pytest.raises(ValueError):
-            gd_step(np.ones(2), [Sample(x=np.ones(3), y=1)], loss, 0.1)
+            gd_step(np.ones(2), np.ones((1, 3)), loss, 0.1)
 
 
 class TestRunStochastic:
@@ -142,6 +141,20 @@ class TestRunStochastic:
         assert points[-1].overflow
         assert len(points) < 10_001
         assert abs(points[-1].cos) <= 1.0
+
+    def test_zero_iterate_ends_with_a_flag(self):
+        # hard square, eta = 2 on +mu from w = 2 mu: w - 2 (2 - 1) mu = 0
+        model = GaussianModel(mu=np.array([1.0, 0.0]), sigma=0.0)
+        config = ExperimentConfig(model=model, loss=make_loss("hard", "square"),
+                                  eta=2.0, mode=Mode.STOCHASTIC, horizon=5, seed=0,
+                                  w_init=np.array([2.0, 0.0]), batch_size=1)
+        points = run_stochastic(config, sampler=alternating_pm_mu_sampler(model))
+        assert len(points) == 2
+        last = points[-1]
+        assert last.overflow and last.t == 2
+        assert last.a == 0.0 and last.b == 0.0
+        assert math.isnan(last.cos) and math.isnan(last.loss01)
+        assert not points[0].overflow
 
 
 class TestExpectationTerms:

@@ -99,34 +99,36 @@ class TestZeroOneLoss:
 
 class TestSampleBatch:
     def test_noiseless_samples_sit_on_the_means(self):
-        model = GaussianModel(mu=unit(3), sigma=0.0)
-        rng = np.random.default_rng(0)
-        for s in sample_batch(model, rng, 3):
-            np.testing.assert_array_equal(s.y * s.x, model.mu)
-            assert s.y in (-1, 1)
+        model = GaussianModel(mu=np.array([0.6, -0.8, 0.0]), sigma=0.0)
+        xs = sample_batch(model, np.random.default_rng(0), 16)
+        assert isinstance(xs, np.ndarray) and xs.shape == (16, 3)
+        for x in xs:
+            assert np.array_equal(x, model.mu) or np.array_equal(x, -model.mu)
 
     def test_law_of_large_numbers(self):
-        """Empirical mean of y x is within 4 standard errors of mu per coordinate."""
-        model = GaussianModel(mu=unit(4), sigma=1.0)
+        """The second moment of x is within 4 standard errors of
+        mu mu^T + sigma^2 I in every entry."""
+        model = GaussianModel(mu=np.array([1.0, -0.5, 0.0, 0.3]), sigma=0.7)
         rng = np.random.default_rng(11)
-        batch = sample_batch(model, rng, 100_000)
-        yx = np.stack([s.y * s.x for s in batch])
-        err = np.abs(yx.mean(axis=0) - model.mu)
-        se = yx.std(axis=0, ddof=1) / math.sqrt(len(batch))
+        xs = sample_batch(model, rng, 100_000)
+        outer = xs[:, :, None] * xs[:, None, :]
+        want = np.outer(model.mu, model.mu) + model.sigma**2 * np.eye(model.d)
+        err = np.abs(outer.mean(axis=0) - want)
+        se = outer.std(axis=0, ddof=1) / math.sqrt(len(xs))
         assert np.all(err <= 4 * se)
 
     def test_labels_roughly_balanced(self):
+        """Balanced labels show in x alone: E[x] = E[y] mu = 0."""
         model = GaussianModel(mu=unit(2), sigma=0.5)
-        rng = np.random.default_rng(5)
-        ys = [s.y for s in sample_batch(model, rng, 20_000)]
-        assert abs(np.mean(ys)) <= 4 / math.sqrt(20_000)
+        xs = sample_batch(model, np.random.default_rng(5), 20_000)
+        se = xs.std(axis=0, ddof=1) / math.sqrt(len(xs))
+        assert np.all(np.abs(xs.mean(axis=0)) <= 4 * se)
 
     def test_deterministic_given_seed(self):
         model = GaussianModel(mu=np.array([1.0, -2.0]), sigma=0.3)
         a = sample_batch(model, np.random.default_rng(99), 64)
         b = sample_batch(model, np.random.default_rng(99), 64)
-        assert all(sa.y == sb.y for sa, sb in zip(a, b))
-        assert all(sa.x.tobytes() == sb.x.tobytes() for sa, sb in zip(a, b))
+        assert a.tobytes() == b.tobytes()
 
     def test_rejects_empty_batch(self):
         model = GaussianModel(mu=unit(2), sigma=1.0)
