@@ -16,21 +16,24 @@ are therefore rejected in population mode whenever sigma > 0 (their psi''
 carries a point mass at 0 whose coefficient we do not guess).
 
 Both runners record the trajectory point for iteration t *before* the t-th
-update, so point t always describes w_t, plus one final point at T+1.
+update, so point t always describes w_t, plus one final point at T+1.  They
+collect (a, b) per iterate and derive r, cos and the 0-1 loss for the whole
+trajectory in one model.ab_metrics call.  An iterate that overflows or
+becomes exactly 0 ends either run with a flagged record.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
 from .losses import LabelRule, SelfTrainingLoss
-from .model import GaussianModel, decompose, gauss_upper_tail, sample_batch
+from .model import GaussianModel, ab_metrics, sample_batch, split_ab
 
 __all__ = [
     "Mode",
@@ -107,8 +110,8 @@ class TrajectoryPoint:
     """State of the run at iteration t (pre-update for t <= horizon).
 
     overflow flags the last record of a run that stopped early: a component
-    became non-finite or larger than OVERFLOW_LIMIT, or a sampled iterate
-    became exactly 0 (then a = b = 0, and r, cos and loss01 are NaN).
+    became non-finite or larger than OVERFLOW_LIMIT, or the iterate became
+    exactly 0 (then a = b = 0, and r, cos and loss01 are NaN).
     """
 
     t: int
@@ -158,17 +161,15 @@ def run_stochastic(config: ExperimentConfig,
         raise ValueError(f"config.mode is {config.mode.value}, expected stochastic")
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     w = np.array(config.w_init, dtype=float)
-    points: list[TrajectoryPoint] = []
+    ab = [split_ab(w, config.model)]
     for t in range(1, config.horizon + 1):
-        points.append(_point_from_w(t, w, config.model))
         batch = sampler(t, rng) if sampler is not None else sample_batch(
             config.model, rng, config.batch_size)
         w = gd_step(w, batch, config.loss, config.eta)
-        if _broke_down(w):
-            points.append(_point_from_w(t + 1, w, config.model, overflow=True))
-            return points
-    points.append(_point_from_w(config.horizon + 1, w, config.model))
-    return points
+        ab.append(split_ab(w, config.model))
+        if not np.all(np.isfinite(w)) or np.max(np.abs(w)) > OVERFLOW_LIMIT or not np.any(w):
+            return _trajectory(ab, config.model, stopped=True)
+    return _trajectory(ab, config.model, stopped=False)
 
 
 # --- population dynamics ------------------------------------------------------
@@ -189,17 +190,19 @@ def _trap_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return z, weight
 
 
-_Z_COARSE, _W_COARSE = _trap_nodes(1025)
+# The 1025 coarse nodes are exactly the even-indexed fine nodes, so the
+# refinement check reuses the fine evaluations instead of evaluating twice.
 _Z_FINE, _W_FINE = _trap_nodes(2049)
+_W_COARSE = _trap_nodes(1025)[1]
 
 
 def _gaussian_expectations(loss: SelfTrainingLoss, m: float, s: float) -> tuple[float, float]:
-    uc = m + s * _Z_COARSE
-    uf = m + s * _Z_FINE
-    e1c = float(_W_COARSE @ loss.dpsi(uc))
-    e2c = float(_W_COARSE @ loss.ddpsi(uc))
-    e1 = float(_W_FINE @ loss.dpsi(uf))
-    e2 = float(_W_FINE @ loss.ddpsi(uf))
+    u = m + s * _Z_FINE
+    d1, d2 = loss.dpsi(u), loss.ddpsi(u)
+    e1, e2 = float(_W_FINE @ d1), float(_W_FINE @ d2)
+    # contiguous copies: a strided dot may sum in a different order
+    e1c = float(_W_COARSE @ np.ascontiguousarray(d1[::2]))
+    e2c = float(_W_COARSE @ np.ascontiguousarray(d2[::2]))
     for coarse, fine, tag in ((e1c, e1, "E[psi']"), (e2c, e2, "E[psi'']")):
         if abs(fine - coarse) > 1e-12 + 1e-9 * abs(fine):
             warnings.warn(
@@ -245,26 +248,22 @@ def population_step(a: float, b: float, loss: SelfTrainingLoss,
 
 
 def run_population(config: ExperimentConfig) -> list[TrajectoryPoint]:
-    """Iterate the population dynamic from decompose(w_init).
+    """Iterate the population dynamic from split_ab(w_init).
 
-    cos and the 0-1 loss are reconstructed from (a, b) alone, with
-    ||w|| = sqrt(a^2/||mu||^2 + b^2).  Overflow of (a, b) ends the run with a
-    flagged record, as in the stochastic runner.
+    Overflow of (a, b), or a = b = 0, ends the run with a flagged record, as
+    in the stochastic runner.
     """
     if config.mode is not Mode.POPULATION:
         raise ValueError(f"config.mode is {config.mode.value}, expected population")
     model = config.model
-    dec = decompose(config.w_init, model)
-    a, b = dec.a, dec.b
-    points: list[TrajectoryPoint] = []
-    for t in range(1, config.horizon + 1):
-        points.append(_point_from_ab(t, a, b, model))
-        a, b = population_step(a, b, config.loss, model, config.eta)
-        if not (math.isfinite(a) and math.isfinite(b)) or max(abs(a), b) > OVERFLOW_LIMIT:
-            points.append(_point_from_ab(t + 1, a, b, model, overflow=True))
-            return points
-    points.append(_point_from_ab(config.horizon + 1, a, b, model))
-    return points
+    ab = [split_ab(config.w_init, model)]
+    for _ in range(config.horizon):
+        a, b = population_step(*ab[-1], config.loss, model, config.eta)
+        ab.append((a, b))
+        if (not (math.isfinite(a) and math.isfinite(b)) or max(abs(a), b) > OVERFLOW_LIMIT
+                or a == b == 0.0):
+            return _trajectory(ab, model, stopped=True)
+    return _trajectory(ab, model, stopped=False)
 
 
 # --- scalar dynamics and closed forms -----------------------------------------
@@ -309,43 +308,12 @@ def epsilon_iteration_bound(eps: float, r1: float, eta: float, mu_norm: float,
 # --- helpers -------------------------------------------------------------------
 
 
-def _broke_down(w: np.ndarray) -> bool:
-    return bool(not np.all(np.isfinite(w)) or np.max(np.abs(w)) > OVERFLOW_LIMIT
-                or not np.any(w))
-
-
-def _point_from_w(t: int, w: np.ndarray, model: GaussianModel,
-                  overflow: bool = False) -> TrajectoryPoint:
-    if not np.any(w):
-        return TrajectoryPoint(t=t, a=0.0, b=0.0, r=math.nan, cos=math.nan,
-                               loss01=math.nan, overflow=overflow)
-    dec = decompose(w, model)
-    return TrajectoryPoint(t=t, a=dec.a, b=dec.b, r=dec.r, cos=dec.cos,
-                           loss01=_loss01_from_cos(dec.a, dec.cos, model),
-                           overflow=overflow)
-
-
-def _point_from_ab(t: int, a: float, b: float, model: GaussianModel,
-                   overflow: bool = False) -> TrajectoryPoint:
-    if b > 0.0:
-        r = a / b
-        norm_w = math.hypot(a / model.mu_norm, b)
-        cos = a / (norm_w * model.mu_norm)
-    else:
-        r = math.copysign(math.inf, a)
-        cos = float(np.sign(a)) if a != 0.0 else 0.0
-    return TrajectoryPoint(t=t, a=a, b=b, r=r, cos=cos,
-                           loss01=_loss01_from_cos(a, cos, model),
-                           overflow=overflow)
-
-
-def _loss01_from_cos(a: float, cos: float, model: GaussianModel) -> float:
-    if not math.isfinite(cos):
-        return math.nan
-    if model.sigma == 0.0:
-        if a > 0.0:
-            return 0.0
-        if a < 0.0:
-            return 1.0
-        return 0.5
-    return gauss_upper_tail((model.mu_norm / model.sigma) * cos)
+def _trajectory(ab: list[tuple[float, float]], model: GaussianModel,
+                stopped: bool) -> list[TrajectoryPoint]:
+    """Points t = 1, 2, ... for the iterates' (a, b); `stopped` flags the last."""
+    a, b = np.array(ab, dtype=float).T
+    columns = (a.tolist(), b.tolist(), *(m.tolist() for m in ab_metrics(a, b, model)))
+    points = [TrajectoryPoint(t, *row) for t, row in enumerate(zip(*columns), start=1)]
+    if stopped:
+        points[-1] = replace(points[-1], overflow=True)
+    return points

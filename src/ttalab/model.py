@@ -6,7 +6,10 @@ predictor w classifies by sign(w^T x); its expected 0-1 loss has the closed
 form Phi(mu^T w / (sigma ||w||)) where Phi is the standard normal upper tail.
 
 Everything downstream reasons about w through its decomposition into the
-component along mu and the size of the orthogonal remainder.
+component a = <w, mu> along mu and the size b of the orthogonal remainder.
+split_ab computes (a, b) for one predictor; ab_metrics is the one place that
+turns (a, b) into the ratio r, the cosine and the 0-1 loss, elementwise over
+arrays.  decompose, zero_one_loss and both runners go through the pair.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ __all__ = [
     "sample_batch",
     "derive_stream_seed",
     "gauss_upper_tail",
+    "split_ab",
+    "ab_metrics",
     "zero_one_loss",
     "decompose",
     "is_epsilon_optimal",
@@ -110,52 +115,62 @@ def gauss_upper_tail(u: float) -> float:
     return 0.5 * math.erfc(u / math.sqrt(2.0))
 
 
+def split_ab(w: np.ndarray, model: GaussianModel) -> tuple[float, float]:
+    """(a, b) of one predictor: a = <w, mu> and b = ||w - (a/||mu||^2) mu||.
+
+    Uses the projection (I - mu mu^T/||mu||^2) w, so mu need not be
+    axis-aligned.  b is set to 0 when it is at rounding scale relative to
+    ||w||.  w = 0 gives (0, 0) and a non-finite w a non-finite pair.
+    """
+    a = float(model.mu @ w)
+    b = float(np.linalg.norm(w - (a / model.mu_norm**2) * model.mu))
+    if b <= 32.0 * np.finfo(float).eps * float(np.linalg.norm(w)):
+        # residual at rounding scale: w is aligned with mu up to float noise
+        b = 0.0
+    return a, b
+
+
+def ab_metrics(a, b, model: GaussianModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, cos, loss01) for the predictors with components (a, b), elementwise.
+
+    r = a / b (signed infinity at b = 0); cos = a / (||w|| ||mu||) with
+    ||w|| = hypot(a/||mu||, b); loss01 = Phi((||mu||/sigma) cos), the expected
+    0-1 loss.  For sigma = 0 the pointwise limit applies: 0 when a > 0, 1 when
+    a < 0 and 1/2 on the decision boundary.  All three are NaN for the zero
+    predictor a = b = 0, and loss01 is NaN wherever cos is not finite.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(b > 0.0, a / b, np.copysign(np.inf, a))
+        cos = a / (np.hypot(a / model.mu_norm, b) * model.mu_norm)
+    r[(a == 0.0) & (b == 0.0)] = np.nan
+    loss01 = np.full(cos.shape, np.nan)
+    ok = np.isfinite(cos)
+    if model.sigma == 0.0:
+        loss01[ok] = 0.5 - 0.5 * np.sign(a[ok])
+    else:
+        loss01[ok] = [gauss_upper_tail(u) for u in (model.mu_norm / model.sigma) * cos[ok]]
+    return r, cos, loss01
+
+
 def zero_one_loss(model: GaussianModel, w: np.ndarray) -> float:
     """Expected misclassification probability of sign(w^T x) under the model.
 
-    For sigma > 0 this is Phi(mu^T w / (sigma ||w||)).  For sigma = 0 the
-    pointwise limit applies: 0 when mu^T w > 0, 1 when mu^T w < 0, and 1/2 on
-    the decision boundary (matches P(y w^T x < 0) evaluated at x = y mu).
+    For sigma > 0 this is Phi(mu^T w / (sigma ||w||)); for sigma = 0 it is 0,
+    1 or 1/2 by the sign of mu^T w (P(y w^T x < 0) at x = y mu).  See
+    ab_metrics.
     """
-    w = np.asarray(w, dtype=float).reshape(-1)
-    _check_dim(w, model)
-    norm_w = float(np.linalg.norm(w))
-    if norm_w == 0.0:
-        raise ValueError("w must be a nonzero vector")
-    align = float(model.mu @ w)
-    if model.sigma == 0.0:
-        if align > 0.0:
-            return 0.0
-        if align < 0.0:
-            return 1.0
-        return 0.5
-    return gauss_upper_tail(align / (model.sigma * norm_w))
+    a, b = split_ab(_nonzero_predictor(w, model), model)
+    return float(ab_metrics(a, b, model)[2])
 
 
 def decompose(w: np.ndarray, model: GaussianModel) -> PredictorDecomposition:
-    """Decompose w into its along-mu and orthogonal parts.
-
-    Uses the projection (I - mu mu^T/||mu||^2) w, so mu need not be
-    axis-aligned.
-    """
-    w = np.asarray(w, dtype=float).reshape(-1)
-    _check_dim(w, model)
-    norm_w = float(np.linalg.norm(w))
-    if norm_w == 0.0:
-        raise ValueError("w must be a nonzero vector")
-    a = float(model.mu @ w)
-    a_bar = a / model.mu_norm
-    residual = w - (a / model.mu_norm**2) * model.mu
-    b = float(np.linalg.norm(residual))
-    if b <= 32.0 * np.finfo(float).eps * norm_w:
-        # residual at rounding scale: w is aligned with mu up to float noise
-        b = 0.0
-    if b > 0.0:
-        r = a / b
-    else:
-        r = math.copysign(math.inf, a)
-    cos = a / (norm_w * model.mu_norm)
-    return PredictorDecomposition(a=a, a_bar=a_bar, b=b, r=r, cos=cos)
+    """Decompose w into its along-mu and orthogonal parts (split_ab, ab_metrics)."""
+    a, b = split_ab(_nonzero_predictor(w, model), model)
+    r, cos, _ = ab_metrics(a, b, model)
+    return PredictorDecomposition(a=a, a_bar=a / model.mu_norm, b=b, r=float(r),
+                                  cos=float(cos))
 
 
 def is_epsilon_optimal(w: np.ndarray, model: GaussianModel, eps: float) -> bool:
@@ -171,6 +186,10 @@ def is_epsilon_optimal(w: np.ndarray, model: GaussianModel, eps: float) -> bool:
     return dec.a > 0.0 and dec.cos**2 >= 1.0 - eps
 
 
-def _check_dim(w: np.ndarray, model: GaussianModel) -> None:
+def _nonzero_predictor(w: np.ndarray, model: GaussianModel) -> np.ndarray:
+    w = np.asarray(w, dtype=float).reshape(-1)
     if w.size != model.d:
         raise ValueError(f"dimension mismatch: len(w)={w.size}, model d={model.d}")
+    if float(np.linalg.norm(w)) == 0.0:
+        raise ValueError("w must be a nonzero vector")
+    return w

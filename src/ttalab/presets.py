@@ -39,13 +39,7 @@ from .dynamics import (
 )
 from .harness import step_size_sweep
 from .losses import make_loss, parse_loss_id
-from .model import (
-    GaussianModel,
-    decompose,
-    derive_stream_seed,
-    gauss_upper_tail,
-    zero_one_loss,
-)
+from .model import GaussianModel, ab_metrics, derive_stream_seed, gauss_upper_tail, split_ab
 from .serialize import (
     config_flat,
     csv_with_meta_text,
@@ -127,7 +121,6 @@ class FigurePreset:
     eta_grid: tuple = ()
     seed_count: int = 1
     best_error: float | None = None
-    description: str = ""
 
 
 @dataclass(frozen=True)
@@ -155,13 +148,10 @@ def build_figure_preset(fig_id: str, seed: int = 0, d: int = 10,
             for name in ("hard+square", "conj+square")
         }
         return FigurePreset(id=fig_id, configs=configs,
-                            best_error=best_achievable_error(model),
-                            description=f"alternating +-mu stream, eta={eta:g}, "
-                                        "with a no-adaptation baseline")
+                            best_error=best_achievable_error(model))
 
     if fig_id in ("fig2", "fig3"):
-        return FigurePreset(id=fig_id, description="loss shapes" if fig_id == "fig2"
-                            else "pointwise tail exponents")
+        return FigurePreset(id=fig_id)
 
     family = fig_id.split("-")[1]
     horizon = 500 if horizon is None else horizon
@@ -176,9 +166,7 @@ def build_figure_preset(fig_id: str, seed: int = 0, d: int = 10,
     }
     return FigurePreset(id=fig_id, configs=configs, eta_grid=ETA_GRID,
                         seed_count=_FIG4_SEED_COUNT,
-                        best_error=best_achievable_error(model),
-                        description="noisy mini-batch runs, best step size per "
-                                    "method over the search grid")
+                        best_error=best_achievable_error(model))
 
 
 def reproduce_figure(fig_id: str, seed: int = 0, d: int = 10, batch: int = 32,
@@ -241,9 +229,9 @@ def _emit_fig1(preset: FigurePreset, out: Path):
 
 
 def _constant_baseline(config: ExperimentConfig) -> list[TrajectoryPoint]:
-    dec = decompose(config.w_init, config.model)
-    loss01 = zero_one_loss(config.model, config.w_init)
-    return [TrajectoryPoint(t=t, a=dec.a, b=dec.b, r=dec.r, cos=dec.cos, loss01=loss01)
+    a, b = split_ab(config.w_init, config.model)
+    r, cos, loss01 = (float(v) for v in ab_metrics(a, b, config.model))
+    return [TrajectoryPoint(t=t, a=a, b=b, r=r, cos=cos, loss01=loss01)
             for t in range(1, config.horizon + 2)]
 
 

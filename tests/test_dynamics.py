@@ -156,6 +156,20 @@ class TestRunStochastic:
         assert math.isnan(last.cos) and math.isnan(last.loss01)
         assert not points[0].overflow
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_zero_iterate_ends_with_a_flag_in_both_modes(self, mode):
+        # noiseless hard square, eta = 2 from w = 2 mu: a = 2 - 2 (2 - 1) = 0
+        model = GaussianModel(mu=np.array([1.0, 0.0]), sigma=0.0)
+        config = ExperimentConfig(model=model, loss=make_loss("hard", "square"),
+                                  eta=2.0, mode=mode, horizon=4, seed=0,
+                                  w_init=np.array([2.0, 0.0]))
+        run = run_population if mode is Mode.POPULATION else run_stochastic
+        points = run(config)
+        assert [(p.t, p.overflow) for p in points] == [(1, False), (2, True)]
+        last = points[-1]
+        assert last.a == 0.0 and last.b == 0.0
+        assert math.isnan(last.r) and math.isnan(last.cos) and math.isnan(last.loss01)
+
 
 class TestExpectationTerms:
     def test_conj_square_is_exact(self):

@@ -13,6 +13,7 @@ from ttalab import (
     sample_batch,
     zero_one_loss,
 )
+from ttalab.model import ab_metrics, split_ab
 
 
 def tail_by_quadrature(u: float) -> float:
@@ -184,6 +185,32 @@ class TestDecompose:
             w = rng.standard_normal(5)
             dec = decompose(w, model)
             assert abs(dec.b - float(np.linalg.norm(w[1:]))) <= 1e-14
+
+
+class TestAbMetrics:
+    def test_elementwise_rules(self):
+        """(r, cos, loss01) per (a, b): the b = 0 limits and the zero predictor."""
+        a = np.array([6.0, 2.0, -2.0, 0.0, 0.0])
+        b = np.array([4.0, 0.0, 0.0, 3.0, 0.0])
+        noisy = GaussianModel(mu=np.array([2.0, 0.0]), sigma=1.0)
+        r, cos, loss01 = ab_metrics(a, b, noisy)
+        np.testing.assert_array_equal(r, [1.5, math.inf, -math.inf, 0.0, math.nan])
+        np.testing.assert_allclose(cos, [0.6, 1.0, -1.0, 0.0, math.nan], rtol=1e-15)
+        np.testing.assert_allclose(
+            loss01, [gauss_upper_tail(2.0 * c) for c in cos[:4]] + [math.nan], rtol=1e-15)
+        noiseless = GaussianModel(mu=np.array([2.0, 0.0]), sigma=0.0)
+        np.testing.assert_array_equal(ab_metrics(a, b, noiseless)[2],
+                                      [0.0, 0.0, 1.0, 0.5, math.nan])
+
+    def test_matches_decompose_and_zero_one_loss(self):
+        rng = np.random.default_rng(5)
+        model = GaussianModel(mu=rng.standard_normal(4), sigma=0.8)
+        ws = rng.standard_normal((20, 4))
+        a, b = np.array([split_ab(w, model) for w in ws]).T
+        r, cos, loss01 = ab_metrics(a, b, model)
+        for w, row in zip(ws, zip(r, cos, loss01)):
+            dec = decompose(w, model)
+            assert row == (dec.r, dec.cos, zero_one_loss(model, w))
 
 
 class TestEpsilonOptimal:
