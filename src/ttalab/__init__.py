@@ -65,11 +65,9 @@ from .serialize import ConfigError, RunManifest, parse_config_file
 from .presets import (
     ETA_GRID,
     FIGURE_IDS,
-    FigurePreset,
     FigureResult,
     alternating_pm_mu_sampler,
     build_benchmark_domains,
-    build_figure_preset,
     render_figure_svg,
     reproduce_figure,
 )
@@ -97,8 +95,7 @@ __all__ = [
     "nu_star_upper", "record_text",
     # io and presets
     "ConfigError", "RunManifest", "parse_config_file", "ETA_GRID",
-    "FIGURE_IDS", "FigurePreset", "FigureResult", "build_benchmark_domains",
-    "build_figure_preset", "alternating_pm_mu_sampler", "reproduce_figure",
-    "render_figure_svg", "GridPoint", "grid_search", "step_size_sweep",
-    "run_config", "run_experiment",
+    "FIGURE_IDS", "FigureResult", "build_benchmark_domains",
+    "alternating_pm_mu_sampler", "reproduce_figure", "render_figure_svg",
+    "GridPoint", "grid_search", "step_size_sweep", "run_config", "run_experiment",
 ]

@@ -308,17 +308,13 @@ def _check_log_bound(seq: np.ndarray, c: float, L: float, tau: float,
     if c == 0.0:
         # log of 0 is -inf: the bound is vacuous for a constant sequence.
         return True, None, math.inf
-    values = seq.tolist()
-    first = None
-    min_slack = math.inf
-    for t in range(math.floor(tau + 1.0) + 1, T + 1):
-        slack = values[t - 1] - math.log(c * (t - 1)) / (2.0 * L)
-        if slack < min_slack:
-            min_slack = slack
-            # the first negative slack is always a new minimum
-            if first is None and slack < 0.0:
-                first = t
-    return first is None, first, min_slack
+    start = math.floor(tau + 1.0) + 1
+    t = np.arange(start, T + 1)
+    slack = seq[start - 1:T] - np.log(c * (t - 1)) / (2.0 * L)
+    violations = np.flatnonzero(slack < 0.0)
+    first = int(t[violations[0]]) if violations.size else None
+    # fmin skips NaN slack, and the empty range gives the initial inf
+    return first is None, first, float(np.fmin.reduce(slack, initial=math.inf))
 
 
 def log_rate_check(loss: SelfTrainingLoss, a1: float, b1: float, eta: float,

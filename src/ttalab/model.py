@@ -57,7 +57,7 @@ class GaussianModel:
             raise ValueError("mu must be a nonzero vector")
         sigma = float(self.sigma)
         if not math.isfinite(sigma) or sigma < 0.0:
-            raise ValueError("sigma must be non-negative")
+            raise ValueError("sigma must be finite and non-negative")
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)

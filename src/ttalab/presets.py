@@ -7,7 +7,11 @@ initial expected 0-1 loss at Phi(0.8416) = 0.2 and the best achievable error
 at Phi(0.8416 / 0.6567) = 0.1.  The remaining mean coordinates are random, so
 nothing downstream may assume the mean is axis-aligned.
 
-Figure presets:
+Each figure is one entry of the table _FIGURES = {fig_id: (emit, render)}:
+emit(fig_id, out, seed, d, batch, horizon) builds its configs, runs them,
+writes its CSVs and returns (csv_paths, summary); render(fig_id, out) returns
+the SVG text built from those CSVs alone, never from values held only in
+memory.  The entries:
 
     fig1a / fig1b   square-family losses on the deterministic alternating
                     +-mu stream (one sample per step, +mu at odd t), eta = 1
@@ -15,17 +19,16 @@ Figure presets:
     fig2            the four tail-bounded losses psi(u) on a margin grid
     fig3            their pointwise tail exponents L(z)
     fig4-exp /      noisy mini-batch adaptation, hard vs conjugate labels,
-    fig4-logistic   step size searched over an 11-point grid, 10 repeat
-                    seeds, mean curves against the best-error line
-
-Every SVG is rendered from the CSVs written alongside it, never from values
-held only in memory.
+    fig4-logistic   step size searched over ETA_GRID, _FIG4_SEED_COUNT
+                    repeat seeds, mean curves against the best-error line;
+                    both CSVs carry the base config in their `#` block
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -51,10 +54,8 @@ from .serialize import (
 __all__ = [
     "ETA_GRID",
     "FIGURE_IDS",
-    "FigurePreset",
     "FigureResult",
     "build_benchmark_domains",
-    "build_figure_preset",
     "alternating_pm_mu_sampler",
     "reproduce_figure",
     "render_figure_svg",
@@ -62,8 +63,6 @@ __all__ = [
 
 # Step-size search grid for the noisy benchmark: 11 values spanning 1e-3..1e2.
 ETA_GRID = (1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 5e-1, 1e0, 5e0, 1e1, 5e1, 1e2)
-
-FIGURE_IDS = ("fig1a", "fig1b", "fig2", "fig3", "fig4-exp", "fig4-logistic")
 
 # First coordinate of the target mean and the normal quantile with 20% upper
 # tail; together they pin the 0.2 initial / 0.1 best error operating point.
@@ -113,17 +112,6 @@ def alternating_pm_mu_sampler(model: GaussianModel):
 
 
 @dataclass(frozen=True)
-class FigurePreset:
-    """Fully resolved inputs for one figure."""
-
-    id: str
-    configs: dict = field(default_factory=dict)
-    eta_grid: tuple = ()
-    seed_count: int = 1
-    best_error: float | None = None
-
-
-@dataclass(frozen=True)
 class FigureResult:
     id: str
     csv_paths: tuple
@@ -131,94 +119,72 @@ class FigureResult:
     summary: dict
 
 
-def build_figure_preset(fig_id: str, seed: int = 0, d: int = 10,
-                        batch: int = 32, horizon: int | None = None) -> FigurePreset:
-    if fig_id not in FIGURE_IDS:
-        raise ValueError(f"unknown figure id {fig_id!r}; choose from {FIGURE_IDS}")
-
-    if fig_id in ("fig1a", "fig1b"):
-        eta = 1.0 if fig_id == "fig1a" else 100.0
-        horizon = 200 if horizon is None else horizon
-        _, mu_t, sigma_t, w_init = build_benchmark_domains(d, seed)
-        model = GaussianModel(mu=mu_t, sigma=sigma_t)
-        configs = {
-            name: ExperimentConfig(model=model, loss=make_loss(*name.split("+")),
-                                   eta=eta, mode=Mode.STOCHASTIC, horizon=horizon,
-                                   seed=seed, w_init=w_init, batch_size=1)
-            for name in ("hard+square", "conj+square")
-        }
-        return FigurePreset(id=fig_id, configs=configs,
-                            best_error=best_achievable_error(model))
-
-    if fig_id in ("fig2", "fig3"):
-        return FigurePreset(id=fig_id)
-
-    family = fig_id.split("-")[1]
-    horizon = 500 if horizon is None else horizon
-    _, mu_t, sigma_t, w_init = build_benchmark_domains(d, seed)
-    model = GaussianModel(mu=mu_t, sigma=sigma_t)
-    configs = {
-        f"{rule}+{family}": ExperimentConfig(
-            model=model, loss=make_loss(rule, family), eta=1.0,
-            mode=Mode.STOCHASTIC, horizon=horizon, seed=seed,
-            w_init=w_init, batch_size=batch)
-        for rule in ("hard", "conj")
-    }
-    return FigurePreset(id=fig_id, configs=configs, eta_grid=ETA_GRID,
-                        seed_count=_FIG4_SEED_COUNT,
-                        best_error=best_achievable_error(model))
-
-
 def reproduce_figure(fig_id: str, seed: int = 0, d: int = 10, batch: int = 32,
                      horizon: int | None = None,
                      out_dir: str | Path = "figures") -> FigureResult:
     """Run one figure preset and write its CSV(s) and SVG to out_dir."""
-    preset = build_figure_preset(fig_id, seed=seed, d=d, batch=batch, horizon=horizon)
+    emit, _ = _figure(fig_id)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    if fig_id in ("fig1a", "fig1b"):
-        csv_paths, summary = _emit_fig1(preset, out)
-    elif fig_id == "fig2":
-        csv_paths, summary = _emit_fig2(out)
-    elif fig_id == "fig3":
-        csv_paths, summary = _emit_fig3(out)
-    else:
-        csv_paths, summary = _emit_fig4(preset, out)
-
+    csv_paths, summary = emit(fig_id, out, seed, d, batch, horizon)
     svg_path = render_figure_svg(fig_id, out)
     return FigureResult(id=fig_id, csv_paths=tuple(csv_paths), svg_path=svg_path,
                         summary=summary)
 
 
-# --- figure emitters -------------------------------------------------------------
+def render_figure_svg(fig_id: str, out_dir: str | Path) -> Path:
+    """Build the figure's SVG from its CSV file(s) alone."""
+    _, render = _figure(fig_id)
+    out = Path(out_dir)
+    svg_path = out / f"{fig_id}.svg"
+    svg_path.write_text(render(fig_id, out), encoding="utf-8")
+    return svg_path
 
 
-def _meta_for(config: ExperimentConfig, **extra) -> dict:
-    meta = config_flat(config)
-    meta.update(extra)
-    return meta
+def _figure(fig_id: str):
+    try:
+        return _FIGURES[fig_id]
+    except KeyError:
+        raise ValueError(f"unknown figure id {fig_id!r}; choose from {FIGURE_IDS}") from None
 
 
-def _emit_fig1(preset: FigurePreset, out: Path):
+# --- figure emitters: build the configs, run them, write the CSVs ----------------
+
+
+def _benchmark_configs(family: str, eta: float, seed: int, d: int, batch: int,
+                       horizon: int) -> dict[str, ExperimentConfig]:
+    """Hard- and conjugate-label runs of one loss family on the benchmark
+    target domain, keyed "rule+family"."""
+    _, mu_t, sigma_t, w_init = build_benchmark_domains(d, seed)
+    model = GaussianModel(mu=mu_t, sigma=sigma_t)
+    return {
+        f"{rule}+{family}": ExperimentConfig(
+            model=model, loss=make_loss(rule, family), eta=eta,
+            mode=Mode.STOCHASTIC, horizon=horizon, seed=seed,
+            w_init=w_init, batch_size=batch)
+        for rule in ("hard", "conj")
+    }
+
+
+def _emit_fig1(fig_id, out, seed, d, batch, horizon, *, eta):
+    configs = _benchmark_configs("square", eta, seed, d, 1,
+                                 200 if horizon is None else horizon)
+    first = next(iter(configs.values()))
     csv_paths = []
-    summary: dict = {"best_error": preset.best_error}
-    sampler_model = next(iter(preset.configs.values())).model
-    sampler = alternating_pm_mu_sampler(sampler_model)
-    for name, config in preset.configs.items():
+    summary: dict = {"best_error": best_achievable_error(first.model)}
+    sampler = alternating_pm_mu_sampler(first.model)
+    for name, config in configs.items():
         points = run_stochastic(config, sampler=sampler)
-        path = out / f"{preset.id}_{name.replace('+', '_')}.csv"
-        path.write_text(
-            trajectory_csv_text(points, _meta_for(config, stream="alternating-pm-mu")),
-            encoding="utf-8")
+        path = out / f"{fig_id}_{name.replace('+', '_')}.csv"
+        meta = {**config_flat(config), "stream": "alternating-pm-mu"}
+        path.write_text(trajectory_csv_text(points, meta), encoding="utf-8")
         csv_paths.append(path)
         summary[name] = {"final_loss01": points[-1].loss01,
                          "overflow": points[-1].overflow}
 
-    config = next(iter(preset.configs.values()))
-    baseline = _constant_baseline(config)
-    base_path = out / f"{preset.id}_no_adaptation.csv"
-    meta = _meta_for(config, stream="alternating-pm-mu")
+    baseline = _constant_baseline(first)
+    base_path = out / f"{fig_id}_no_adaptation.csv"
+    meta = {**config_flat(first), "stream": "alternating-pm-mu"}
     meta.pop("loss.rule")
     meta.pop("loss.family")
     meta["run.mode"] = "none"
@@ -238,7 +204,7 @@ def _constant_baseline(config: ExperimentConfig) -> list[TrajectoryPoint]:
 _FIG2_LOSSES = ("hard+exp", "conj+exp", "hard+logistic", "conj+logistic")
 
 
-def _emit_fig2(out: Path):
+def _emit_fig2(fig_id, out, seed, d, batch, horizon):
     u = np.round(np.arange(-600, 601) * 0.01, 2)
     losses = {name: parse_loss_id(name) for name in _FIG2_LOSSES}
     rows = [[float(ui)] + [float(losses[name].psi(ui)) for name in _FIG2_LOSSES]
@@ -250,7 +216,7 @@ def _emit_fig2(out: Path):
     return [path], {"losses": list(_FIG2_LOSSES)}
 
 
-def _emit_fig3(out: Path):
+def _emit_fig3(fig_id, out, seed, d, batch, horizon):
     z = np.round(np.arange(1, 201) * 0.05, 2)
     header = "z," + ",".join(name.replace("+", "_") for name in _FIG2_LOSSES)
     columns = {}
@@ -268,78 +234,89 @@ def _emit_fig3(out: Path):
     return [path], {"losses": list(_FIG2_LOSSES)}
 
 
-def _emit_fig4(preset: FigurePreset, out: Path):
+def _emit_fig4(fig_id, out, seed, d, batch, horizon, *, family):
+    configs = _benchmark_configs(family, 1.0, seed, d, batch,
+                                 500 if horizon is None else horizon)
+    base = next(iter(configs.values()))
+    # the base config minus the two fields the rows vary
+    meta = config_flat(base)
+    del meta["loss.rule"], meta["run.eta"]
     grid_rows = []
     curves = {}
-    summary: dict = {"best_error": preset.best_error}
-    for name, base in preset.configs.items():
-        streams = [derive_stream_seed(base.seed, k) for k in range(preset.seed_count)]
-        best, rows = step_size_sweep(base, preset.eta_grid, streams)
+    summary: dict = {"best_error": best_achievable_error(base.model)}
+    for name, config in configs.items():
+        streams = [derive_stream_seed(config.seed, k) for k in range(_FIG4_SEED_COUNT)]
+        best, rows = step_size_sweep(config, ETA_GRID, streams)
         grid_rows += [[name.split("+")[0], p.eta, p.mean_final_loss01,
                        p.std_final_loss01, p.n_overflow] for p in rows]
         curves[name] = best.curve
         summary[name] = {"best_eta": best.eta, "mean_final_loss01": best.mean_final_loss01,
                          "std_final_loss01": best.std_final_loss01}
 
-    grid_path = out / f"{preset.id}_grid.csv"
+    grid_path = out / f"{fig_id}_grid.csv"
     grid_path.write_text(
         csv_with_meta_text("rule,eta,mean_final_loss01,std_final_loss01,n_overflow",
                            grid_rows,
-                           {"seeds": preset.seed_count, "figure": preset.id}),
+                           {**meta, "seeds": _FIG4_SEED_COUNT, "figure": fig_id}),
         encoding="utf-8")
 
-    names = list(preset.configs)
+    names = list(configs)
     length = min(len(curves[n]) for n in names)
     curve_rows = [[t + 1] + [float(curves[n][t]) for n in names] for t in range(length)]
     header = "t," + ",".join(f"{n.replace('+', '_')}_mean_loss01" for n in names)
-    curves_path = out / f"{preset.id}_curves.csv"
+    curves_path = out / f"{fig_id}_curves.csv"
     curves_path.write_text(
         csv_with_meta_text(header, curve_rows,
-                           {"figure": preset.id, "best_error": preset.best_error,
+                           {**meta, "figure": fig_id, "best_error": summary["best_error"],
                             "best_eta": {n: summary[n]["best_eta"] for n in names}}),
         encoding="utf-8")
     return [grid_path, curves_path], summary
 
 
-# --- SVG rendering (strictly from the CSVs) ---------------------------------------
+# --- SVG renderers: the SVG text, strictly from the CSVs --------------------------
 
 
-def render_figure_svg(fig_id: str, out_dir: str | Path) -> Path:
-    """Build the figure's SVG from its CSV file(s) alone."""
-    out = Path(out_dir)
-    if fig_id in ("fig1a", "fig1b"):
-        series = []
-        for stem in ("hard_square", "conj_square", "no_adaptation"):
-            cols, rows, _ = read_csv_with_meta(out / f"{fig_id}_{stem}.csv")
-            t = [row[cols.index("t")] for row in rows]
-            loss = [row[cols.index("loss01")] for row in rows]
-            series.append((stem.replace("_", "+"), t, loss))
-        svg = svg_line_chart(series, title=f"{fig_id}: expected 0-1 loss vs iteration",
-                             xlabel="iteration t", ylabel="expected 0-1 loss")
-    elif fig_id in ("fig2", "fig3"):
-        cols, rows, _ = read_csv_with_meta(out / f"{fig_id}.csv")
-        xs = [row[0] for row in rows]
-        series = [(name.replace("_", "+"), xs, [row[i] for row in rows])
-                  for i, name in enumerate(cols) if i > 0]
-        if fig_id == "fig2":
-            svg = svg_line_chart(series, title="self-training losses psi(u)",
-                                 xlabel="margin u", ylabel="psi(u)")
-        else:
-            svg = svg_line_chart(series, title="tail exponent of -psi'",
-                                 xlabel="z", ylabel="-log(-psi'(z)) / z")
-    elif fig_id in ("fig4-exp", "fig4-logistic"):
-        cols, rows, meta = read_csv_with_meta(out / f"{fig_id}_curves.csv")
-        xs = [row[0] for row in rows]
-        series = [(name.removesuffix("_mean_loss01").replace("_", "+"), xs,
-                   [row[i] for row in rows])
-                  for i, name in enumerate(cols) if i > 0]
-        hlines = [("best achievable", float(meta["best_error"]))]
-        svg = svg_line_chart(series, title=f"{fig_id}: mean 0-1 loss at best step size",
-                             xlabel="iteration t", ylabel="expected 0-1 loss",
-                             hlines=hlines)
-    else:
-        raise ValueError(f"unknown figure id {fig_id!r}; choose from {FIGURE_IDS}")
+def _render_fig1(fig_id, out):
+    series = []
+    for stem in ("hard_square", "conj_square", "no_adaptation"):
+        cols, rows, _ = read_csv_with_meta(out / f"{fig_id}_{stem}.csv")
+        t = [row[cols.index("t")] for row in rows]
+        loss = [row[cols.index("loss01")] for row in rows]
+        series.append((stem.replace("_", "+"), t, loss))
+    return svg_line_chart(series, title=f"{fig_id}: expected 0-1 loss vs iteration",
+                          xlabel="iteration t", ylabel="expected 0-1 loss")
 
-    svg_path = out / f"{fig_id}.svg"
-    svg_path.write_text(svg, encoding="utf-8")
-    return svg_path
+
+def _render_loss_columns(fig_id, out, *, title, xlabel, ylabel):
+    cols, rows, _ = read_csv_with_meta(out / f"{fig_id}.csv")
+    xs = [row[0] for row in rows]
+    series = [(name.replace("_", "+"), xs, [row[i] for row in rows])
+              for i, name in enumerate(cols) if i > 0]
+    return svg_line_chart(series, title=title, xlabel=xlabel, ylabel=ylabel)
+
+
+def _render_fig4(fig_id, out):
+    cols, rows, meta = read_csv_with_meta(out / f"{fig_id}_curves.csv")
+    xs = [row[0] for row in rows]
+    series = [(name.removesuffix("_mean_loss01").replace("_", "+"), xs,
+               [row[i] for row in rows])
+              for i, name in enumerate(cols) if i > 0]
+    hlines = [("best achievable", float(meta["best_error"]))]
+    return svg_line_chart(series, title=f"{fig_id}: mean 0-1 loss at best step size",
+                          xlabel="iteration t", ylabel="expected 0-1 loss",
+                          hlines=hlines)
+
+
+# figure id -> (emit, render); the one place a figure id is given its meaning.
+_FIGURES = {
+    "fig1a": (partial(_emit_fig1, eta=1.0), _render_fig1),
+    "fig1b": (partial(_emit_fig1, eta=100.0), _render_fig1),
+    "fig2": (_emit_fig2, partial(_render_loss_columns, title="self-training losses psi(u)",
+                                 xlabel="margin u", ylabel="psi(u)")),
+    "fig3": (_emit_fig3, partial(_render_loss_columns, title="tail exponent of -psi'",
+                                 xlabel="z", ylabel="-log(-psi'(z)) / z")),
+    "fig4-exp": (partial(_emit_fig4, family="exp"), _render_fig4),
+    "fig4-logistic": (partial(_emit_fig4, family="logistic"), _render_fig4),
+}
+
+FIGURE_IDS = tuple(_FIGURES)

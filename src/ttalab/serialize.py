@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -98,7 +98,7 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
     try:
         model = GaussianModel(mu=mu, sigma=sigma)
     except ValueError as exc:
-        raise ConfigError(f"model.sigma/model.mu: {exc}") from None
+        raise ConfigError(_name_config_field(str(exc))) from None
 
     try:
         loss = make_loss(str(raw["loss.rule"]), str(raw["loss.family"]))
@@ -135,7 +135,8 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
 def _name_config_field(message: str) -> str:
     prefixes = {
         "eta": "run.eta", "horizon": "run.horizon", "batch": "run.batch",
-        "seed": "run.seed", "w ": "init.w", "w m": "init.w",
+        "seed": "run.seed", "w ": "init.w", "mu ": "model.mu",
+        "sigma ": "model.sigma",
     }
     for frag, key in prefixes.items():
         if message.startswith(frag):
@@ -255,16 +256,7 @@ class RunManifest:
     notes: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "config": self.config,
-            "code_version": self.code_version,
-            "root_seed": self.root_seed,
-            "prng": self.prng,
-            "created_utc": self.created_utc,
-            "outputs": list(self.outputs),
-            "notes": self.notes,
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
 
 def write_manifest(path: str | Path, config: ExperimentConfig,

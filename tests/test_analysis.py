@@ -17,6 +17,7 @@ from ttalab import (
     tail_rate_curve,
     verify_club,
 )
+from ttalab.analysis import _check_log_bound
 
 
 def _fixed_point(L, lo, hi):
@@ -43,6 +44,22 @@ def _first_shifted_violation(seq, c, L, tau):
     t = np.arange(max(math.floor(tau + 1.0) + 1, offset + 1), len(seq) + 1)
     bad = seq[t - offset - 1] < np.log(c * (t - 1)) / (2 * L)
     return int(t[bad][0]) if bad.any() else None
+
+
+def _loop_log_bound(seq, c, L, tau, T):
+    """(holds, first violating t, minimum slack) of r_t >= log(c (t-1)) / (2 L)
+    over every integer t > tau + 1 up to T, one t at a time: the oracle for
+    the vectorised _check_log_bound."""
+    values = seq.tolist()
+    first = None
+    min_slack = math.inf
+    for t in range(math.floor(tau + 1.0) + 1, T + 1):
+        slack = values[t - 1] - math.log(c * (t - 1)) / (2.0 * L)
+        if slack < min_slack:
+            min_slack = slack
+            if first is None and slack < 0.0:
+                first = t
+    return first is None, first, min_slack
 
 
 class TestVerifyClub:
@@ -238,6 +255,21 @@ class TestRecursionBound:
                 t = np.arange(start, 10**5 + 1)
                 rhs = np.log(c * (t - 1)) / (2 * L)
                 assert np.all(seq[t - 1] >= rhs)
+
+    def test_vectorised_check_matches_the_loop(self):
+        """Same (holds, first, min_slack), bit for bit, as the t-by-t loop at
+        burn-in 0 (where the small-L sequences violate the bound) and at tau*."""
+        near = 1.0 / math.e - 1e-3
+        runs = [(1.0, c, L, 10**5) for L in (0.2, near) for c in (0.1, 1.0, 10.0)]
+        runs.append((1.0, 1.0, 1.0, 10**6))
+        violated = 0
+        for r1, c, L, T in runs:
+            seq, report = recursion_bound_run(r1, c, L, T)
+            for tau in (0.0, report.tau_star):
+                got = _check_log_bound(seq, c, L, tau, T)
+                assert got == _loop_log_bound(seq, c, L, tau, T)
+                violated += got[1] is not None
+        assert violated > 0
 
     def test_strict_inequality_instance_also_holds(self):
         # doubled increments: a representative strictly-greater dynamic

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from ttalab import (
+    FIGURE_IDS,
     ConfigError,
     ExperimentConfig,
     GaussianModel,
     Mode,
     build_benchmark_domains,
-    build_figure_preset,
     gauss_upper_tail,
     grid_search,
     make_loss,
@@ -81,6 +81,17 @@ class TestConfigParsing:
         assert main(["run", str(path), "--out", str(tmp_path)]) == 1
         assert "init.w" in capsys.readouterr().err
         assert not (tmp_path / "c.trajectory.csv").exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("model.sigma", -1, "sigma must be finite and non-negative"),
+        ("model.sigma", math.nan, "sigma must be finite and non-negative"),
+        ("model.mu", [0, 0], "mu must be a nonzero vector"),
+    ])
+    def test_model_error_names_the_one_bad_field(self, tmp_path, key, value, message):
+        path = write_config(tmp_path / "c.json", **{key: value})
+        with pytest.raises(ConfigError) as err:
+            parse_config_file(path)
+        assert str(err.value) == f"{key}: {message}"
 
     def test_bad_mode_diagnosed(self, tmp_path):
         path = write_config(tmp_path / "c.json", **{"run.mode": "minibatch"})
@@ -252,21 +263,30 @@ class TestFigurePresets:
     def test_unknown_figure_id(self, tmp_path):
         with pytest.raises(ValueError, match="unknown figure id"):
             reproduce_figure("fig9", out_dir=tmp_path)
+        with pytest.raises(ValueError, match="unknown figure id"):
+            render_figure_svg("fig9", tmp_path)
+        assert not any(tmp_path.iterdir())
 
-    def test_preset_exposes_resolved_configs(self):
-        preset = build_figure_preset("fig4-logistic", seed=1, d=6, batch=16,
-                                     horizon=50)
-        assert set(preset.configs) == {"hard+logistic", "conj+logistic"}
-        assert preset.eta_grid == (1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 5e-1, 1e0,
-                                   5e0, 1e1, 5e1, 1e2)
-        assert preset.seed_count == 10
-        config = preset.configs["hard+logistic"]
-        assert config.batch_size == 16 and config.model.d == 6
+    def test_fig4_csvs_record_their_config(self, tmp_path):
+        result = reproduce_figure("fig4-logistic", seed=1, d=6, batch=16,
+                                  horizon=3, out_dir=tmp_path)
+        cols, rows, meta = read_csv_with_meta(tmp_path / "fig4-logistic_grid.csv")
+        assert meta["model.dim"] == 6 and len(meta["model.mu"]) == 6
+        assert meta["run.batch"] == 16 and meta["run.horizon"] == 3
+        assert meta["run.seed"] == 1 and meta["loss.family"] == "logistic"
+        assert meta["seeds"] == 10
+        # the rows vary the rule and the step size, so the block names neither
+        assert "loss.rule" not in meta and "run.eta" not in meta
+        assert {row[cols.index("rule")] for row in rows} == {"hard", "conj"}
+        _, _, curves_meta = read_csv_with_meta(result.csv_paths[1])
+        assert {k: curves_meta[k] for k in meta if k not in ("seeds", "figure")} == {
+            k: meta[k] for k in meta if k not in ("seeds", "figure")}
 
-    def test_svg_regenerates_from_csv_alone(self, tmp_path):
-        result = reproduce_figure("fig3", out_dir=tmp_path)
+    @pytest.mark.parametrize("fig_id", FIGURE_IDS)
+    def test_svg_regenerates_from_csv_alone(self, tmp_path, fig_id):
+        result = reproduce_figure(fig_id, d=4, batch=4, horizon=3, out_dir=tmp_path)
         first = result.svg_path.read_bytes()
-        regenerated = render_figure_svg("fig3", tmp_path).read_bytes()
+        regenerated = render_figure_svg(fig_id, tmp_path).read_bytes()
         assert first == regenerated
 
     def test_svg_is_wellformed_xml(self, tmp_path):
