@@ -38,13 +38,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", type=Path)
     p_run.add_argument("--out", type=Path, default=Path("."))
 
-    p_fig = sub.add_parser("figure", help="reproduce a preset figure")
+    # options left out are left out of the call too: reproduce_figure's
+    # signature holds the one copy of each default
+    p_fig = sub.add_parser("figure", help="reproduce a preset figure",
+                           argument_default=argparse.SUPPRESS)
     p_fig.add_argument("id", choices=FIGURE_IDS)
-    p_fig.add_argument("--dim", type=int, default=10)
-    p_fig.add_argument("--batch", type=int, default=32)
-    p_fig.add_argument("--seed", type=int, default=0)
-    p_fig.add_argument("--horizon", type=int, default=None)
-    p_fig.add_argument("--out", type=Path, default=Path("figures"))
+    p_fig.add_argument("--dim", dest="d", type=int, metavar="DIM")
+    p_fig.add_argument("--batch", type=int)
+    p_fig.add_argument("--seed", type=int)
+    p_fig.add_argument("--horizon", type=int)
+    p_fig.add_argument("--out", dest="out_dir", type=Path, metavar="DIR")
 
     p_grid = sub.add_parser("grid", help="step-size search around a base config")
     p_grid.add_argument("config", type=Path)
@@ -92,9 +95,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "figure":
-        result = reproduce_figure(args.id, seed=args.seed, d=args.dim,
-                                  batch=args.batch, horizon=args.horizon,
-                                  out_dir=args.out)
+        options = {k: v for k, v in vars(args).items() if k not in ("command", "id")}
+        result = reproduce_figure(args.id, **options)
         for path in result.csv_paths:
             print(path)
         print(result.svg_path)

@@ -32,8 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from .losses import LabelRule, SelfTrainingLoss
-from .model import GaussianModel, ab_metrics, sample_batch, split_ab
+from .losses import SelfTrainingLoss
+from .model import GaussianModel, ab_metrics, check_predictor, sample_batch, split_ab
 
 __all__ = [
     "Mode",
@@ -87,15 +87,7 @@ class ExperimentConfig:
             raise ValueError("batch must be >= 1")
         if int(self.seed) < 0:
             raise ValueError("seed must be a non-negative integer")
-        w = np.array(self.w_init, dtype=float, copy=True).reshape(-1)
-        if w.size != self.model.d:
-            raise ValueError(
-                f"w has length {w.size} but the model dimension is {self.model.d}"
-            )
-        if not np.all(np.isfinite(w)):
-            raise ValueError("w must be finite")
-        if float(np.linalg.norm(w)) == 0.0:
-            raise ValueError("w must be a nonzero vector")
+        w = check_predictor(self.w_init, self.model)
         w.setflags(write=False)
         object.__setattr__(self, "w_init", w)
         object.__setattr__(self, "eta", float(self.eta))

@@ -78,7 +78,7 @@ class SelfTrainingLoss:
 
     dpsi is the a.e. derivative with the sign(0) = 0 convention; ddpsi is the
     smooth part of the second derivative.  smooth_second_derivative is True
-    iff psi' is continuous everywhere (false exactly for the hard rules).
+    iff psi' is continuous everywhere, which is exactly the conjugate rule.
     """
 
     rule: LabelRule
@@ -86,8 +86,11 @@ class SelfTrainingLoss:
     psi: Callable[[np.ndarray], np.ndarray]
     dpsi: Callable[[np.ndarray], np.ndarray]
     ddpsi: Callable[[np.ndarray], np.ndarray]
-    smooth_second_derivative: bool
     club: ClubParams | None
+
+    @property
+    def smooth_second_derivative(self) -> bool:
+        return self.rule is LabelRule.CONJ
 
     @property
     def name(self) -> str:
@@ -135,8 +138,7 @@ def _hard_square() -> SelfTrainingLoss:
         u = _as_array(u)
         return np.ones_like(u)
 
-    return SelfTrainingLoss(LabelRule.HARD, LossFamily.SQUARE, psi, dpsi, ddpsi,
-                            smooth_second_derivative=False, club=None)
+    return SelfTrainingLoss(LabelRule.HARD, LossFamily.SQUARE, psi, dpsi, ddpsi, club=None)
 
 
 def _conj_square() -> SelfTrainingLoss:
@@ -151,8 +153,7 @@ def _conj_square() -> SelfTrainingLoss:
         u = _as_array(u)
         return np.full_like(u, -1.0)
 
-    return SelfTrainingLoss(LabelRule.CONJ, LossFamily.SQUARE, psi, dpsi, ddpsi,
-                            smooth_second_derivative=True, club=None)
+    return SelfTrainingLoss(LabelRule.CONJ, LossFamily.SQUARE, psi, dpsi, ddpsi, club=None)
 
 
 def _hard_logistic() -> SelfTrainingLoss:
@@ -169,7 +170,6 @@ def _hard_logistic() -> SelfTrainingLoss:
         return _sech(_as_array(u)) ** 2
 
     return SelfTrainingLoss(LabelRule.HARD, LossFamily.LOGISTIC, psi, dpsi, ddpsi,
-                            smooth_second_derivative=False,
                             club=ClubParams(L=2.0, a_min=0.0))
 
 
@@ -188,7 +188,6 @@ def _conj_logistic() -> SelfTrainingLoss:
         return -s2 + 2.0 * u * np.tanh(u) * s2
 
     return SelfTrainingLoss(LabelRule.CONJ, LossFamily.LOGISTIC, psi, dpsi, ddpsi,
-                            smooth_second_derivative=True,
                             club=ClubParams(L=2.0, a_min=0.5))
 
 
@@ -206,7 +205,6 @@ def _hard_exp() -> SelfTrainingLoss:
         return np.exp(-np.abs(u))
 
     return SelfTrainingLoss(LabelRule.HARD, LossFamily.EXP, psi, dpsi, ddpsi,
-                            smooth_second_derivative=False,
                             club=ClubParams(L=1.0, a_min=0.0))
 
 
@@ -225,7 +223,6 @@ def _conj_exp() -> SelfTrainingLoss:
         return s * (t * t - s * s)
 
     return SelfTrainingLoss(LabelRule.CONJ, LossFamily.EXP, psi, dpsi, ddpsi,
-                            smooth_second_derivative=True,
                             club=ClubParams(L=1.0, a_min=0.75))
 
 

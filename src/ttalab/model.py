@@ -25,8 +25,6 @@ __all__ = [
     "sample_batch",
     "derive_stream_seed",
     "gauss_upper_tail",
-    "split_ab",
-    "ab_metrics",
     "zero_one_loss",
     "decompose",
     "is_epsilon_optimal",
@@ -161,13 +159,13 @@ def zero_one_loss(model: GaussianModel, w: np.ndarray) -> float:
     1 or 1/2 by the sign of mu^T w (P(y w^T x < 0) at x = y mu).  See
     ab_metrics.
     """
-    a, b = split_ab(_nonzero_predictor(w, model), model)
+    a, b = split_ab(check_predictor(w, model), model)
     return float(ab_metrics(a, b, model)[2])
 
 
 def decompose(w: np.ndarray, model: GaussianModel) -> PredictorDecomposition:
     """Decompose w into its along-mu and orthogonal parts (split_ab, ab_metrics)."""
-    a, b = split_ab(_nonzero_predictor(w, model), model)
+    a, b = split_ab(check_predictor(w, model), model)
     r, cos, _ = ab_metrics(a, b, model)
     return PredictorDecomposition(a=a, a_bar=a / model.mu_norm, b=b, r=float(r),
                                   cos=float(cos))
@@ -186,10 +184,14 @@ def is_epsilon_optimal(w: np.ndarray, model: GaussianModel, eps: float) -> bool:
     return dec.a > 0.0 and dec.cos**2 >= 1.0 - eps
 
 
-def _nonzero_predictor(w: np.ndarray, model: GaussianModel) -> np.ndarray:
-    w = np.asarray(w, dtype=float).reshape(-1)
+def check_predictor(w, model: GaussianModel) -> np.ndarray:
+    """w as a new flat float array, once it is a finite nonzero vector of
+    length model.d; each message starts with "w "."""
+    w = np.array(w, dtype=float).reshape(-1)
     if w.size != model.d:
-        raise ValueError(f"dimension mismatch: len(w)={w.size}, model d={model.d}")
+        raise ValueError(f"w has length {w.size} but the model dimension is {model.d}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("w must be finite")
     if float(np.linalg.norm(w)) == 0.0:
         raise ValueError("w must be a nonzero vector")
     return w

@@ -41,20 +41,7 @@ from .dynamics import ExperimentConfig, Mode, TrajectoryPoint
 from .losses import make_loss
 from .model import GaussianModel
 
-__all__ = [
-    "ConfigError",
-    "TRAJECTORY_HEADER",
-    "PRNG_ID",
-    "parse_config_file",
-    "config_flat",
-    "csv_with_meta_text",
-    "trajectory_csv_text",
-    "read_csv_with_meta",
-    "format_value",
-    "RunManifest",
-    "write_manifest",
-    "svg_line_chart",
-]
+__all__ = ["ConfigError", "parse_config_file", "RunManifest"]
 
 TRAJECTORY_HEADER = "t,a,b,r,cos,loss01"
 PRNG_ID = "numpy-pcg64-seedsequence"

@@ -358,3 +358,15 @@ class TestCliExitCodes:
     def test_figure_command(self, tmp_path, capsys):
         assert main(["figure", "fig2", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "fig2.svg").exists()
+
+    def test_figure_defaults_are_reproduce_figures(self, tmp_path, monkeypatch, capsys):
+        written = {}
+        for name, make in (("cli", lambda: main(["figure", "fig1a"])),
+                           ("api", lambda: reproduce_figure("fig1a"))):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            make()
+            written[name] = {p.name: p.read_bytes()
+                             for p in (tmp_path / name / "figures").iterdir()}
+        assert len(written["cli"]) == 4
+        assert written["cli"] == written["api"]

@@ -264,6 +264,17 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             GaussianModel(mu=np.ones(2), sigma=-0.1)
 
+    @pytest.mark.parametrize("check", [
+        lambda model, w: decompose(w, model),
+        zero_one_loss,
+        lambda model, w: is_epsilon_optimal(w, model, 0.1),
+    ], ids=["decompose", "zero_one_loss", "is_epsilon_optimal"])
+    @pytest.mark.parametrize("w", [[math.inf, 0.0], [math.nan, 1.0]], ids=["inf", "nan"])
+    def test_rejects_non_finite_predictor(self, check, w):
+        model = GaussianModel(mu=unit(2), sigma=1.0)
+        with pytest.raises(ValueError, match="^w must be finite$"):
+            check(model, np.array(w))
+
     def test_mu_is_frozen(self):
         model = GaussianModel(mu=np.ones(2), sigma=1.0)
         with pytest.raises(ValueError):

@@ -1,0 +1,27 @@
+"""The package surface: ttalab re-exports the modules' __all__ lists."""
+
+import importlib
+
+import ttalab
+
+MODULES = ("model", "losses", "dynamics", "analysis", "serialize", "presets", "harness")
+
+
+def test_no_public_name_is_declared_twice():
+    declared = [name for m in MODULES for name in importlib.import_module(f"ttalab.{m}").__all__]
+    assert len(set(declared)) == len(declared)
+    assert sorted(ttalab.__all__) == sorted(["__version__", *declared])
+
+
+def test_each_public_name_is_its_defining_modules_object():
+    for m in MODULES:
+        module = importlib.import_module(f"ttalab.{m}")
+        for name in module.__all__:
+            assert getattr(ttalab, name) is getattr(module, name), f"{m}.{name}"
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace: dict = {}
+    exec("from ttalab import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(ttalab.__all__)
+    assert "main" not in namespace  # the cli module is not re-exported
