@@ -33,7 +33,7 @@ import numpy as np
 
 from .dynamics import UnsupportedLossError, population_step
 from .losses import SelfTrainingLoss
-from .model import GaussianModel
+from .model import GaussianModel, check_count, check_non_negative, check_positive
 
 __all__ = [
     "ClubCertificate",
@@ -143,14 +143,11 @@ def verify_club(loss: SelfTrainingLoss, L: float, a_min: float,
     excluded: psi'(0) = 0 there by the sign(0) = 0 convention, while the
     bound concerns the one-sided limit.
     """
-    if not (L > 0.0 and math.isfinite(L)):
-        raise ValueError("L must be positive")
-    if a_min < 0.0:
-        raise ValueError("a_min must be non-negative")
+    L = check_positive("L", L)
+    a_min = check_non_negative("a_min", a_min)
     if not (a_max > a_min):
         raise ValueError("a_max must exceed a_min")
-    if not (step > 0.0):
-        raise ValueError("step must be positive")
+    step = check_positive("step", step)
 
     a_cap = min(float(a_max), _UNDERFLOW_CAP / L)
     n = int(math.floor((a_cap - a_min) / step)) + 1
@@ -169,10 +166,10 @@ def verify_club(loss: SelfTrainingLoss, L: float, a_min: float,
     return ClubCertificate(
         rule=loss.rule.value,
         family=loss.family.value,
-        L=float(L),
-        a_min=float(a_min),
+        L=L,
+        a_min=a_min,
         a_max=a_cap,
-        step=float(step),
+        step=step,
         passed=bool(max_violation >= _PASS_TOLERANCE and evenness_passed),
         max_violation=max_violation,
         evenness_passed=evenness_passed,
@@ -207,8 +204,7 @@ def nu_star(L: float) -> float | None:
 
     A fixed point exists iff L <= 1/e; bisection on (0, 1/L] to 1e-12.
     """
-    if not (L > 0.0):
-        raise ValueError("L must be positive")
+    L = check_positive("L", L)
     if L * math.e >= 1.0:
         return None
     return _bisect_fixed_point(L, 0.0, 1.0 / L)
@@ -221,8 +217,7 @@ def nu_star_upper(L: float) -> float | None:
     first of 2/L, 4/L, ... that satisfies v < exp(L v) (inf when nu2
     exceeds the float range).
     """
-    if not (L > 0.0):
-        raise ValueError("L must be positive")
+    L = check_positive("L", L)
     if L * math.e >= 1.0:
         return None
     below = 2.0 / L
@@ -276,26 +271,22 @@ def recursion_bound_run(r1: float, c: float, L: float, T: int,
     fixed point, step 2 applies everywhere and tau* = 0.  tau* = 0 also when
     c = 0, where the bound is vacuous.
     """
-    if not (r1 > 0.0):
-        raise ValueError("r1 must be positive")
-    if c < 0.0:
-        raise ValueError("c must be non-negative")
-    if not (L > 0.0):
-        raise ValueError("L must be positive")
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    r1 = check_positive("r1", r1)
+    c = check_non_negative("c", c)
+    L = check_positive("L", L)
+    T = check_count("T", T, 1)
 
     gain = 1.0 if equality else 2.0
     seq = np.empty(T)
     seq[0] = r1
-    x = float(r1)
+    x = r1
     for t in range(1, T):
         x += gain * c * math.exp(-L * x)
         seq[t] = x
 
     tau = _burn_in(c, L)
     holds, first, _ = _check_log_bound(seq, c, L, tau, T)
-    report = RecursionReport(c=float(c), L=float(L), r1=float(r1), horizon=int(T),
+    report = RecursionReport(c=c, L=L, r1=r1, horizon=T,
                              equality=bool(equality), tau_star=tau,
                              bound_holds=holds, first_violation_t=first)
     return seq, report
@@ -330,18 +321,19 @@ def log_rate_check(loss: SelfTrainingLoss, a1: float, b1: float, eta: float,
     """
     if loss.club is None:
         raise ValueError(f"{loss.name} carries no tail-bound parameters")
-    if not (b1 > 0.0):
-        raise ValueError("b1 must be positive")
+    b1 = check_positive("b1", b1)
+    a1 = check_non_negative("a1", a1)
     if a1 < loss.club.a_min:
         raise ValueError(
             f"a1 = {a1} is below the admissible threshold a_min = {loss.club.a_min}"
         )
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    eta = check_positive("eta", eta)
+    mu_norm = check_positive("mu_norm", mu_norm)
+    T = check_count("T", T, 1)
 
     model = GaussianModel(mu=np.array([mu_norm, 0.0]), sigma=0.0)
     a_seq = np.empty(T)
-    a, b = float(a1), float(b1)
+    a, b = a1, b1
     a_seq[0] = a
     for t in range(1, T):
         a, b = population_step(a, b, loss, model, eta)
@@ -353,11 +345,10 @@ def log_rate_check(loss: SelfTrainingLoss, a1: float, b1: float, eta: float,
     tau = _burn_in(c, exponent)
     holds, first, min_slack = _check_log_bound(r_seq, c, exponent, tau, T)
     return LogRateReport(rule=loss.rule.value, family=loss.family.value,
-                       L=loss.club.L, a_min=loss.club.a_min, a1=float(a1),
-                       b1=float(b1), eta=float(eta), mu_norm=float(mu_norm),
-                       horizon=int(T), c=c, exponent=exponent, tau_star=tau,
-                       bound_holds=holds, first_violation_t=first,
-                       min_slack=min_slack)
+                       L=loss.club.L, a_min=loss.club.a_min, a1=a1,
+                       b1=b1, eta=eta, mu_norm=mu_norm, horizon=T, c=c,
+                       exponent=exponent, tau_star=tau, bound_holds=holds,
+                       first_violation_t=first, min_slack=min_slack)
 
 
 def stein_identity_check(loss: SelfTrainingLoss, m: float, s: float, n: int,
@@ -372,12 +363,10 @@ def stein_identity_check(loss: SelfTrainingLoss, m: float, s: float, n: int,
         raise UnsupportedLossError(
             f"unsupported: distributional psi'' ({loss.name} cannot be checked)"
         )
-    if not (s > 0.0):
-        raise ValueError("s must be positive")
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    s = check_positive("s", s)
+    n = check_count("n", n, 2)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    z = rng.standard_normal(int(n))
+    z = rng.standard_normal(n)
     u = m + s * z
     lhs_samples = z * np.asarray(loss.dpsi(u), dtype=float)
     rhs_samples = s * np.asarray(loss.ddpsi(u), dtype=float)
@@ -387,7 +376,7 @@ def stein_identity_check(loss: SelfTrainingLoss, m: float, s: float, n: int,
     se_rhs = float(np.std(rhs_samples, ddof=1)) / math.sqrt(n)
     passed = abs(lhs - rhs) <= 3.0 * (se_lhs + se_rhs)
     return SteinReport(rule=loss.rule.value, family=loss.family.value,
-                       m=float(m), s=float(s), n=int(n), lhs=lhs, rhs=rhs,
+                       m=float(m), s=s, n=n, lhs=lhs, rhs=rhs,
                        stderr_lhs=se_lhs, stderr_rhs=se_rhs, passed=passed)
 
 

@@ -132,13 +132,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(record_text(report))
         return 0
 
-    if args.command == "stein":
-        loss = parse_loss_id(args.loss)
-        report = stein_identity_check(loss, args.m, args.s, args.n, seed=args.seed)
-        print(record_text(report))
-        return 0
-
-    raise ValueError(f"unknown command {args.command!r}")
+    # stein: the subparsers are required, so argparse has rejected any other command
+    loss = parse_loss_id(args.loss)
+    report = stein_identity_check(loss, args.m, args.s, args.n, seed=args.seed)
+    print(record_text(report))
+    return 0
 
 
 if __name__ == "__main__":

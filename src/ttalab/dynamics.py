@@ -33,7 +33,8 @@ from typing import Callable
 import numpy as np
 
 from .losses import SelfTrainingLoss
-from .model import GaussianModel, ab_metrics, check_predictor, sample_batch, split_ab
+from .model import (GaussianModel, ab_metrics, check_count, check_non_negative,
+                    check_positive, check_predictor, sample_batch, split_ab)
 
 __all__ = [
     "Mode",
@@ -79,22 +80,14 @@ class ExperimentConfig:
     batch_size: int = 32
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise ValueError("eta must be positive")
-        if int(self.horizon) < 1:
-            raise ValueError("horizon must be >= 1")
-        if int(self.batch_size) < 1:
-            raise ValueError("batch must be >= 1")
-        if int(self.seed) < 0:
-            raise ValueError("seed must be a non-negative integer")
+        object.__setattr__(self, "eta", check_positive("eta", self.eta))
+        object.__setattr__(self, "horizon", check_count("horizon", self.horizon, 1))
+        object.__setattr__(self, "batch_size", check_count("batch", self.batch_size, 1))
+        object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
         w = check_predictor(self.w_init, self.model)
         w.setflags(write=False)
         object.__setattr__(self, "w_init", w)
-        object.__setattr__(self, "eta", float(self.eta))
         object.__setattr__(self, "mode", Mode(self.mode))
-        object.__setattr__(self, "horizon", int(self.horizon))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "batch_size", int(self.batch_size))
 
 
 @dataclass(frozen=True)
@@ -160,8 +153,8 @@ def run_stochastic(config: ExperimentConfig,
         w = gd_step(w, batch, config.loss, config.eta)
         ab.append(split_ab(w, config.model))
         if not np.all(np.isfinite(w)) or np.max(np.abs(w)) > OVERFLOW_LIMIT or not np.any(w):
-            return _trajectory(ab, config.model, stopped=True)
-    return _trajectory(ab, config.model, stopped=False)
+            return trajectory(ab, config.model, stopped=True)
+    return trajectory(ab, config.model, stopped=False)
 
 
 # --- population dynamics ------------------------------------------------------
@@ -215,9 +208,7 @@ def expectation_terms(loss: SelfTrainingLoss, a: float, b: float,
     distributional psi'' (hard rules) are rejected when sigma > 0.
     """
     a = float(a)
-    b = float(b)
-    if b < 0.0:
-        raise ValueError("b must be non-negative")
+    b = check_non_negative("b", b)
     if model.sigma == 0.0:
         return float(loss.dpsi(a)), float(loss.ddpsi(a))
     if not loss.smooth_second_derivative:
@@ -254,8 +245,8 @@ def run_population(config: ExperimentConfig) -> list[TrajectoryPoint]:
         ab.append((a, b))
         if (not (math.isfinite(a) and math.isfinite(b)) or max(abs(a), b) > OVERFLOW_LIMIT
                 or a == b == 0.0):
-            return _trajectory(ab, model, stopped=True)
-    return _trajectory(ab, model, stopped=False)
+            return trajectory(ab, model, stopped=True)
+    return trajectory(ab, model, stopped=False)
 
 
 # --- scalar dynamics and closed forms -----------------------------------------
@@ -276,10 +267,10 @@ def conj_square_ratio_closed_form(r1: float, eta: float, mu_norm: float,
                                   sigma: float, t: int) -> float:
     """Ratio after t conjugate-square population steps: r1 g^t with
     g = 1 + eta ||mu||^2 / (1 + eta sigma^2)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    t = check_count("t", t, 0)
+    eta = check_positive("eta", eta)
     growth = 1.0 + eta * mu_norm**2 / (1.0 + eta * sigma**2)
-    return float(r1) * growth ** int(t)
+    return float(r1) * growth ** t
 
 
 def epsilon_iteration_bound(eps: float, r1: float, eta: float, mu_norm: float,
@@ -288,8 +279,8 @@ def epsilon_iteration_bound(eps: float, r1: float, eta: float, mu_norm: float,
     eps-optimal: ceil( log(||mu||^2/(eps r1^2)) / (2 log g) ), floored at 0."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
-    if r1 <= 0.0:
-        raise ValueError("r1 must be positive")
+    r1 = check_positive("r1", r1)
+    eta = check_positive("eta", eta)
     growth = 1.0 + eta * mu_norm**2 / (1.0 + eta * sigma**2)
     ratio = mu_norm**2 / (eps * r1**2)
     if ratio <= 1.0:
@@ -300,8 +291,8 @@ def epsilon_iteration_bound(eps: float, r1: float, eta: float, mu_norm: float,
 # --- helpers -------------------------------------------------------------------
 
 
-def _trajectory(ab: list[tuple[float, float]], model: GaussianModel,
-                stopped: bool) -> list[TrajectoryPoint]:
+def trajectory(ab: list[tuple[float, float]], model: GaussianModel,
+               stopped: bool) -> list[TrajectoryPoint]:
     """Points t = 1, 2, ... for the iterates' (a, b); `stopped` flags the last."""
     a, b = np.array(ab, dtype=float).T
     columns = (a.tolist(), b.tolist(), *(m.tolist() for m in ab_metrics(a, b, model)))

@@ -88,8 +88,7 @@ def sample_batch(model: GaussianModel, rng: np.random.Generator, n: int) -> np.n
     state always yields the same batch.  The labels are not returned:
     adaptation only ever reads x.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_count("n", n, 1)
     y = rng.integers(0, 2, size=n) * 2 - 1
     xi = rng.standard_normal((n, model.d))
     return y[:, None] * (model.mu[None, :] + model.sigma * xi)
@@ -195,3 +194,29 @@ def check_predictor(w, model: GaussianModel) -> np.ndarray:
     if float(np.linalg.norm(w)) == 0.0:
         raise ValueError("w must be a nonzero vector")
     return w
+
+
+# The numeric input rules: each returns the value coerced, or raises a
+# ValueError whose message starts with the field name.
+
+
+def check_positive(name: str, x) -> float:
+    """x as a float, once it is finite and > 0."""
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive")
+    return float(x)
+
+
+def check_non_negative(name: str, x) -> float:
+    """x as a float, once it is finite and >= 0."""
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"{name} must be non-negative")
+    return float(x)
+
+
+def check_count(name: str, n, low: int) -> int:
+    """n as an int, once it is a whole number >= low (NaN, inf and 2.5 are not)."""
+    if not (low <= n < math.inf and n % 1 == 0):
+        raise ValueError(f"{name} must be a non-negative integer" if low == 0
+                         else f"{name} must be >= {low}")
+    return int(n)

@@ -7,11 +7,12 @@ initial expected 0-1 loss at Phi(0.8416) = 0.2 and the best achievable error
 at Phi(0.8416 / 0.6567) = 0.1.  The remaining mean coordinates are random, so
 nothing downstream may assume the mean is axis-aligned.
 
-Each figure is one entry of the table _FIGURES = {fig_id: (emit, render)}:
+Each figure is one entry of the table _FIGURES = {fig_id: (emit, render, reads)}:
 emit(fig_id, out, seed, d, batch, horizon) builds its configs, runs them,
 writes its CSVs and returns (csv_paths, summary); render(fig_id, out) returns
 the SVG text built from those CSVs alone, never from values held only in
-memory.  The entries:
+memory; reads names the inputs besides seed that emit uses, and
+reproduce_figure rejects any other one given a non-default value.  The entries:
 
     fig1a / fig1b   square-family losses on the deterministic alternating
                     +-mu stream (one sample per step, +mu at odd t), eta = 1
@@ -26,6 +27,7 @@ memory.  The entries:
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -34,15 +36,10 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import tail_rate_curve
-from .dynamics import (
-    ExperimentConfig,
-    Mode,
-    TrajectoryPoint,
-    run_stochastic,
-)
+from .dynamics import ExperimentConfig, Mode, run_stochastic, trajectory
 from .harness import step_size_sweep
 from .losses import make_loss, parse_loss_id
-from .model import GaussianModel, ab_metrics, derive_stream_seed, gauss_upper_tail, split_ab
+from .model import GaussianModel, check_count, derive_stream_seed, gauss_upper_tail, split_ab
 from .serialize import (
     config_flat,
     csv_with_meta_text,
@@ -80,12 +77,9 @@ def build_benchmark_domains(d: int, seed: int = 0):
     normal rescaled so that ||mu_target|| = 1 (the first coordinate is
     preserved), and sigma_target = 0.6567 / 0.8416.
     """
-    d = int(d)
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if int(seed) < 0:
-        raise ValueError("seed must be a non-negative integer")
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xB)))
+    d = check_count("d", d, 2)
+    seed = check_count("seed", seed, 0)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB)))
     mu_source = np.zeros(d)
     mu_source[0] = 1.0
     tail = rng.standard_normal(d - 1)
@@ -122,8 +116,14 @@ class FigureResult:
 def reproduce_figure(fig_id: str, seed: int = 0, d: int = 10, batch: int = 32,
                      horizon: int | None = None,
                      out_dir: str | Path = "figures") -> FigureResult:
-    """Run one figure preset and write its CSV(s) and SVG to out_dir."""
-    emit, _ = _figure(fig_id)
+    """Run one figure preset and write its CSV(s) and SVG to out_dir.
+
+    d, batch and horizon keep their defaults unless the figure reads them."""
+    emit, _, reads = _figure(fig_id)
+    defaults = inspect.signature(reproduce_figure).parameters
+    for name, value in (("d", d), ("batch", batch), ("horizon", horizon)):
+        if name not in reads and value != defaults[name].default:
+            raise ValueError(f"{name} = {value!r} is not an input of {fig_id}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_paths, summary = emit(fig_id, out, seed, d, batch, horizon)
@@ -134,7 +134,7 @@ def reproduce_figure(fig_id: str, seed: int = 0, d: int = 10, batch: int = 32,
 
 def render_figure_svg(fig_id: str, out_dir: str | Path) -> Path:
     """Build the figure's SVG from its CSV file(s) alone."""
-    _, render = _figure(fig_id)
+    _, render, _ = _figure(fig_id)
     out = Path(out_dir)
     svg_path = out / f"{fig_id}.svg"
     svg_path.write_text(render(fig_id, out), encoding="utf-8")
@@ -182,7 +182,8 @@ def _emit_fig1(fig_id, out, seed, d, batch, horizon, *, eta):
         summary[name] = {"final_loss01": points[-1].loss01,
                          "overflow": points[-1].overflow}
 
-    baseline = _constant_baseline(first)
+    baseline = trajectory([split_ab(first.w_init, first.model)] * (first.horizon + 1),
+                          first.model, stopped=False)
     base_path = out / f"{fig_id}_no_adaptation.csv"
     meta = {**config_flat(first), "stream": "alternating-pm-mu"}
     meta.pop("loss.rule")
@@ -192,13 +193,6 @@ def _emit_fig1(fig_id, out, seed, d, batch, horizon, *, eta):
     csv_paths.append(base_path)
     summary["no-adaptation"] = {"final_loss01": baseline[-1].loss01}
     return csv_paths, summary
-
-
-def _constant_baseline(config: ExperimentConfig) -> list[TrajectoryPoint]:
-    a, b = split_ab(config.w_init, config.model)
-    r, cos, loss01 = (float(v) for v in ab_metrics(a, b, config.model))
-    return [TrajectoryPoint(t=t, a=a, b=b, r=r, cos=cos, loss01=loss01)
-            for t in range(1, config.horizon + 2)]
 
 
 _FIG2_LOSSES = ("hard+exp", "conj+exp", "hard+logistic", "conj+logistic")
@@ -307,16 +301,18 @@ def _render_fig4(fig_id, out):
                           hlines=hlines)
 
 
-# figure id -> (emit, render); the one place a figure id is given its meaning.
+# figure id -> (emit, render, the inputs besides seed that emit reads); the one
+# place a figure id is given its meaning.
 _FIGURES = {
-    "fig1a": (partial(_emit_fig1, eta=1.0), _render_fig1),
-    "fig1b": (partial(_emit_fig1, eta=100.0), _render_fig1),
+    "fig1a": (partial(_emit_fig1, eta=1.0), _render_fig1, ("d", "horizon")),
+    "fig1b": (partial(_emit_fig1, eta=100.0), _render_fig1, ("d", "horizon")),
     "fig2": (_emit_fig2, partial(_render_loss_columns, title="self-training losses psi(u)",
-                                 xlabel="margin u", ylabel="psi(u)")),
+                                 xlabel="margin u", ylabel="psi(u)"), ()),
     "fig3": (_emit_fig3, partial(_render_loss_columns, title="tail exponent of -psi'",
-                                 xlabel="z", ylabel="-log(-psi'(z)) / z")),
-    "fig4-exp": (partial(_emit_fig4, family="exp"), _render_fig4),
-    "fig4-logistic": (partial(_emit_fig4, family="logistic"), _render_fig4),
+                                 xlabel="z", ylabel="-log(-psi'(z)) / z"), ()),
+    "fig4-exp": (partial(_emit_fig4, family="exp"), _render_fig4, ("d", "batch", "horizon")),
+    "fig4-logistic": (partial(_emit_fig4, family="logistic"), _render_fig4,
+                      ("d", "batch", "horizon")),
 }
 
 FIGURE_IDS = tuple(_FIGURES)

@@ -27,6 +27,16 @@ from ttalab.cli import main
 from ttalab.serialize import TRAJECTORY_HEADER, read_csv_with_meta
 
 
+# the inputs besides seed that each figure reads
+FIGURE_INPUTS = {
+    "fig1a": ("d", "horizon"), "fig1b": ("d", "horizon"), "fig2": (), "fig3": (),
+    "fig4-exp": ("d", "batch", "horizon"), "fig4-logistic": ("d", "batch", "horizon"),
+}
+UNREAD_INPUTS = [(fig, name, value) for fig in FIGURE_IDS
+                 for name, value in (("d", 4), ("batch", 64), ("horizon", 3))
+                 if name not in FIGURE_INPUTS[fig]]
+
+
 def write_config(path: Path, **overrides) -> Path:
     config = {
         "model.mu": [0.6567, 0.7542], "model.sigma": 0.78, "model.dim": 2,
@@ -284,10 +294,25 @@ class TestFigurePresets:
 
     @pytest.mark.parametrize("fig_id", FIGURE_IDS)
     def test_svg_regenerates_from_csv_alone(self, tmp_path, fig_id):
-        result = reproduce_figure(fig_id, d=4, batch=4, horizon=3, out_dir=tmp_path)
+        small = {"d": 4, "batch": 4, "horizon": 3}
+        inputs = {k: small[k] for k in FIGURE_INPUTS[fig_id]}
+        result = reproduce_figure(fig_id, **inputs, out_dir=tmp_path)
         first = result.svg_path.read_bytes()
         regenerated = render_figure_svg(fig_id, tmp_path).read_bytes()
         assert first == regenerated
+
+    @pytest.mark.parametrize("fig_id,name,value", UNREAD_INPUTS,
+                             ids=[f"{fig}-{name}" for fig, name, _ in UNREAD_INPUTS])
+    def test_rejects_an_input_it_does_not_read(self, tmp_path, fig_id, name, value):
+        with pytest.raises(ValueError) as err:
+            reproduce_figure(fig_id, **{name: value}, out_dir=tmp_path / "out")
+        assert str(err.value) == f"{name} = {value} is not an input of {fig_id}"
+        assert not (tmp_path / "out").exists()
+
+    def test_an_unread_input_at_its_default_is_accepted(self, tmp_path):
+        result = reproduce_figure("fig2", seed=3, d=10, batch=32, horizon=None,
+                                  out_dir=tmp_path)
+        assert result.svg_path.exists()
 
     def test_svg_is_wellformed_xml(self, tmp_path):
         import xml.etree.ElementTree as ET
@@ -358,6 +383,11 @@ class TestCliExitCodes:
     def test_figure_command(self, tmp_path, capsys):
         assert main(["figure", "fig2", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "fig2.svg").exists()
+
+    def test_figure_option_the_figure_does_not_read_is_one(self, tmp_path, capsys):
+        assert main(["figure", "fig1a", "--batch", "64", "--out", str(tmp_path)]) == 1
+        assert "batch = 64 is not an input of fig1a" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_figure_defaults_are_reproduce_figures(self, tmp_path, monkeypatch, capsys):
         written = {}

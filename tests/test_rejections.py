@@ -77,7 +77,7 @@ REJECTIONS = [
     pytest.param(lambda: expectation_terms(CONJ_EXP, 1.0, -1.0, MODEL),
                  "b must be non-negative", id="expectation-b"),
     pytest.param(lambda: conj_square_ratio_closed_form(1.0, 1.0, 1.0, 0.5, -1),
-                 "t must be >= 0", id="closed_form-t"),
+                 "t must be a non-negative integer", id="closed_form-t"),
     pytest.param(lambda: epsilon_iteration_bound(0.0, 1.0, 1.0, 1.0, 0.5),
                  "eps must lie in (0, 1)", id="iteration_bound-eps"),
     pytest.param(lambda: epsilon_iteration_bound(0.1, 0.0, 1.0, 1.0, 0.5),
@@ -99,6 +99,51 @@ REJECTIONS = [
                  id="loss-id"),
     pytest.param(lambda: build_benchmark_domains(4, seed=-1),
                  "seed must be a non-negative integer", id="domains-seed"),
+    # numeric inputs that no run can mean: each is accepted, or fails with an
+    # unnamed error, without the shared rules in ttalab.model
+    pytest.param(lambda: log_rate_check(CONJ_EXP, 1.0, 1.0, -1.0, 1.0, 100),
+                 "eta must be positive", id="log_rate-negative-eta"),
+    pytest.param(lambda: log_rate_check(CONJ_EXP, 1.0, 1.0, 0.0, 1.0, 100),
+                 "eta must be positive", id="log_rate-zero-eta"),
+    pytest.param(lambda: log_rate_check(CONJ_EXP, 1.0, 1.0, math.nan, 1.0, 100),
+                 "eta must be positive", id="log_rate-nan-eta"),
+    pytest.param(lambda: log_rate_check(CONJ_EXP, math.nan, 1.0, 1.0, 1.0, 100),
+                 "a1 must be non-negative", id="log_rate-nan-a1"),
+    pytest.param(lambda: log_rate_check(CONJ_EXP, math.inf, 1.0, 1.0, 1.0, 100),
+                 "a1 must be non-negative", id="log_rate-inf-a1"),
+    pytest.param(lambda: log_rate_check(CONJ_EXP, 1.0, math.inf, 1.0, 1.0, 100),
+                 "b1 must be positive", id="log_rate-inf-b1"),
+    pytest.param(lambda: log_rate_check(CONJ_EXP, 1.0, 1.0, 1.0, -1.0, 100),
+                 "mu_norm must be positive", id="log_rate-negative-mu_norm"),
+    pytest.param(lambda: recursion_bound_run(1.0, math.nan, 1.0, 10),
+                 "c must be non-negative", id="recursion-nan-c"),
+    pytest.param(lambda: recursion_bound_run(math.inf, 1.0, 1.0, 10),
+                 "r1 must be positive", id="recursion-inf-r1"),
+    pytest.param(lambda: recursion_bound_run(1.0, 1.0, math.inf, 10),
+                 "L must be positive", id="recursion-inf-L"),
+    pytest.param(lambda: recursion_bound_run(1.0, 1.0, 1.0, 2.5), "T must be >= 1",
+                 id="recursion-fractional-T"),
+    pytest.param(lambda: recursion_bound_run(1.0, 1.0, 1.0, math.nan), "T must be >= 1",
+                 id="recursion-nan-T"),
+    pytest.param(lambda: recursion_bound_run(1.0, 1.0, 1.0, math.inf), "T must be >= 1",
+                 id="recursion-inf-T"),
+    pytest.param(lambda: nu_star(math.inf), "L must be positive", id="nu_star-inf-L"),
+    pytest.param(lambda: config(horizon=2.7), "horizon must be >= 1",
+                 id="config-fractional-horizon"),
+    pytest.param(lambda: config(seed=1.5), "seed must be a non-negative integer",
+                 id="config-fractional-seed"),
+    pytest.param(lambda: config(horizon=math.nan), "horizon must be >= 1",
+                 id="config-nan-horizon"),
+    pytest.param(lambda: config(horizon=math.inf), "horizon must be >= 1",
+                 id="config-inf-horizon"),
+    pytest.param(lambda: stein_identity_check(CONJ_EXP, 0.0, 1.0, 2.5), "n must be >= 2",
+                 id="stein-fractional-n"),
+    pytest.param(lambda: epsilon_iteration_bound(0.1, 1.0, 0.0, 1.0, 0.5),
+                 "eta must be positive", id="iteration_bound-zero-eta"),
+    pytest.param(lambda: epsilon_iteration_bound(0.1, 1.0, -0.5, 2.0, 0.5),
+                 "eta must be positive", id="iteration_bound-negative-eta"),
+    pytest.param(lambda: conj_square_ratio_closed_form(1.0, -1.0, 1.0, 1.0, 3),
+                 "eta must be positive", id="closed_form-negative-eta"),
     # serialize
     pytest.param(lambda: svg_line_chart([("s", [0.0], [math.nan])], "t", "x", "y"),
                  "no finite data to plot", id="svg-no-finite-data"),
@@ -111,6 +156,13 @@ def test_rejects_bad_input(call, message):
         call()
     assert type(err.value) is ValueError
     assert str(err.value).startswith(message)
+
+
+def test_whole_number_float_count_is_accepted():
+    seq, report = recursion_bound_run(1, 1, 1, 1e4)
+    int_seq, int_report = recursion_bound_run(1, 1, 1, 10**4)
+    assert report == int_report and report.horizon == 10**4
+    np.testing.assert_array_equal(seq, int_seq)
 
 
 def test_rejects_empty_csv(tmp_path):
