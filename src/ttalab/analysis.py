@@ -296,8 +296,8 @@ def _check_log_bound(seq: np.ndarray, c: float, L: float, tau: float,
                      T: int) -> tuple[bool, int | None, float]:
     """(holds, first violating t, minimum slack) of r_t >= log(c (t-1)) / (2 L)
     over every integer t > tau + 1 up to T."""
-    if c == 0.0:
-        # log of 0 is -inf: the bound is vacuous for a constant sequence.
+    if c == 0.0 or tau + 1.0 >= T:
+        # c = 0: log 0 = -inf, a vacuous bound; tau + 1 >= T: no t to check
         return True, None, math.inf
     start = math.floor(tau + 1.0) + 1
     t = np.arange(start, T + 1)
@@ -330,6 +330,10 @@ def log_rate_check(loss: SelfTrainingLoss, a1: float, b1: float, eta: float,
     eta = check_positive("eta", eta)
     mu_norm = check_positive("mu_norm", mu_norm)
     T = check_count("T", T, 1)
+    c = eta * (mu_norm * mu_norm) / b1  # mu_norm**2 would raise on overflow
+    exponent = loss.club.L * b1
+    check_positive(f"c = eta * mu_norm**2 / b1 = {c}", c)
+    check_positive(f"exponent = L * b1 = {exponent} (L = {loss.club.L})", exponent)
 
     model = GaussianModel(mu=np.array([mu_norm, 0.0]), sigma=0.0)
     a_seq = np.empty(T)
@@ -340,8 +344,6 @@ def log_rate_check(loss: SelfTrainingLoss, a1: float, b1: float, eta: float,
         a_seq[t] = a
 
     r_seq = a_seq / b1
-    c = eta * mu_norm**2 / b1
-    exponent = loss.club.L * b1
     tau = _burn_in(c, exponent)
     holds, first, min_slack = _check_log_bound(r_seq, c, exponent, tau, T)
     return LogRateReport(rule=loss.rule.value, family=loss.family.value,

@@ -19,7 +19,8 @@ Both runners record the trajectory point for iteration t *before* the t-th
 update, so point t always describes w_t, plus one final point at T+1.  They
 collect (a, b) per iterate and derive r, cos and the 0-1 loss for the whole
 trajectory in one model.ab_metrics call.  An iterate that overflows or
-becomes exactly 0 ends either run with a flagged record.
+becomes exactly 0 ends either run with a flagged record.  stochastic_sweep
+steps S seed streams x K step sizes as one array; run_stochastic is S = K = 1.
 """
 
 from __future__ import annotations
@@ -113,21 +114,22 @@ Sampler = Callable[[int, np.random.Generator], np.ndarray]
 
 
 def gd_step(w: np.ndarray, xs: np.ndarray, loss: SelfTrainingLoss,
-            eta: float) -> np.ndarray:
+            eta: float | np.ndarray) -> np.ndarray:
     """One descent step on the batch-mean self-training gradient.
 
     xs is the (n, d) batch, one sample per row; the step is
     w - eta * mean_i psi'(w^T x_i) x_i.  Averaging (rather than summing) keeps
-    eta comparable across batch sizes.
+    eta comparable across batch sizes.  Stacks broadcast (w (..., d) against
+    xs (..., n, d)), one BLAS gemv per item, so each keeps its 1-D bits.
     """
-    w = np.asarray(w, dtype=float).reshape(-1)
+    w = np.asarray(w, dtype=float)
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[0] == 0:
+    if xs.ndim < 2 or xs.shape[-2] == 0:
         raise ValueError("batch must be a non-empty (n, d) array")
-    if xs.shape[1] != w.size:
-        raise ValueError(f"dimension mismatch: len(w)={w.size}, samples have d={xs.shape[1]}")
-    coeff = np.asarray(loss.dpsi(xs @ w), dtype=float)
-    grad = (xs.T @ coeff) / xs.shape[0]
+    if xs.shape[-1] != w.shape[-1]:
+        raise ValueError(f"dimension mismatch: len(w)={w.shape[-1]}, samples have d={xs.shape[-1]}")
+    coeff = np.asarray(loss.dpsi(np.matmul(xs, w[..., None])[..., 0]), dtype=float)
+    grad = np.matmul(np.swapaxes(xs, -1, -2), coeff[..., None])[..., 0] / xs.shape[-2]
     return w - eta * grad
 
 
@@ -140,21 +142,47 @@ def run_stochastic(config: ExperimentConfig,
     by the figure presets) and receives (t, rng).  Deterministic given the
     seed.  If an iterate overflows or becomes exactly 0, the run stops early
     and its last record has overflow=True; direction-based metrics stay valid
-    up to the stop.
+    up to the stop.  It is stochastic_sweep on one stream and one step size.
     """
-    if config.mode is not Mode.STOCHASTIC:
-        raise ValueError(f"config.mode is {config.mode.value}, expected stochastic")
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    w = np.array(config.w_init, dtype=float)
-    ab = [split_ab(w, config.model)]
-    for t in range(1, config.horizon + 1):
-        batch = sampler(t, rng) if sampler is not None else sample_batch(
-            config.model, rng, config.batch_size)
-        w = gd_step(w, batch, config.loss, config.eta)
-        ab.append(split_ab(w, config.model))
-        if not np.all(np.isfinite(w)) or np.max(np.abs(w)) > OVERFLOW_LIMIT or not np.any(w):
-            return trajectory(ab, config.model, stopped=True)
-    return trajectory(ab, config.model, stopped=False)
+    ab, stopped = stochastic_sweep(config, [config.eta], [config.seed], sampler)
+    return trajectory(ab[:, 0, 0], config.model, stopped=bool(stopped[0, 0]))
+
+
+def stochastic_sweep(base: ExperimentConfig, etas, seeds, sampler: Sampler | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Run base at every step size in etas on every seed stream at once.
+
+    The iterates are one (S, K, d) array.  Each step, stream s draws one
+    batch as a lone run on seeds[s] would and its K columns step on it, so
+    column (s, k) is run_stochastic(replace(base, eta=etas[k], seed=seeds[s]))
+    bit for bit.  (a, b) is split off every 32 steps; no other iterate is
+    kept.  A stopped column is frozen at NaN, which every later operation
+    passes on without a warning.  Returns (ab, stopped): ab[t, s, k] is the
+    (a, b) of point t + 1 of column (s, k), NaN after its stop, up to the
+    last step run; stopped flags the columns that stopped early.
+    """
+    if base.mode is not Mode.STOCHASTIC:
+        raise ValueError(f"config.mode is {base.mode.value}, expected stochastic")
+    etas = np.array([check_positive("eta", eta) for eta in etas])
+    rngs = [np.random.default_rng(np.random.SeedSequence(check_count("seed", seed, 0)))
+            for seed in seeds]
+    draw = sampler or (lambda t, rng: sample_batch(base.model, rng, base.batch_size))
+    w = np.tile(base.w_init, (len(rngs), etas.size, 1))
+    block, parts = [w], []
+    for t in range(1, base.horizon + 1):
+        xs = np.stack([draw(t, rng) for rng in rngs])
+        w = gd_step(w, xs[:, None], base.loss, etas[:, None])
+        block.append(w)
+        # the stop rule: NaN fails the <= test and +-inf exceeds the limit
+        stopped = ~((np.abs(w).max(axis=-1) <= OVERFLOW_LIMIT) & w.any(axis=-1))
+        if len(block) == 32 or t == base.horizon or stopped.all():
+            parts.append(np.stack(split_ab(np.stack(block), base.model), axis=-1))
+            block = []
+            if stopped.all():
+                break
+        if stopped.any():
+            w = np.where(stopped[..., None], np.nan, w)
+    return np.concatenate(parts), stopped
 
 
 # --- population dynamics ------------------------------------------------------

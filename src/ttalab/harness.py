@@ -6,11 +6,11 @@ seed and output paths.  Rerunning the same config produces byte-identical
 CSV output (the manifest differs only in its wall-clock stamp).
 
 step_size_sweep runs a base config at every step size on one list of seed
-streams.  Every step size reads the same streams (common random numbers), so
-a step size's row does not depend on the rest of the grid.  Overflowing step
-sizes rank last, then the lowest mean final expected 0-1 loss wins, ties
-going to the smaller step.  grid_search is the sweep on one stream; the fig4
-presets run it on ten.
+streams (a stochastic base as one dynamics.stochastic_sweep).  Every step
+size reads the same streams (common random numbers), so a step size's row
+does not depend on the rest of the grid.  Overflowing step sizes rank last,
+then the lowest mean final expected 0-1 loss wins, ties going to the smaller
+step.  grid_search is the sweep on one stream; the fig4 presets run it on ten.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ExperimentConfig, Mode, TrajectoryPoint, run_population, run_stochastic
-from .model import derive_stream_seed
+from .dynamics import (ExperimentConfig, Mode, TrajectoryPoint, run_population, run_stochastic,
+                       stochastic_sweep)
+from .model import ab_metrics, derive_stream_seed
 from .serialize import RunManifest, config_flat, parse_config_file, trajectory_csv_text, write_manifest
 
 __all__ = ["GridPoint", "run_config", "run_experiment", "step_size_sweep", "grid_search"]
@@ -87,14 +88,17 @@ def step_size_sweep(base: ExperimentConfig, eta_grid,
     seeds = list(stream_seeds)
     if not seeds:
         raise ValueError("at least one seed stream is needed")
+    if base.mode is Mode.STOCHASTIC:
+        ab, stopped = stochastic_sweep(base, etas, seeds)
+        loss01 = ab_metrics(ab[..., 0], ab[..., 1], base.model)[2]
     rows: list[GridPoint] = []
-    for eta in etas:
-        finals, curves = [], []
-        for seed in seeds:
-            points = run_config(replace(base, eta=eta, seed=seed))
-            if not points[-1].overflow:
-                finals.append(points[-1].loss01)
-                curves.append([p.loss01 for p in points])
+    for k, eta in enumerate(etas):
+        if base.mode is Mode.STOCHASTIC:
+            curves = [loss01[:, s, k] for s in range(len(seeds)) if not stopped[s, k]]
+        else:
+            runs = [run_population(replace(base, eta=eta, seed=seed)) for seed in seeds]
+            curves = [[p.loss01 for p in points] for points in runs if not points[-1].overflow]
+        finals = [curve[-1] for curve in curves]
         n_overflow = len(seeds) - len(finals)
         if n_overflow == 0:
             mean = float(np.mean(finals))

@@ -7,9 +7,9 @@ form Phi(mu^T w / (sigma ||w||)) where Phi is the standard normal upper tail.
 
 Everything downstream reasons about w through its decomposition into the
 component a = <w, mu> along mu and the size b of the orthogonal remainder.
-split_ab computes (a, b) for one predictor; ab_metrics is the one place that
-turns (a, b) into the ratio r, the cosine and the 0-1 loss, elementwise over
-arrays.  decompose, zero_one_loss and both runners go through the pair.
+split_ab computes (a, b) for a predictor or a stack; ab_metrics is the one
+place that turns (a, b) into the ratio r, the cosine and the 0-1 loss,
+elementwise over arrays.  decompose, zero_one_loss and both runners use both.
 """
 
 from __future__ import annotations
@@ -112,19 +112,25 @@ def gauss_upper_tail(u: float) -> float:
     return 0.5 * math.erfc(u / math.sqrt(2.0))
 
 
-def split_ab(w: np.ndarray, model: GaussianModel) -> tuple[float, float]:
-    """(a, b) of one predictor: a = <w, mu> and b = ||w - (a/||mu||^2) mu||.
+def split_ab(w: np.ndarray, model: GaussianModel):
+    """(a, b) of a predictor: a = <w, mu> and b = ||w - (a/||mu||^2) mu||.
 
-    Uses the projection (I - mu mu^T/||mu||^2) w, so mu need not be
-    axis-aligned.  b is set to 0 when it is at rounding scale relative to
-    ||w||.  w = 0 gives (0, 0) and a non-finite w a non-finite pair.
+    w is one predictor (d,), giving floats, or a stack (..., d), giving arrays
+    with each item's bits.  b is set to 0 when it is at rounding scale
+    relative to ||w||.  w = 0 gives (0, 0) and a non-finite w a non-finite pair.
     """
-    a = float(model.mu @ w)
-    b = float(np.linalg.norm(w - (a / model.mu_norm**2) * model.mu))
-    if b <= 32.0 * np.finfo(float).eps * float(np.linalg.norm(w)):
-        # residual at rounding scale: w is aligned with mu up to float noise
-        b = 0.0
-    return a, b
+    w = np.asarray(w, dtype=float)
+    a = _dot(w, model.mu)
+    rest = w - (a / model.mu_norm**2)[..., None] * model.mu
+    b = np.sqrt(_dot(rest, rest))
+    # a residual at rounding scale means w is aligned with mu up to float noise
+    b = np.where(b <= 32.0 * np.finfo(float).eps * np.sqrt(_dot(w, w)), 0.0, b)
+    return (float(a), float(b)) if w.ndim == 1 else (a, b)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x, y> over the last axis: one BLAS dot per item, as `x @ y` runs."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
 def ab_metrics(a, b, model: GaussianModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

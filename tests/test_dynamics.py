@@ -1,16 +1,20 @@
 """Stochastic and population update rules, scalar dynamics, closed forms."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ttalab import (
+    ETA_GRID,
     ExperimentConfig,
     GaussianModel,
     Mode,
     UnsupportedLossError,
     alternating_pm_mu_sampler,
+    build_benchmark_domains,
     conj_square_ratio_closed_form,
     epsilon_iteration_bound,
     expectation_terms,
@@ -22,6 +26,8 @@ from ttalab import (
     run_stochastic,
     stein_identity_check,
 )
+from ttalab.dynamics import stochastic_sweep
+from ttalab.model import ab_metrics
 
 
 def config_from_ab(a1, b1, model, loss, eta, mode, horizon, seed=0, batch_size=32):
@@ -74,6 +80,17 @@ class TestGdStep:
         one = gd_step(w, x[None, :], loss, 0.1)
         four = gd_step(w, np.tile(x, (4, 1)), loss, 0.1)
         np.testing.assert_allclose(one, four, rtol=1e-15)
+
+    def test_stacked_step_is_the_loop_of_single_steps(self):
+        rng = np.random.default_rng(2)
+        w = rng.standard_normal((3, 4, 5))
+        xs = rng.standard_normal((3, 1, 8, 5))
+        etas = np.array([0.01, 0.5, 5.0, 100.0])
+        for loss in (make_loss("conj", "exp"), make_loss("hard", "logistic")):
+            stacked = gd_step(w, xs, loss, etas[:, None])
+            for s in range(3):
+                for k in range(4):
+                    assert (stacked[s, k] == gd_step(w[s, k], xs[s, 0], loss, etas[k])).all()
 
     def test_rejects_empty_and_mismatched(self):
         loss = make_loss("conj", "square")
@@ -169,6 +186,62 @@ class TestRunStochastic:
         last = points[-1]
         assert last.a == 0.0 and last.b == 0.0
         assert math.isnan(last.r) and math.isnan(last.cos) and math.isnan(last.loss01)
+
+
+def fig4_base(rule, family="exp", horizon=60):
+    """The fig4 shape: d = 10, batch 32, the benchmark target domain."""
+    _, mu, sigma, w_init = build_benchmark_domains(10, 0)
+    return ExperimentConfig(model=GaussianModel(mu=mu, sigma=sigma),
+                            loss=make_loss(rule, family), eta=1.0, mode=Mode.STOCHASTIC,
+                            horizon=horizon, seed=0, w_init=w_init, batch_size=32)
+
+
+def assert_columns_are_lone_runs(base, etas, seeds):
+    """Each (stream, eta) column of a sweep equals its lone run_stochastic
+    run, point for point, and is NaN after the run's last point."""
+    ab, stopped = stochastic_sweep(base, etas, seeds)
+    loss01 = ab_metrics(ab[..., 0], ab[..., 1], base.model)[2]
+    lengths = {}
+    for s, seed in enumerate(seeds):
+        for k, eta in enumerate(etas):
+            points = run_stochastic(replace(base, eta=eta, seed=seed))
+            n = lengths[s, k] = len(points)
+            np.testing.assert_array_equal(loss01[:n, s, k], [p.loss01 for p in points])
+            np.testing.assert_array_equal(ab[:n, s, k], [(p.a, p.b) for p in points])
+            assert np.isnan(ab[n:, s, k]).all()
+            assert stopped[s, k] == points[-1].overflow
+    return lengths, stopped
+
+
+class TestStochasticSweep:
+    @pytest.mark.parametrize("rule", ["hard", "conj"])
+    def test_every_column_is_its_lone_run(self, rule):
+        assert_columns_are_lone_runs(fig4_base(rule), ETA_GRID, [11, 12, 13])
+
+    def test_overflowing_column_stops_where_the_lone_run_does(self):
+        base = fig4_base("conj", "square", horizon=200)
+        lengths, stopped = assert_columns_are_lone_runs(base, [0.01, 100.0], [0, 1, 2])
+        assert stopped[:, 1].all() and all(lengths[s, 1] < 201 for s in range(3))
+        assert not stopped[:, 0].any() and all(lengths[s, 0] == 201 for s in range(3))
+
+    def test_a_stopped_column_adds_no_warnings(self):
+        # eta = 1e308 overflows to inf on the first step, with warnings
+        base = fig4_base("conj", "square", horizon=50)
+        with warnings.catch_warnings(record=True) as lone:
+            warnings.simplefilter("always")
+            run_stochastic(replace(base, eta=1e308))
+        with warnings.catch_warnings(record=True) as swept:
+            warnings.simplefilter("always")
+            ab, stopped = stochastic_sweep(base, [0.01, 1e308], [0, 1, 2])
+        assert stopped[:, 1].all() and np.isnan(ab[2:, :, 1]).all() and not stopped[:, 0].any()
+        assert len(swept) == len(lone) > 0
+
+    def test_a_stream_does_not_depend_on_the_others(self):
+        base = fig4_base("conj", "logistic")
+        ab, stopped = stochastic_sweep(base, ETA_GRID, [12])
+        ab3, stopped3 = stochastic_sweep(base, ETA_GRID, [11, 12, 13])
+        np.testing.assert_array_equal(ab[:, 0], ab3[:, 1])
+        np.testing.assert_array_equal(stopped[0], stopped3[1])
 
 
 class TestExpectationTerms:

@@ -207,6 +207,9 @@ class TestAbMetrics:
         model = GaussianModel(mu=rng.standard_normal(4), sigma=0.8)
         ws = rng.standard_normal((20, 4))
         a, b = np.array([split_ab(w, model) for w in ws]).T
+        # a stack gives each predictor's (a, b) bit for bit
+        for stacked, lone in zip(split_ab(ws.reshape(5, 4, 4), model), (a, b)):
+            np.testing.assert_array_equal(stacked, lone.reshape(5, 4))
         r, cos, loss01 = ab_metrics(a, b, model)
         for w, row in zip(ws, zip(r, cos, loss01)):
             dec = decompose(w, model)

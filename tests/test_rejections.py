@@ -37,6 +37,7 @@ from ttalab.serialize import read_csv_with_meta, svg_line_chart
 MODEL = GaussianModel(mu=np.array([1.0, 0.0]), sigma=0.5)
 CONJ_EXP = make_loss("conj", "exp")
 HARD_EXP = make_loss("hard", "exp")
+HARD_LOGISTIC = make_loss("hard", "logistic")
 
 
 def config(**overrides) -> ExperimentConfig:
@@ -144,6 +145,16 @@ REJECTIONS = [
                  "eta must be positive", id="iteration_bound-negative-eta"),
     pytest.param(lambda: conj_square_ratio_closed_form(1.0, -1.0, 1.0, 1.0, 3),
                  "eta must be positive", id="closed_form-negative-eta"),
+    # log_rate_check's derived constants c and exponent, checked before the
+    # run: an overflow or a 0 used to fail later, under another field's name
+    pytest.param(lambda: log_rate_check(HARD_LOGISTIC, 1.0, 1e308, 1.0, 1.0, 10),
+                 "exponent = L * b1 = inf", id="log_rate-inf-exponent"),
+    pytest.param(lambda: log_rate_check(HARD_LOGISTIC, 1.0, 1.0, 1e308, 1e10, 10),
+                 "c = eta * mu_norm**2 / b1 = inf", id="log_rate-inf-c"),
+    pytest.param(lambda: log_rate_check(HARD_LOGISTIC, 1.0, 1.0, 1e300, 1e200, 10),
+                 "c = eta * mu_norm**2 / b1 = inf", id="log_rate-inf-mu_norm-squared"),
+    pytest.param(lambda: log_rate_check(HARD_LOGISTIC, 1.0, 1.0, 1e-300, 1e-20, 10),
+                 "c = eta * mu_norm**2 / b1 = 0.0", id="log_rate-zero-c"),
     # serialize
     pytest.param(lambda: svg_line_chart([("s", [0.0], [math.nan])], "t", "x", "y"),
                  "no finite data to plot", id="svg-no-finite-data"),
@@ -163,6 +174,18 @@ def test_whole_number_float_count_is_accepted():
     int_seq, int_report = recursion_bound_run(1, 1, 1, 10**4)
     assert report == int_report and report.horizon == 10**4
     np.testing.assert_array_equal(seq, int_seq)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: recursion_bound_run(1, 1, 1e-300, 10)[1],
+    lambda: recursion_bound_run(1, 1e-300, 0.1, 10)[1],
+    lambda: log_rate_check(HARD_LOGISTIC, 1.0, 1e-300, 1.0, 1.0, 10),
+], ids=["recursion-inf-burn-in", "recursion-huge-burn-in", "log_rate-inf-burn-in"])
+def test_burn_in_past_the_horizon_leaves_nothing_to_check(run):
+    report = run()
+    assert report.tau_star + 1 >= report.horizon
+    assert report.bound_holds and report.first_violation_t is None
+    assert getattr(report, "min_slack", math.inf) == math.inf
 
 
 def test_rejects_empty_csv(tmp_path):
