@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .losses import SelfTrainingLoss
+from .losses import LossFamily, SelfTrainingLoss, _derivative_pair
 from .model import (GaussianModel, ab_metrics, check_count, check_non_negative,
                     check_positive, check_predictor, sample_batch, split_ab)
 
@@ -187,94 +187,114 @@ def stochastic_sweep(base: ExperimentConfig, etas, seeds, sampler: Sampler | Non
 
 # --- population dynamics ------------------------------------------------------
 
-# Expectations over Z ~ N(m, s^2) via the trapezoid rule on z in [-14, 14]
-# (integrand truncation below 1e-43).  The integrands sech/tanh have poles at
-# i pi/2, which caps Gauss-Hermite accuracy near 1e-3 for s >= 2; trapezoid
-# with these step sizes is exact to machine precision for s up to ~30.
-_QUAD_HALF_WIDTH = 14.0
+# E[g(Z)], Z ~ N(m, s^2), by the trapezoid rule on the margin axis u: 641 nodes
+# on [m - 14 s, m + 14 s] (Gaussian mass outside < 1e-43) cut to |u| <= 36,
+# past which the conjugate psi' and psi'' are below 5e-16 (a window wholly past
+# the cut is kept whole).  The spacing h is <= 0.044 s, and <= 0.11 once cut;
+# the poles at u = +-i pi/2 bound the error by ~exp(-pi^2 / h) (Trefethen &
+# Weideman, SIAM Review 2014, secs. 4-5).  Against scipy.integrate.quad: within
+# 1e-15 + 1e-12 |E| for s in [1e-3, 1e6] and |m| <= 3 max(s, 1), the halved grid
+# (even nodes) inside the refinement tolerance.  conj+square is exact.
+_HALF_WIDTH, _MARGIN_CUT, _NODES = 14.0, 36.0, 641
+_UNIT = np.linspace(-1.0, 1.0, _NODES)
+_REFINE_ATOL, _REFINE_RTOL = 1e-12, 1e-9
 
 
-def _trap_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    z = np.linspace(-_QUAD_HALF_WIDTH, _QUAD_HALF_WIDTH, n)
-    h = z[1] - z[0]
-    weight = np.exp(-0.5 * z * z) * (h / math.sqrt(2.0 * math.pi))
-    weight[0] *= 0.5
-    weight[-1] *= 0.5
-    return z, weight
-
-
-# The 1025 coarse nodes are exactly the even-indexed fine nodes, so the
-# refinement check reuses the fine evaluations instead of evaluating twice.
-_Z_FINE, _W_FINE = _trap_nodes(2049)
-_W_COARSE = _trap_nodes(1025)[1]
-
-
-def _gaussian_expectations(loss: SelfTrainingLoss, m: float, s: float) -> tuple[float, float]:
-    u = m + s * _Z_FINE
-    d1, d2 = loss.dpsi(u), loss.ddpsi(u)
-    e1, e2 = float(_W_FINE @ d1), float(_W_FINE @ d2)
-    # contiguous copies: a strided dot may sum in a different order
-    e1c = float(_W_COARSE @ np.ascontiguousarray(d1[::2]))
-    e2c = float(_W_COARSE @ np.ascontiguousarray(d2[::2]))
-    for coarse, fine, tag in ((e1c, e1, "E[psi']"), (e2c, e2, "E[psi'']")):
-        if abs(fine - coarse) > 1e-12 + 1e-9 * abs(fine):
-            warnings.warn(
-                f"reduced quadrature precision for {tag} of {loss.name} at "
-                f"(m={m}, s={s}): refinement moved the estimate by {abs(fine - coarse):.3e}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-    return e1, e2
+def _gaussian_expectations(loss: SelfTrainingLoss, m: float, s: float
+                           ) -> tuple[float, float, float]:
+    """(E[psi'], E[psi'']) at s > 0, and the largest move of the halved-grid
+    estimate past the refinement tolerance (0.0 when neither moved past it)."""
+    if loss.family is LossFamily.SQUARE:
+        return -m, -1.0, 0.0
+    lo, hi = m - _HALF_WIDTH * s, m + _HALF_WIDTH * s
+    if max(lo, -_MARGIN_CUT) < min(hi, _MARGIN_CUT):
+        lo, hi = max(lo, -_MARGIN_CUT), min(hi, _MARGIN_CUT)
+    # u and z from the offsets to the window's middle: neither inherits the other's rounding
+    mid, offset = 0.5 * (lo + hi), (0.5 * (hi - lo)) * _UNIT
+    u = mid + offset
+    z = (offset + (mid - m)) * (math.sqrt(0.5) / s)
+    w = np.exp(z * -z)  # the node weights over h / (s sqrt(2 pi))
+    w[::_NODES - 1] *= 0.5  # the two end nodes
+    scale = (hi - lo) / ((_NODES - 1) * s * math.sqrt(2.0 * math.pi))
+    fine, moved = [], 0.0
+    for d in _derivative_pair(loss, u):
+        fine.append(float(d @ w) * scale)
+        move = abs(fine[-1] - 2.0 * scale * float(d[::2] @ w[::2]))
+        if move > _REFINE_ATOL + _REFINE_RTOL * abs(fine[-1]):
+            moved = max(moved, move)
+    return fine[0], fine[1], moved
 
 
 def expectation_terms(loss: SelfTrainingLoss, a: float, b: float,
                       model: GaussianModel) -> tuple[float, float]:
     """(E[psi'(Z)], E[psi''(Z)]) for Z = w^T(mu + sigma xi) ~ N(m, s^2).
 
-    Here m = a and s^2 = sigma^2 (a^2/||mu||^2 + b^2).  With sigma = 0 the
-    expectations collapse to point evaluations at a.  Losses with a
-    distributional psi'' (hard rules) are rejected when sigma > 0.
+    Here m = a and s^2 = sigma^2 (a^2/||mu||^2 + b^2).  With s = 0 (sigma = 0,
+    or a = b = 0) the expectations collapse to point evaluations at a.  Losses
+    with a distributional psi'' (hard rules) are rejected when sigma > 0.  A
+    RuntimeWarning says when the quadrature's refinement check fires.
     """
+    e1, e2, moved = _expectations(loss, a, b, model)
+    if moved:
+        warnings.warn(f"reduced quadrature precision for {loss.name} at (a={a}, b={b}): "
+                      f"refinement moved the estimate by {moved:.3e}", RuntimeWarning, stacklevel=2)
+    return e1, e2
+
+
+def _expectations(loss: SelfTrainingLoss, a: float, b: float,
+                  model: GaussianModel) -> tuple[float, float, float]:
+    """expectation_terms, with the refinement move in place of the warning."""
     a = float(a)
     b = check_non_negative("b", b)
-    if model.sigma == 0.0:
-        return float(loss.dpsi(a)), float(loss.ddpsi(a))
-    if not loss.smooth_second_derivative:
-        raise UnsupportedLossError(
-            f"unsupported: distributional psi'' ({loss.name} has a jump in psi' at 0, "
-            "so its population dynamics at sigma > 0 are not defined here)"
-        )
-    s = model.sigma * math.hypot(a / model.mu_norm, b)
-    return _gaussian_expectations(loss, a, s)
+    if model.sigma > 0.0:
+        if not loss.smooth_second_derivative:
+            raise UnsupportedLossError(
+                f"unsupported: distributional psi'' ({loss.name} has a jump in psi' at 0, "
+                "so its population dynamics at sigma > 0 are not defined here)"
+            )
+        s = model.sigma * math.hypot(a / model.mu_norm, b)
+        if s > 0.0:
+            return _gaussian_expectations(loss, a, s)
+    return float(loss.dpsi(a)), float(loss.ddpsi(a)), 0.0
 
 
 def population_step(a: float, b: float, loss: SelfTrainingLoss,
                     model: GaussianModel, eta: float) -> tuple[float, float]:
     """One infinite-data update of the pair (a, b)."""
-    e1, e2 = expectation_terms(loss, a, b, model)
+    return _update(a, b, *expectation_terms(loss, a, b, model), model, eta)
+
+
+def _update(a, b, e1, e2, model, eta):
     shrink = 1.0 - eta * model.sigma**2 * e2
-    a_next = shrink * a - eta * e1 * model.mu_norm**2
-    b_next = abs(shrink) * float(b)
-    return a_next, b_next
+    return shrink * a - eta * e1 * model.mu_norm**2, abs(shrink) * float(b)
 
 
 def run_population(config: ExperimentConfig) -> list[TrajectoryPoint]:
     """Iterate the population dynamic from split_ab(w_init).
 
     Overflow of (a, b), or a = b = 0, ends the run with a flagged record, as
-    in the stochastic runner.
+    in the stochastic runner.  One RuntimeWarning per run reports the steps on
+    which the quadrature's refinement check fired, if any.
     """
     if config.mode is not Mode.POPULATION:
         raise ValueError(f"config.mode is {config.mode.value}, expected population")
     model = config.model
     ab = [split_ab(config.w_init, model)]
-    for _ in range(config.horizon):
-        a, b = population_step(*ab[-1], config.loss, model, config.eta)
+    moves = []  # (t, move) of each step whose refinement check fired
+    for t in range(1, config.horizon + 1):
+        e1, e2, moved = _expectations(config.loss, *ab[-1], model)
+        if moved:
+            moves.append((t, moved))
+        a, b = _update(*ab[-1], e1, e2, model, config.eta)
         ab.append((a, b))
-        if (not (math.isfinite(a) and math.isfinite(b)) or max(abs(a), b) > OVERFLOW_LIMIT
-                or a == b == 0.0):
-            return trajectory(ab, model, stopped=True)
-    return trajectory(ab, model, stopped=False)
+        if stopped := (not (math.isfinite(a) and math.isfinite(b))
+                       or max(abs(a), b) > OVERFLOW_LIMIT or a == b == 0.0):
+            break
+    if moves:
+        warnings.warn(f"reduced quadrature precision in a {config.loss.name} population run: "
+                      f"refinement fired on {len(moves)} steps, first at t={moves[0][0]}, "
+                      f"largest move {max(m for _, m in moves):.3e}", RuntimeWarning, stacklevel=2)
+    return trajectory(ab, model, stopped=stopped)
 
 
 # --- scalar dynamics and closed forms -----------------------------------------

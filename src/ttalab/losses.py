@@ -226,6 +226,26 @@ def _conj_exp() -> SelfTrainingLoss:
                             club=ClubParams(L=1.0, a_min=0.75))
 
 
+# (psi', psi'') of the smooth conjugate losses from (u, sech u, tanh u), for the
+# population quadrature.  dpsi and ddpsi above stay the reference: the sampled
+# engine's bits rest on them.
+_DERIVATIVE_PAIRS = {
+    (LabelRule.CONJ, LossFamily.LOGISTIC):
+        lambda u, sech, tanh: (-u * sech**2, sech**2 * (2.0 * u * tanh - 1.0)),
+    (LabelRule.CONJ, LossFamily.EXP):
+        lambda u, sech, tanh: (-tanh * sech, sech * (tanh * tanh - sech * sech)),
+}
+
+
+def _derivative_pair(loss: SelfTrainingLoss, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(psi', psi'') of conj+logistic or conj+exp from one e = exp(-|u|): sech u =
+    2e / (1 + e^2), tanh u = sign(u) (1 - e^2) / (1 + e^2) (absolute error ~1e-16)."""
+    e = np.exp(-np.abs(u))
+    two_over = 2.0 / (1.0 + e * e)
+    sech, tanh = e * two_over, np.copysign(two_over - 1.0, u)
+    return _DERIVATIVE_PAIRS[loss.rule, loss.family](u, sech, tanh)
+
+
 _FACTORY = {
     (LabelRule.HARD, LossFamily.SQUARE): _hard_square,
     (LabelRule.CONJ, LossFamily.SQUARE): _conj_square,

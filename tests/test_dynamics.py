@@ -1,6 +1,7 @@
 """Stochastic and population update rules, scalar dynamics, closed forms."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -26,7 +27,9 @@ from ttalab import (
     run_stochastic,
     stein_identity_check,
 )
-from ttalab.dynamics import stochastic_sweep
+from ttalab import dynamics
+from ttalab.dynamics import _gaussian_expectations, stochastic_sweep
+from ttalab.losses import _derivative_pair
 from ttalab.model import ab_metrics
 
 
@@ -250,10 +253,8 @@ class TestExpectationTerms:
         loss = make_loss("conj", "square")
         for sigma in (0.0, 0.5, 2.0):
             model = axis_model(1.3, sigma)
-            for a, b in ((0.2, 0.0), (1.0, 1.0), (-3.0, 2.5)):
-                e1, e2 = expectation_terms(loss, a, b, model)
-                assert e1 == pytest.approx(-a, rel=1e-13, abs=1e-13)
-                assert e2 == pytest.approx(-1.0, rel=1e-13)
+            for a, b in ((0.2, 0.0), (1.0, 1.0), (-3.0, 2.5), (1e149, 1e149)):
+                assert expectation_terms(loss, a, b, model) == (-a, -1.0)
 
     def test_noiseless_collapses_to_point_evaluation(self):
         loss = make_loss("conj", "exp")
@@ -282,6 +283,98 @@ class TestExpectationTerms:
         e1, _ = expectation_terms(make_loss("hard", "exp"), 1.0, 1.0,
                                   axis_model(1.0, 0.0))
         assert e1 == pytest.approx(-math.exp(-1.0), rel=1e-14)
+
+
+def _sech(u):
+    return 0.0 if abs(u) > 700 else 1.0 / math.cosh(u)
+
+
+# scalar (psi', psi'') written independently of ttalab.losses, for the oracle
+ORACLE_DERIVATIVES = {
+    "logistic": (lambda u: -u * _sech(u) ** 2,
+                 lambda u: _sech(u) ** 2 * (2.0 * u * math.tanh(u) - 1.0)),
+    "exp": (lambda u: -math.tanh(u) * _sech(u),
+            lambda u: _sech(u) * (math.tanh(u) ** 2 - _sech(u) ** 2)),
+}
+
+
+def quad_oracle(family, m, s):
+    """(E[psi'], E[psi'']) over N(m, s^2) by scipy.integrate.quad in z = (u - m)/s
+    on [-15, 15], split where the margin u passes the integrands' features."""
+    integrate = pytest.importorskip("scipy.integrate")
+    cuts = [(u - m) / s for u in (-40, -20, -10, -5, -2, -1, 0, 1, 2, 5, 10, 20, 40)]
+    z = sorted({-15.0, 15.0, *(c for c in cuts if -15.0 < c < 15.0)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # quad's own roundoff notes
+        return [sum(integrate.quad(lambda t: g(m + s * t) * math.exp(-0.5 * t * t), lo, hi,
+                                   epsabs=1e-300, epsrel=1e-14, limit=200)[0]
+                    for lo, hi in zip(z, z[1:])) / math.sqrt(2.0 * math.pi)
+                for g in ORACLE_DERIVATIVES[family]]
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("family", ["logistic", "exp"])
+    def test_matches_the_quad_oracle(self, family):
+        loss = make_loss("conj", family)
+        for s in np.logspace(-3, 6, 10):
+            top = 3.0 * max(s, 1.0)
+            for m in np.linspace(-top, top, 7):
+                e1, e2, moved = _gaussian_expectations(loss, m, s)
+                np.testing.assert_allclose([e1, e2], quad_oracle(family, m, s),
+                                           rtol=1e-12, atol=1e-15, err_msg=f"m={m}, s={s}")
+                assert moved == 0.0
+
+    @pytest.mark.parametrize("family", ["logistic", "exp"])
+    def test_a_window_past_the_margin_cut_matches_the_oracle(self, family):
+        # |m| > 14 s + 32: the Gaussian sits where psi' and psi'' are below 3e-14
+        loss = make_loss("conj", family)
+        for s in (1e-3, 0.1, 1.0, 5.0, 30.0):
+            for m in (14 * s + 32.5, -(14 * s + 34.0), 14 * s + 36.5, -(14 * s + 40.0),
+                      14 * s + 100.0):
+                np.testing.assert_allclose(_gaussian_expectations(loss, m, s)[:2],
+                                           quad_oracle(family, m, s),
+                                           rtol=1e-12, atol=1e-15, err_msg=f"m={m}, s={s}")
+
+    @pytest.mark.parametrize("family", ["logistic", "exp"])
+    def test_a_window_wholly_past_the_cut_is_kept_whole(self, family):
+        # for s <= 1 the uncut window holds the integrand's mass, so even these
+        # values (below 1e-15) match to rtol alone
+        loss = make_loss("conj", family)
+        for s in (1e-3, 0.1, 1.0):
+            for m in (14 * s + 36.5, -(14 * s + 40.0), 14 * s + 60.0):
+                np.testing.assert_allclose(_gaussian_expectations(loss, m, s)[:2],
+                                           quad_oracle(family, m, s),
+                                           rtol=1e-12, atol=0.0, err_msg=f"m={m}, s={s}")
+
+    @pytest.mark.parametrize("family", ["square", "logistic", "exp"])
+    def test_zero_spread_is_the_point_evaluation(self, family):
+        # a = b = 0 makes s = 0 at any sigma, as sigma = 0 does
+        loss = make_loss("conj", family)
+        got = expectation_terms(loss, 0.0, 0.0, axis_model(1.0, 0.7))
+        assert got == expectation_terms(loss, 0.0, 0.0, axis_model(1.0, 0.0))
+        assert got == (float(loss.dpsi(0.0)), float(loss.ddpsi(0.0)))
+
+    @pytest.mark.parametrize("family", ["logistic", "exp"])
+    def test_fused_pairs_match_dpsi_and_ddpsi(self, family):
+        # atol: the one-exp tanh (1 - e^2)/(1 + e^2) loses relative digits
+        # only near u = 0, where its absolute error stays near 1e-16
+        loss = make_loss("conj", family)
+        small = np.geomspace(1e-12, 1.0, 200)
+        u = np.concatenate([np.linspace(-700.0, 700.0, 20001), small, -small, [0.0]])
+        d1, d2 = _derivative_pair(loss, u)
+        np.testing.assert_allclose(d1, loss.dpsi(u), rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(d2, loss.ddpsi(u), rtol=1e-14, atol=1e-15)
+
+    def test_a_benchmark_shaped_run_raises_no_warning(self):
+        _, mu, sigma, w_init = build_benchmark_domains(10, 0)
+        model = GaussianModel(mu=mu, sigma=sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for family in ("square", "logistic", "exp"):
+                for eta in (0.1, 0.5, 1.0, 5.0):
+                    run_population(ExperimentConfig(
+                        model=model, loss=make_loss("conj", family), eta=eta,
+                        mode=Mode.POPULATION, horizon=2000, seed=0, w_init=w_init))
 
 
 class TestPopulationStep:
@@ -383,6 +476,25 @@ class TestRunPopulation:
         expected_cos2 = (1 / mu_norm**2) / (1 / mu_norm**2 + b1**2)
         assert final.cos**2 == pytest.approx(expected_cos2, abs=1e-9)
         assert all(p.cos <= final.cos + 1e-12 for p in points)
+
+    def test_one_refinement_warning_per_run(self, monkeypatch):
+        # a zero tolerance makes the refinement check fire on (nearly) every step
+        monkeypatch.setattr(dynamics, "_REFINE_ATOL", 0.0)
+        monkeypatch.setattr(dynamics, "_REFINE_RTOL", 0.0)
+        loss, model = make_loss("conj", "logistic"), axis_model(1.0, 0.8)
+        config = config_from_ab(1.0, 1.0, model, loss, 0.5, Mode.POPULATION, horizon=20)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_population(config)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        fired = re.search(r"fired on (\d+) steps, first at t=(\d+), largest move (\S+)",
+                          str(caught[0].message))
+        assert fired and 2 <= int(fired[1]) <= 20 and 1 <= int(fired[2]) <= 20
+        assert float(fired[3]) > 0.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            expectation_terms(loss, 1.0, 1.0, model)
+        assert [w.category for w in caught] == [RuntimeWarning]
 
     def test_population_overflow_flagged(self):
         config = config_from_ab(1.0, 1.0, axis_model(1.0, 0.0),
