@@ -365,9 +365,11 @@ def stein_identity_check(loss: SelfTrainingLoss, m: float, s: float, n: int,
         raise UnsupportedLossError(
             f"unsupported: distributional psi'' ({loss.name} cannot be checked)"
         )
+    if not math.isfinite(m):
+        raise ValueError("m must be finite")
     s = check_positive("s", s)
     n = check_count("n", n, 2)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(np.random.SeedSequence(check_count("seed", seed, 0)))
     z = rng.standard_normal(n)
     u = m + s * z
     lhs_samples = z * np.asarray(loss.dpsi(u), dtype=float)

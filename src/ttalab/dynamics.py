@@ -155,11 +155,11 @@ def stochastic_sweep(base: ExperimentConfig, etas, seeds, sampler: Sampler | Non
     The iterates are one (S, K, d) array.  Each step, stream s draws one
     batch as a lone run on seeds[s] would and its K columns step on it, so
     column (s, k) is run_stochastic(replace(base, eta=etas[k], seed=seeds[s]))
-    bit for bit.  (a, b) is split off every 32 steps; no other iterate is
-    kept.  A stopped column is frozen at NaN, which every later operation
-    passes on without a warning.  Returns (ab, stopped): ab[t, s, k] is the
-    (a, b) of point t + 1 of column (s, k), NaN after its stop, up to the
-    last step run; stopped flags the columns that stopped early.
+    bit for bit.  Every step's iterates are kept and split into (a, b) once,
+    after the last step.  A stopped column is frozen at NaN, which every later
+    operation passes on without a warning.  Returns (ab, stopped): ab[t, s, k]
+    is the (a, b) of point t + 1 of column (s, k), NaN after its stop, up to
+    the last step run; stopped flags the columns that stopped early.
     """
     if base.mode is not Mode.STOCHASTIC:
         raise ValueError(f"config.mode is {base.mode.value}, expected stochastic")
@@ -168,21 +168,18 @@ def stochastic_sweep(base: ExperimentConfig, etas, seeds, sampler: Sampler | Non
             for seed in seeds]
     draw = sampler or (lambda t, rng: sample_batch(base.model, rng, base.batch_size))
     w = np.tile(base.w_init, (len(rngs), etas.size, 1))
-    block, parts = [w], []
+    ws = [w]
     for t in range(1, base.horizon + 1):
         xs = np.stack([draw(t, rng) for rng in rngs])
         w = gd_step(w, xs[:, None], base.loss, etas[:, None])
-        block.append(w)
+        ws.append(w)
         # the stop rule: NaN fails the <= test and +-inf exceeds the limit
         stopped = ~((np.abs(w).max(axis=-1) <= OVERFLOW_LIMIT) & w.any(axis=-1))
-        if len(block) == 32 or t == base.horizon or stopped.all():
-            parts.append(np.stack(split_ab(np.stack(block), base.model), axis=-1))
-            block = []
-            if stopped.all():
-                break
+        if stopped.all():
+            break
         if stopped.any():
             w = np.where(stopped[..., None], np.nan, w)
-    return np.concatenate(parts), stopped
+    return np.stack(split_ab(np.stack(ws), base.model), axis=-1), stopped
 
 
 # --- population dynamics ------------------------------------------------------
@@ -317,6 +314,8 @@ def conj_square_ratio_closed_form(r1: float, eta: float, mu_norm: float,
     g = 1 + eta ||mu||^2 / (1 + eta sigma^2)."""
     t = check_count("t", t, 0)
     eta = check_positive("eta", eta)
+    mu_norm = check_positive("mu_norm", mu_norm)
+    sigma = check_non_negative("sigma", sigma)
     growth = 1.0 + eta * mu_norm**2 / (1.0 + eta * sigma**2)
     return float(r1) * growth ** t
 
@@ -329,6 +328,8 @@ def epsilon_iteration_bound(eps: float, r1: float, eta: float, mu_norm: float,
         raise ValueError("eps must lie in (0, 1)")
     r1 = check_positive("r1", r1)
     eta = check_positive("eta", eta)
+    mu_norm = check_positive("mu_norm", mu_norm)
+    sigma = check_non_negative("sigma", sigma)
     growth = 1.0 + eta * mu_norm**2 / (1.0 + eta * sigma**2)
     ratio = mu_norm**2 / (eps * r1**2)
     if ratio <= 1.0:

@@ -96,8 +96,9 @@ def step_size_sweep(base: ExperimentConfig, eta_grid,
         if base.mode is Mode.STOCHASTIC:
             curves = [loss01[:, s, k] for s in range(len(seeds)) if not stopped[s, k]]
         else:
-            runs = [run_population(replace(base, eta=eta, seed=seed)) for seed in seeds]
-            curves = [[p.loss01 for p in points] for points in runs if not points[-1].overflow]
+            # a population run reads no seed: one run stands for every stream
+            points = run_population(replace(base, eta=eta))
+            curves = [] if points[-1].overflow else [[p.loss01 for p in points]] * len(seeds)
         finals = [curve[-1] for curve in curves]
         n_overflow = len(seeds) - len(finals)
         if n_overflow == 0:

@@ -18,14 +18,16 @@ The six resulting losses:
     hard  exp       exp(-|u|)
     conj  exp       sech(u)
 
-Each loss carries (psi, psi', psi'') as vectorized callables.  For the hard
-rules psi' jumps at the origin (sign(0) := 0 everywhere), so ddpsi stores only
-the smooth part of psi'' and `smooth_second_derivative` is False; the point
-mass at 0 is deliberately not assigned a coefficient.
+Each loss is one row of the table `_LOSSES`: psi, psi' and psi'' as
+vectorized callables, which take a float, an int, a list or an array and
+return float64, plus optional tail-bound parameters.  For the hard rules psi'
+jumps at the origin (sign(0) := 0 everywhere), so ddpsi stores only the smooth
+part of psi'' and `smooth_second_derivative` is False; the point mass at 0 is
+deliberately not assigned a coefficient.
 
-The four non-square losses additionally carry tail-bound parameters
-(L, a_min) certifying -psi'(a) >= exp(-L a) for a >= a_min; these are data
-here and are verified numerically by the analysis module.
+The four non-square losses carry tail-bound parameters (L, a_min) certifying
+-psi'(a) >= exp(-L a) for a >= a_min; these are data here and are verified
+numerically by the analysis module.
 """
 
 from __future__ import annotations
@@ -112,123 +114,74 @@ def _sech(u: np.ndarray) -> np.ndarray:
     return 2.0 * e / (1.0 + e * e)
 
 
-def _one_minus_tanh_abs(u: np.ndarray) -> np.ndarray:
-    # 1 - tanh(|u|) without cancellation: 2 e^{-2|u|} / (1 + e^{-2|u|}).
-    e = np.exp(-2.0 * np.abs(u))
-    return 2.0 * e / (1.0 + e)
-
-
-def _as_array(u) -> np.ndarray:
-    return np.asarray(u, dtype=float)
-
-
 # --- the six losses ----------------------------------------------------------
+# A formula coerces u to a float array only where it does arithmetic on u
+# itself; np.sign, np.abs, np.exp, np.tanh and the helpers above coerce on
+# their own.
 
 
-def _hard_square() -> SelfTrainingLoss:
-    def psi(u):
-        u = _as_array(u)
-        return 0.5 * (np.sign(u) - u) ** 2
-
-    def dpsi(u):
-        u = _as_array(u)
-        return u - np.sign(u)
-
-    def ddpsi(u):
-        u = _as_array(u)
-        return np.ones_like(u)
-
-    return SelfTrainingLoss(LabelRule.HARD, LossFamily.SQUARE, psi, dpsi, ddpsi, club=None)
+def _conj_square_psi(u):
+    u = np.asarray(u, dtype=float)
+    return -0.5 * u * u
 
 
-def _conj_square() -> SelfTrainingLoss:
-    def psi(u):
-        u = _as_array(u)
-        return -0.5 * u * u
-
-    def dpsi(u):
-        return -_as_array(u)
-
-    def ddpsi(u):
-        u = _as_array(u)
-        return np.full_like(u, -1.0)
-
-    return SelfTrainingLoss(LabelRule.CONJ, LossFamily.SQUARE, psi, dpsi, ddpsi, club=None)
+def _hard_logistic_dpsi(u):
+    # tanh(u) - sign(u), evaluated as -sign(u) (1 - tanh|u|) with 1 - tanh|u|
+    # = 2 e^{-2|u|} / (1 + e^{-2|u|}), free of cancellation.
+    e = np.exp(-2.0 * np.abs(u))
+    return -np.sign(u) * (2.0 * e / (1.0 + e))
 
 
-def _hard_logistic() -> SelfTrainingLoss:
-    def psi(u):
-        u = _as_array(u)
-        return _log_cosh(u) - np.abs(u)
-
-    def dpsi(u):
-        # tanh(u) - sign(u), evaluated as -sign(u) (1 - tanh|u|).
-        u = _as_array(u)
-        return -np.sign(u) * _one_minus_tanh_abs(u)
-
-    def ddpsi(u):
-        return _sech(_as_array(u)) ** 2
-
-    return SelfTrainingLoss(LabelRule.HARD, LossFamily.LOGISTIC, psi, dpsi, ddpsi,
-                            club=ClubParams(L=2.0, a_min=0.0))
+def _conj_logistic_ddpsi(u):
+    u = np.asarray(u, dtype=float)
+    s2 = _sech(u) ** 2
+    return -s2 + 2.0 * u * np.tanh(u) * s2
 
 
-def _conj_logistic() -> SelfTrainingLoss:
-    def psi(u):
-        u = _as_array(u)
-        return _log_cosh(u) - u * np.tanh(u)
-
-    def dpsi(u):
-        u = _as_array(u)
-        return -u * _sech(u) ** 2
-
-    def ddpsi(u):
-        u = _as_array(u)
-        s2 = _sech(u) ** 2
-        return -s2 + 2.0 * u * np.tanh(u) * s2
-
-    return SelfTrainingLoss(LabelRule.CONJ, LossFamily.LOGISTIC, psi, dpsi, ddpsi,
-                            club=ClubParams(L=2.0, a_min=0.5))
+def _conj_exp_ddpsi(u):
+    s = _sech(u)
+    t = np.tanh(u)
+    return s * (t * t - s * s)
 
 
-def _hard_exp() -> SelfTrainingLoss:
-    def psi(u):
-        u = _as_array(u)
-        return np.exp(-np.abs(u))
-
-    def dpsi(u):
-        u = _as_array(u)
-        return -np.sign(u) * np.exp(-np.abs(u))
-
-    def ddpsi(u):
-        u = _as_array(u)
-        return np.exp(-np.abs(u))
-
-    return SelfTrainingLoss(LabelRule.HARD, LossFamily.EXP, psi, dpsi, ddpsi,
-                            club=ClubParams(L=1.0, a_min=0.0))
-
-
-def _conj_exp() -> SelfTrainingLoss:
-    def psi(u):
-        return _sech(_as_array(u))
-
-    def dpsi(u):
-        u = _as_array(u)
-        return -np.tanh(u) * _sech(u)
-
-    def ddpsi(u):
-        u = _as_array(u)
-        s = _sech(u)
-        t = np.tanh(u)
-        return s * (t * t - s * s)
-
-    return SelfTrainingLoss(LabelRule.CONJ, LossFamily.EXP, psi, dpsi, ddpsi,
-                            club=ClubParams(L=1.0, a_min=0.75))
+# (rule, family) -> (psi, psi', psi'', tail-bound parameters)
+_LOSSES = {
+    (LabelRule.HARD, LossFamily.SQUARE): (
+        lambda u: 0.5 * (np.sign(u) - np.asarray(u, dtype=float)) ** 2,
+        lambda u: np.asarray(u, dtype=float) - np.sign(u),
+        lambda u: np.ones_like(u, dtype=float),
+        None),
+    (LabelRule.CONJ, LossFamily.SQUARE): (
+        _conj_square_psi,
+        lambda u: -np.asarray(u, dtype=float),
+        lambda u: np.full_like(u, -1.0, dtype=float),
+        None),
+    (LabelRule.HARD, LossFamily.LOGISTIC): (
+        lambda u: _log_cosh(u) - np.abs(u),
+        _hard_logistic_dpsi,
+        lambda u: _sech(u) ** 2,
+        ClubParams(L=2.0, a_min=0.0)),
+    (LabelRule.CONJ, LossFamily.LOGISTIC): (
+        lambda u: _log_cosh(u) - np.asarray(u, dtype=float) * np.tanh(u),
+        lambda u: -np.asarray(u, dtype=float) * _sech(u) ** 2,
+        _conj_logistic_ddpsi,
+        ClubParams(L=2.0, a_min=0.5)),
+    (LabelRule.HARD, LossFamily.EXP): (
+        lambda u: np.exp(-np.abs(u)),
+        lambda u: -np.sign(u) * np.exp(-np.abs(u)),
+        lambda u: np.exp(-np.abs(u)),
+        ClubParams(L=1.0, a_min=0.0)),
+    (LabelRule.CONJ, LossFamily.EXP): (
+        _sech,
+        lambda u: -np.tanh(u) * _sech(u),
+        _conj_exp_ddpsi,
+        ClubParams(L=1.0, a_min=0.75)),
+}
 
 
 # (psi', psi'') of the smooth conjugate losses from (u, sech u, tanh u), for the
-# population quadrature.  dpsi and ddpsi above stay the reference: the sampled
-# engine's bits rest on them.
+# population quadrature.  The dpsi and ddpsi of _LOSSES stay the reference: the
+# sampled engine's bits rest on them.
 _DERIVATIVE_PAIRS = {
     (LabelRule.CONJ, LossFamily.LOGISTIC):
         lambda u, sech, tanh: (-u * sech**2, sech**2 * (2.0 * u * tanh - 1.0)),
@@ -246,25 +199,15 @@ def _derivative_pair(loss: SelfTrainingLoss, u: np.ndarray) -> tuple[np.ndarray,
     return _DERIVATIVE_PAIRS[loss.rule, loss.family](u, sech, tanh)
 
 
-_FACTORY = {
-    (LabelRule.HARD, LossFamily.SQUARE): _hard_square,
-    (LabelRule.CONJ, LossFamily.SQUARE): _conj_square,
-    (LabelRule.HARD, LossFamily.LOGISTIC): _hard_logistic,
-    (LabelRule.CONJ, LossFamily.LOGISTIC): _conj_logistic,
-    (LabelRule.HARD, LossFamily.EXP): _hard_exp,
-    (LabelRule.CONJ, LossFamily.EXP): _conj_exp,
-}
-
-
 def make_loss(rule: LabelRule | str, family: LossFamily | str) -> SelfTrainingLoss:
     """Build one of the six pseudo-label self-training losses."""
     rule = LabelRule(rule)
     family = LossFamily(family)
-    return _FACTORY[(rule, family)]()
+    return SelfTrainingLoss(rule, family, *_LOSSES[rule, family])
 
 
 def all_losses() -> list[SelfTrainingLoss]:
-    return [factory() for factory in _FACTORY.values()]
+    return [make_loss(rule, family) for rule, family in _LOSSES]
 
 
 def club_losses() -> list[SelfTrainingLoss]:

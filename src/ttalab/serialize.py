@@ -102,7 +102,7 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"run.mode: must be 'stochastic' or 'population', got {mode_text!r}") from None
 
     w_init = _vector(raw, "init.w")
-    batch = _integer(raw, "run.batch") if "run.batch" in raw else 32
+    batch = {"batch_size": _integer(raw, "run.batch")} if "run.batch" in raw else {}
 
     try:
         return ExperimentConfig(
@@ -113,7 +113,7 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
             horizon=_integer(raw, "run.horizon"),
             seed=_integer(raw, "run.seed"),
             w_init=w_init,
-            batch_size=batch,
+            **batch,
         )
     except ValueError as exc:
         raise ConfigError(_name_config_field(str(exc))) from None

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,8 @@ from ttalab import (
     render_figure_svg,
     reproduce_figure,
     run_experiment,
+    run_population,
+    step_size_sweep,
     zero_one_loss,
 )
 from ttalab.cli import main
@@ -186,6 +189,20 @@ class TestGridSearch:
         _, among = grid_search(base, [0.05, 0.5, 1.0])
         assert alone[0] == next(r for r in among if r.eta == 0.5)
         np.testing.assert_array_equal(alone[0].curve, among[1].curve)
+
+    def test_population_rows_are_the_lone_run(self):
+        # a population run reads no seed: three streams give three copies of it
+        base = replace(self.base(horizon=200), mode=Mode.POPULATION,
+                       model=GaussianModel(mu=np.array([1.0, 0.0]), sigma=0.6))
+        best, rows = step_size_sweep(base, [0.05, 100.0], [0, 1, 2])
+        assert best.eta == 0.05 and [r.n_overflow for r in rows] == [0, 3]
+        lone = run_population(replace(base, eta=0.05))
+        finals = [lone[-1].loss01] * 3
+        assert rows[0].mean_final_loss01 == float(np.mean(finals))
+        assert rows[0].std_final_loss01 == float(np.std(finals, ddof=1))
+        np.testing.assert_array_equal(rows[0].curve,
+                                      np.mean([[p.loss01 for p in lone]] * 3, axis=0))
+        assert rows[1].mean_final_loss01 == math.inf and np.isnan(rows[1].curve).all()
 
     def test_grid_order_does_not_matter(self):
         best_a, rows_a = grid_search(self.base(), [0.5, 0.05, 1.0])
@@ -379,6 +396,15 @@ class TestCliExitCodes:
         assert {row[2] for row in rows} == {"false"}
         assert meta["run.seed"] == 7 and meta["loss.family"] == "exp"
         assert meta["prng"] == "numpy-pcg64-seedsequence"
+
+    def test_grid_command_on_a_population_config(self, tmp_path, capsys):
+        path = write_config(tmp_path / "p.json", **{"run.mode": "population",
+                                                    "run.horizon": 20, "run.batch": None})
+        assert main(["grid", str(path), "--etas", "0.05,0.5", "--out", str(tmp_path)]) == 0
+        cols, rows, meta = read_csv_with_meta(tmp_path / "p.grid.csv")
+        assert [row[0] for row in rows] == [0.05, 0.5]
+        assert {row[2] for row in rows} == {"false"}
+        assert meta["run.mode"] == "population"
 
     def test_figure_command(self, tmp_path, capsys):
         assert main(["figure", "fig2", "--out", str(tmp_path)]) == 0

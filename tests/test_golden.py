@@ -1,9 +1,13 @@
-"""Stored golden trajectories: refactors must reproduce them to 1e-12.
+"""Stored golden trajectories and loss values: refactors must reproduce them.
 
-Each file under tests/golden/ holds the trajectories of one small base
-config run with several losses, one row per (loss, t).  The numbers are
+Each trajectory file under tests/golden/ holds the trajectories of one small
+base config run with several losses, one row per (loss, t).  The numbers are
 compared at rtol = atol = 1e-12 (not as bytes), so a change that only
 reorders a BLAS sum still passes; the `#` metadata block is skipped.
+
+tests/golden/losses.csv holds psi, psi' and psi'' of all six losses on a
+fixed margin grid, one row per (loss, u), each value written with repr.  No
+sum is involved, so it is compared as text: every value keeps its bits.
 
 Regenerate deliberately, never to make a failing comparison pass:
 
@@ -104,6 +108,28 @@ def golden_text(name):
     return csv_with_meta_text(HEADER, golden_rows(name), meta)
 
 
+# 0 and -0, a tiny 1e-300, the origin's neighbourhood, the quadrature's
+# cut at 36 and the stable primitives' range edge at 700, with both signs
+LOSS_GRID = (0.0, -0.0, 1e-300, -1e-300, 1e-8, -1e-8, 0.5, -0.5, 1.0, -1.0, 2.5, -2.5,
+             18.5, -18.5, 36.0, -36.0, 100.0, -100.0, 700.0, -700.0)
+LOSS_HEADER = "loss,u,psi,dpsi,ddpsi"
+
+
+def loss_golden_text():
+    grid = np.array(LOSS_GRID)
+    lines = [LOSS_HEADER]
+    for name in ALL_LOSSES:
+        loss = parse_loss_id(name)
+        columns = zip(grid, loss.psi(grid), loss.dpsi(grid), loss.ddpsi(grid))
+        lines += [",".join([name] + [repr(float(v)) for v in row]) for row in columns]
+    return "\n".join(lines) + "\n"
+
+
+def test_losses_match_golden_exactly():
+    stored = (GOLDEN_DIR / "losses.csv").read_text(encoding="utf-8").splitlines()
+    assert loss_golden_text().splitlines() == stored
+
+
 def _rows(text):
     lines = text.splitlines()
     assert lines[0] == HEADER
@@ -135,3 +161,5 @@ if __name__ == "__main__":
         (GOLDEN_DIR / f"{golden_name}.csv").write_text(golden_text(golden_name),
                                                       encoding="utf-8")
         print(GOLDEN_DIR / f"{golden_name}.csv")
+    (GOLDEN_DIR / "losses.csv").write_text(loss_golden_text(), encoding="utf-8")
+    print(GOLDEN_DIR / "losses.csv")

@@ -88,6 +88,20 @@ class TestCatalogue:
             parse_loss_id("soft:hinge")
 
 
+class TestInputTypes:
+    @pytest.mark.parametrize("fn", ("psi", "dpsi", "ddpsi"))
+    @pytest.mark.parametrize("loss", all_losses(), ids=lambda l: l.name)
+    def test_float_int_list_and_array_agree(self, loss, fn):
+        f = getattr(loss, fn)
+        ints = (-3, 0, 2)
+        want = f(np.array(ints, dtype=float))
+        for got in ([f(float(v)) for v in ints], [f(v) for v in ints],
+                    f(list(ints)), f(np.array(ints))):
+            got = np.asarray(got)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, want)
+
+
 class TestSymmetry:
     @pytest.mark.parametrize("loss", all_losses(), ids=lambda l: l.name)
     def test_psi_is_even(self, loss):

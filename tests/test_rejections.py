@@ -145,6 +145,22 @@ REJECTIONS = [
                  "eta must be positive", id="iteration_bound-negative-eta"),
     pytest.param(lambda: conj_square_ratio_closed_form(1.0, -1.0, 1.0, 1.0, 3),
                  "eta must be positive", id="closed_form-negative-eta"),
+    pytest.param(lambda: epsilon_iteration_bound(0.1, 1.0, 1.0, 0.0, 1.0),
+                 "mu_norm must be positive", id="iteration_bound-zero-mu_norm"),
+    pytest.param(lambda: epsilon_iteration_bound(0.1, 1.0, 1.0, math.nan, 1.0),
+                 "mu_norm must be positive", id="iteration_bound-nan-mu_norm"),
+    pytest.param(lambda: epsilon_iteration_bound(0.1, 1.0, 1.0, 1.0, math.nan),
+                 "sigma must be non-negative", id="iteration_bound-nan-sigma"),
+    pytest.param(lambda: conj_square_ratio_closed_form(1.0, 1.0, math.nan, 0.5, 3),
+                 "mu_norm must be positive", id="closed_form-nan-mu_norm"),
+    pytest.param(lambda: conj_square_ratio_closed_form(1.0, 1.0, 1.0, -0.5, 3),
+                 "sigma must be non-negative", id="closed_form-negative-sigma"),
+    pytest.param(lambda: stein_identity_check(CONJ_EXP, math.inf, 1.0, 10), "m must be finite",
+                 id="stein-inf-m"),
+    pytest.param(lambda: stein_identity_check(CONJ_EXP, math.nan, 1.0, 10), "m must be finite",
+                 id="stein-nan-m"),
+    pytest.param(lambda: stein_identity_check(CONJ_EXP, 0.0, 1.0, 10, seed=-1),
+                 "seed must be a non-negative integer", id="stein-negative-seed"),
     # log_rate_check's derived constants c and exponent, checked before the
     # run: an overflow or a 0 used to fail later, under another field's name
     pytest.param(lambda: log_rate_check(HARD_LOGISTIC, 1.0, 1e308, 1.0, 1.0, 10),
