@@ -29,6 +29,7 @@ from ttalab import (
     run_population,
     run_stochastic,
 )
+from ttalab.dynamics import _HALF_WIDTH, _MARGIN_CUT
 from ttalab.serialize import config_flat, csv_with_meta_text
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -72,6 +73,9 @@ GOLDEN = {
         dict(mu=_MU, sigma=0.0, w_init=_W0, mode=Mode.POPULATION, eta=0.5,
              horizon=15, seed=0),
         ALL_LOSSES, "population"),
+    "population_benchmark": (
+        dict(**_benchmark_base(), mode=Mode.POPULATION, eta=1.0, horizon=80, seed=0),
+        ("conj+logistic", "conj+exp"), "population"),
 }
 
 
@@ -153,6 +157,20 @@ def test_trajectories_match_golden(name):
 def test_golden_set_covers_an_overflow():
     rows = _stored_rows("stochastic_overflow")
     assert rows[-1][7] == "true"
+
+
+def test_population_golden_covers_both_quadrature_windows():
+    """Each loss of population_benchmark takes >= 10 steps whose window
+    [a - 14 s, a + 14 s] the margin cut clips on both sides, and >= 10 others."""
+    (config, *_), _ = _configs("population_benchmark")
+    sigma, mu_norm = config.model.sigma, config.model.mu_norm
+    for loss in GOLDEN["population_benchmark"][1]:
+        # every point but the last is the (a, b) one step starts from
+        steps = [r for r in _stored_rows("population_benchmark") if r[0] == loss][:-1]
+        a, b = np.array([[float(r[2]), float(r[3])] for r in steps]).T
+        s = sigma * np.hypot(a / mu_norm, b)
+        cut = (a - _HALF_WIDTH * s <= -_MARGIN_CUT) & (a + _HALF_WIDTH * s >= _MARGIN_CUT)
+        assert cut.sum() >= 10 and (~cut).sum() >= 10, (loss, cut.sum(), (~cut).sum())
 
 
 if __name__ == "__main__":
