@@ -33,7 +33,8 @@ import numpy as np
 
 from .dynamics import UnsupportedLossError, population_step
 from .losses import SelfTrainingLoss
-from .model import GaussianModel, check_count, check_non_negative, check_positive
+from .model import (GaussianModel, check_count, check_finite, check_non_negative,
+                    check_positive)
 
 __all__ = [
     "ClubCertificate",
@@ -365,8 +366,7 @@ def stein_identity_check(loss: SelfTrainingLoss, m: float, s: float, n: int,
         raise UnsupportedLossError(
             f"unsupported: distributional psi'' ({loss.name} cannot be checked)"
         )
-    if not math.isfinite(m):
-        raise ValueError("m must be finite")
+    m = check_finite("m", m)
     s = check_positive("s", s)
     n = check_count("n", n, 2)
     rng = np.random.default_rng(np.random.SeedSequence(check_count("seed", seed, 0)))

@@ -33,8 +33,9 @@ from typing import Callable
 
 import numpy as np
 
-from .losses import LossFamily, SelfTrainingLoss, _derivative_pair
-from .model import (GaussianModel, ab_metrics, check_count, check_non_negative,
+from .losses import (_DERIVATIVE_PAIRS, LossFamily, SelfTrainingLoss, _derivative_pair,
+                     make_loss)
+from .model import (GaussianModel, ab_metrics, check_count, check_finite, check_non_negative,
                     check_positive, check_predictor, sample_batch, split_ab)
 
 __all__ = [
@@ -191,10 +192,26 @@ def stochastic_sweep(base: ExperimentConfig, etas, seeds, sampler: Sampler | Non
 # the poles at u = +-i pi/2 bound the error by ~exp(-pi^2 / h) (Trefethen &
 # Weideman, SIAM Review 2014, secs. 4-5).  Against scipy.integrate.quad: within
 # 1e-15 + 1e-12 |E| for s in [1e-3, 1e6] and |m| <= 3 max(s, 1), the halved grid
-# (even nodes) inside the refinement tolerance.  conj+square is exact.
+# (even nodes) inside the refinement tolerance.  conj+square is exact.  A window
+# cut on both sides has the same nodes u = 36 x unit on every step, so it reuses
+# one read-only (psi', psi'') pair per loss; its weights and the refinement
+# check are still computed on every step.
 _HALF_WIDTH, _MARGIN_CUT, _NODES = 14.0, 36.0, 641
 _UNIT = np.linspace(-1.0, 1.0, _NODES)
 _REFINE_ATOL, _REFINE_RTOL = 1e-12, 1e-9
+
+
+def _read_only(arrays):
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays
+
+
+# (rule, family) -> (psi', psi'') on the nodes of the fully cut window, u built
+# as below from mid = 0.0; keyed by value because losses hash by identity
+_CUT_PAIRS = {(rule, family): _read_only(_derivative_pair(
+                  make_loss(rule, family), 0.0 + _MARGIN_CUT * _UNIT))
+              for rule, family in _DERIVATIVE_PAIRS}
 
 
 def _gaussian_expectations(loss: SelfTrainingLoss, m: float, s: float
@@ -208,13 +225,16 @@ def _gaussian_expectations(loss: SelfTrainingLoss, m: float, s: float
         lo, hi = max(lo, -_MARGIN_CUT), min(hi, _MARGIN_CUT)
     # u and z from the offsets to the window's middle: neither inherits the other's rounding
     mid, offset = 0.5 * (lo + hi), (0.5 * (hi - lo)) * _UNIT
-    u = mid + offset
+    if lo == -_MARGIN_CUT and hi == _MARGIN_CUT:
+        pair = _CUT_PAIRS[loss.rule, loss.family]
+    else:
+        pair = _derivative_pair(loss, mid + offset)
     z = (offset + (mid - m)) * (math.sqrt(0.5) / s)
     w = np.exp(z * -z)  # the node weights over h / (s sqrt(2 pi))
     w[::_NODES - 1] *= 0.5  # the two end nodes
     scale = (hi - lo) / ((_NODES - 1) * s * math.sqrt(2.0 * math.pi))
     fine, moved = [], 0.0
-    for d in _derivative_pair(loss, u):
+    for d in pair:
         fine.append(float(d @ w) * scale)
         move = abs(fine[-1] - 2.0 * scale * float(d[::2] @ w[::2]))
         if move > _REFINE_ATOL + _REFINE_RTOL * abs(fine[-1]):
@@ -311,13 +331,15 @@ def hard_square_scalar_step(a_bar: float, eta: float, mu_norm: float) -> float:
 def conj_square_ratio_closed_form(r1: float, eta: float, mu_norm: float,
                                   sigma: float, t: int) -> float:
     """Ratio after t conjugate-square population steps: r1 g^t with
-    g = 1 + eta ||mu||^2 / (1 + eta sigma^2)."""
+    g = 1 + eta ||mu||^2 / (1 + eta sigma^2).  r1 may be negative: a and b
+    share the factor 1 + eta sigma^2, so the ratio keeps its sign."""
+    r1 = check_finite("r1", r1)
     t = check_count("t", t, 0)
     eta = check_positive("eta", eta)
     mu_norm = check_positive("mu_norm", mu_norm)
     sigma = check_non_negative("sigma", sigma)
     growth = 1.0 + eta * mu_norm**2 / (1.0 + eta * sigma**2)
-    return float(r1) * growth ** t
+    return r1 * growth ** t
 
 
 def epsilon_iteration_bound(eps: float, r1: float, eta: float, mu_norm: float,
@@ -330,11 +352,14 @@ def epsilon_iteration_bound(eps: float, r1: float, eta: float, mu_norm: float,
     eta = check_positive("eta", eta)
     mu_norm = check_positive("mu_norm", mu_norm)
     sigma = check_non_negative("sigma", sigma)
-    growth = 1.0 + eta * mu_norm**2 / (1.0 + eta * sigma**2)
     ratio = mu_norm**2 / (eps * r1**2)
     if ratio <= 1.0:
         return 0
-    return max(0, math.ceil(0.5 * math.log(ratio) / math.log(growth)))
+    # log g as log1p of the increment: 1 + increment rounds to 1.0 below ~1e-16
+    increment = eta * mu_norm**2 / (1.0 + eta * sigma**2)
+    check_positive(f"increment = eta * mu_norm**2 / (1 + eta * sigma**2) = {increment}",
+                   increment)
+    return max(0, math.ceil(0.5 * math.log(ratio) / math.log1p(increment)))
 
 
 # --- helpers -------------------------------------------------------------------

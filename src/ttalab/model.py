@@ -107,7 +107,7 @@ def derive_stream_seed(root_seed: int, index: int) -> int:
 def gauss_upper_tail(u: float) -> float:
     """Standard normal upper-tail probability P(Z >= u), via erfc."""
     u = float(u)
-    if not math.isfinite(u):
+    if not math.isfinite(u):  # not check_finite: ab_metrics calls this once per point
         raise ValueError("u must be finite")
     return 0.5 * math.erfc(u / math.sqrt(2.0))
 
@@ -204,6 +204,13 @@ def check_predictor(w, model: GaussianModel) -> np.ndarray:
 
 # The numeric input rules: each returns the value coerced, or raises a
 # ValueError whose message starts with the field name.
+
+
+def check_finite(name: str, x) -> float:
+    """x as a float, once it is finite."""
+    if not -math.inf < x < math.inf:
+        raise ValueError(f"{name} must be finite")
+    return float(x)
 
 
 def check_positive(name: str, x) -> float:

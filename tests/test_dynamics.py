@@ -4,9 +4,12 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttalab import (
     ETA_GRID,
@@ -28,7 +31,7 @@ from ttalab import (
     stein_identity_check,
 )
 from ttalab import dynamics
-from ttalab.dynamics import _gaussian_expectations, stochastic_sweep
+from ttalab.dynamics import _CUT_PAIRS, _UNIT, _gaussian_expectations, stochastic_sweep
 from ttalab.losses import _derivative_pair
 from ttalab.model import ab_metrics
 
@@ -365,6 +368,36 @@ class TestQuadrature:
         np.testing.assert_allclose(d1, loss.dpsi(u), rtol=1e-14, atol=1e-15)
         np.testing.assert_allclose(d2, loss.ddpsi(u), rtol=1e-14, atol=1e-15)
 
+    @pytest.mark.parametrize("family", ["logistic", "exp"])
+    def test_cut_window_pair_is_the_fresh_pair(self, family):
+        loss = make_loss("conj", family)
+        for stored, fresh in zip(_CUT_PAIRS["conj", family],
+                                 _derivative_pair(loss, 0.0 + 36.0 * _UNIT)):
+            assert stored.tobytes() == fresh.tobytes()
+            with pytest.raises(ValueError):
+                stored[0] = 1.0
+
+    @pytest.mark.parametrize("family", ["logistic", "exp"])
+    @given(m=st.floats(-60.0, 60.0), spread=st.floats(1.001, 1e4))
+    @settings(max_examples=50)
+    def test_cut_window_cache_matches_a_recomputed_pair(self, family, m, spread):
+        # s >= (36 + |m|) / 14 clips the window [m - 14 s, m + 14 s] on both sides
+        loss = make_loss("conj", family)
+        s = spread * (36.0 + abs(m)) / 14.0
+
+        def no_recompute(*_):
+            raise AssertionError("a cut window recomputed its pair")
+
+        class Recomputed(dict):
+            def __getitem__(self, key):
+                return _derivative_pair(make_loss(*key), 0.0 + 36.0 * _UNIT)
+
+        with mock.patch.object(dynamics, "_derivative_pair", no_recompute):
+            cached = _gaussian_expectations(loss, m, s)
+        with mock.patch.object(dynamics, "_CUT_PAIRS", Recomputed()):
+            fresh = _gaussian_expectations(loss, m, s)
+        assert [x.hex() for x in cached] == [x.hex() for x in fresh]
+
     def test_a_benchmark_shaped_run_raises_no_warning(self):
         _, mu, sigma, w_init = build_benchmark_domains(10, 0)
         model = GaussianModel(mu=mu, sigma=sigma)
@@ -553,6 +586,22 @@ class TestClosedFormAndBound:
 
     def test_already_optimal_gives_zero(self):
         assert epsilon_iteration_bound(0.5, 10.0, 1.0, 1.0, 0.0) == 0
+
+    def test_growth_that_rounds_to_one_still_gives_a_bound(self):
+        # 1 + 1e-17 == 1.0, but log g = log1p(1e-17) = 1e-17
+        assert epsilon_iteration_bound(0.1, 1.0, 1e-17, 1.0, 0.0) == math.ceil(
+            0.5 * math.log(10.0) / 1e-17)
+
+    def test_negative_ratio_matches_the_population_run(self):
+        # a and b both scale by 1 + eta sigma^2, so a negative ratio keeps its sign
+        eta, sigma, mu_norm = 0.5, 0.8, 1.5
+        config = config_from_ab(-2.0, 1.0, axis_model(mu_norm, sigma),
+                                make_loss("conj", "square"), eta, Mode.POPULATION, horizon=8)
+        points = run_population(config)
+        for p in points:
+            expected = conj_square_ratio_closed_form(-2.0, eta, mu_norm, sigma, p.t - 1)
+            assert expected < 0
+            assert abs(p.r - expected) <= 1e-12 * abs(expected)
 
     def test_simulation_is_no_slower_than_bound_plus_one(self):
         for eps in (0.1, 0.01):

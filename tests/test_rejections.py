@@ -151,6 +151,16 @@ REJECTIONS = [
                  "mu_norm must be positive", id="iteration_bound-nan-mu_norm"),
     pytest.param(lambda: epsilon_iteration_bound(0.1, 1.0, 1.0, 1.0, math.nan),
                  "sigma must be non-negative", id="iteration_bound-nan-sigma"),
+    pytest.param(lambda: conj_square_ratio_closed_form(math.nan, 1.0, 1.0, 0.5, 3),
+                 "r1 must be finite", id="closed_form-nan-r1"),
+    pytest.param(lambda: conj_square_ratio_closed_form(math.inf, 1.0, 1.0, 0.5, 3),
+                 "r1 must be finite", id="closed_form-inf-r1"),
+    pytest.param(lambda: conj_square_ratio_closed_form(-math.inf, 1.0, 1.0, 0.5, 3),
+                 "r1 must be finite", id="closed_form-negative-inf-r1"),
+    # eta * mu_norm**2 = 1e-500 underflows to 0, so the growth factor is exactly 1
+    pytest.param(lambda: epsilon_iteration_bound(0.1, 1e-120, 1e-300, 1e-100, 0.0),
+                 "increment = eta * mu_norm**2 / (1 + eta * sigma**2) = 0.0",
+                 id="iteration_bound-zero-increment"),
     pytest.param(lambda: conj_square_ratio_closed_form(1.0, 1.0, math.nan, 0.5, 3),
                  "mu_norm must be positive", id="closed_form-nan-mu_norm"),
     pytest.param(lambda: conj_square_ratio_closed_form(1.0, 1.0, 1.0, -0.5, 3),
