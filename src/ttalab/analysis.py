@@ -19,8 +19,12 @@ Everything here turns an analytic statement into a falsifiable finite check:
                     population b-update
 
 Certificates are grid-based: a for-all-reals claim is checked on a dense
-finite grid and the gap is the grid granularity.  Reports serialize to
-key = value text.
+finite grid and the gap is the grid granularity.  The grids of verify_club
+and the checked range of the logarithmic bound are walked in blocks of
+_BLOCK indices, each block's nodes built from its index range with the
+formula the whole grid would use; the minima, maxima and first violation are
+folded across blocks, so memory is O(_BLOCK) and no result depends on the
+block size.  Reports serialize to key = value text.
 """
 
 from __future__ import annotations
@@ -56,6 +60,9 @@ __all__ = [
 # vacuous in float64, so certification grids are capped there.
 _UNDERFLOW_CAP = 700.0
 _PASS_TOLERANCE = -1e-12
+# Indices per block of a grid check: 128 KB per float64 temporary, which
+# keeps each block's temporaries in cache.
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -152,17 +159,25 @@ def verify_club(loss: SelfTrainingLoss, L: float, a_min: float,
 
     a_cap = min(float(a_max), _UNDERFLOW_CAP / L)
     n = int(math.floor((a_cap - a_min) / step)) + 1
-    grid = a_min + step * np.arange(n)
-    if not loss.smooth_second_derivative:
-        grid = grid[grid != 0.0]
-    gap = (-np.asarray(loss.dpsi(grid), dtype=float)) - np.exp(-L * grid)
-    max_violation = float(gap.min()) if gap.size else 0.0
+    lows = []  # the smallest gap (-psi'(a)) - exp(-L a) of each block
+    for i, j in _blocks(0, n):
+        grid = _tail_nodes(a_min, step, i, j)
+        if i == 0 and not loss.smooth_second_derivative:
+            grid = grid[grid != 0.0]
+        if grid.size:
+            gap = (-np.asarray(loss.dpsi(grid), dtype=float)) - np.exp(-L * grid)
+            lows.append(gap.min())
+    # np.min, unlike Python's min, passes a NaN on wherever it sits
+    max_violation = float(np.min(lows)) if lows else 0.0
 
-    sym = np.linspace(-a_cap, a_cap, 2 * n + 1)
-    left = np.asarray(loss.psi(sym), dtype=float)
-    right = np.asarray(loss.psi(-sym), dtype=float)
-    even_err = np.max(np.abs(left - right) / np.maximum(1.0, np.abs(left)))
-    evenness_passed = bool(even_err <= 1e-12)
+    even_errs = []  # the largest relative |psi(u) - psi(-u)| of each block
+    num = 2 * n + 1
+    for i, j in _blocks(0, num):
+        sym = _even_nodes(a_cap, num, i, j)
+        left = np.asarray(loss.psi(sym), dtype=float)
+        right = np.asarray(loss.psi(-sym), dtype=float)
+        even_errs.append(np.max(np.abs(left - right) / np.maximum(1.0, np.abs(left))))
+    evenness_passed = bool(np.max(even_errs) <= 1e-12)
 
     return ClubCertificate(
         rule=loss.rule.value,
@@ -175,6 +190,31 @@ def verify_club(loss: SelfTrainingLoss, L: float, a_min: float,
         max_violation=max_violation,
         evenness_passed=evenness_passed,
     )
+
+
+def _blocks(lo: int, hi: int):
+    """(i, j) index ranges of at most _BLOCK indices that cover [lo, hi)."""
+    return ((i, min(i + _BLOCK, hi)) for i in range(lo, hi, _BLOCK))
+
+
+def _tail_nodes(a_min: float, step: float, i: int, j: int) -> np.ndarray:
+    """Nodes i..j-1 of the tail grid a_min + step * np.arange(n)."""
+    return a_min + step * np.arange(i, j)
+
+
+def _even_nodes(a_cap: float, num: int, i: int, j: int) -> np.ndarray:
+    """Nodes i..j-1 of np.linspace(-a_cap, a_cap, num), num >= 2, computed as
+    np.linspace computes them: k * step + start, the last node set to stop."""
+    delta, div = 2.0 * a_cap, num - 1  # stop - start, exactly
+    k = np.arange(i, j, dtype=float)
+    if delta / div == 0.0:  # linspace's branch for a step that underflows
+        k = k / div * delta
+    else:
+        k *= delta / div
+    k -= a_cap
+    if j == num:
+        k[-1] = a_cap
+    return k
 
 
 def tail_rate_curve(loss: SelfTrainingLoss, z_grid: np.ndarray) -> TailRateCurve:
@@ -278,12 +318,7 @@ def recursion_bound_run(r1: float, c: float, L: float, T: int,
     T = check_count("T", T, 1)
 
     gain = 1.0 if equality else 2.0
-    seq = np.empty(T)
-    seq[0] = r1
-    x = r1
-    for t in range(1, T):
-        x += gain * c * math.exp(-L * x)
-        seq[t] = x
+    seq = np.fromiter(_recursion(r1, gain * c, L, T), dtype=float, count=T)
 
     tau = _burn_in(c, L)
     holds, first, _ = _check_log_bound(seq, c, L, tau, T)
@@ -291,6 +326,16 @@ def recursion_bound_run(r1: float, c: float, L: float, T: int,
                              equality=bool(equality), tau_star=tau,
                              bound_holds=holds, first_violation_t=first)
     return seq, report
+
+
+def _recursion(x: float, increment: float, L: float, T: int):
+    """r_1 = x and r_{t+1} = r_t + increment exp(-L r_t): T floats, one per
+    step, with no array write per step (np.fromiter collects them)."""
+    exp, neg_L = math.exp, -L
+    yield x
+    for _ in range(T - 1):
+        x += increment * exp(neg_L * x)
+        yield x
 
 
 def _check_log_bound(seq: np.ndarray, c: float, L: float, tau: float,
@@ -301,12 +346,17 @@ def _check_log_bound(seq: np.ndarray, c: float, L: float, tau: float,
         # c = 0: log 0 = -inf, a vacuous bound; tau + 1 >= T: no t to check
         return True, None, math.inf
     start = math.floor(tau + 1.0) + 1
-    t = np.arange(start, T + 1)
-    slack = seq[start - 1:T] - np.log(c * (t - 1)) / (2.0 * L)
-    violations = np.flatnonzero(slack < 0.0)
-    first = int(t[violations[0]]) if violations.size else None
-    # fmin skips NaN slack, and the empty range gives the initial inf
-    return first is None, first, float(np.fmin.reduce(slack, initial=math.inf))
+    first, low = None, math.inf
+    for i, j in _blocks(start, T + 1):
+        t = np.arange(i, j)
+        slack = seq[i - 1:j - 1] - np.log(c * (t - 1)) / (2.0 * L)
+        if first is None:
+            violations = np.flatnonzero(slack < 0.0)
+            if violations.size:
+                first = int(t[violations[0]])
+        # fmin skips NaN slack, and the running minimum starts at inf
+        low = np.fmin.reduce(slack, initial=low)
+    return first is None, first, float(low)
 
 
 def log_rate_check(loss: SelfTrainingLoss, a1: float, b1: float, eta: float,

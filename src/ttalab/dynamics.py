@@ -278,12 +278,27 @@ def _expectations(loss: SelfTrainingLoss, a: float, b: float,
 def population_step(a: float, b: float, loss: SelfTrainingLoss,
                     model: GaussianModel, eta: float) -> tuple[float, float]:
     """One infinite-data update of the pair (a, b)."""
-    return _update(a, b, *expectation_terms(loss, a, b, model), model, eta)
+    a_next, b_next, moved = _step(a, b, loss, model, eta)
+    if moved:
+        warnings.warn(f"reduced quadrature precision for {loss.name} at (a={a}, b={b}): "
+                      f"refinement moved the estimate by {moved:.3e}", RuntimeWarning, stacklevel=2)
+    return a_next, b_next
 
 
-def _update(a, b, e1, e2, model, eta):
+def _step(a, b, loss, model, eta):
+    """(a', b', refinement move) of one population update.
+
+    At sigma = 0 the shrink factor 1 - eta sigma^2 E[psi''] is exactly 1.0
+    when eta and psi''(a) are finite, and psi'' of all six losses is finite
+    for |a| <= OVERFLOW_LIMIT (the conj+logistic psi'' is NaN past |a| ~ 9e307).
+    There b' = b and psi'' is not evaluated.
+    """
+    if model.sigma == 0.0 and abs(a) <= OVERFLOW_LIMIT and abs(eta) < math.inf:
+        b = check_non_negative("b", b)
+        return a - eta * float(loss.dpsi(float(a))) * model.mu_norm**2, b, 0.0
+    e1, e2, moved = _expectations(loss, a, b, model)
     shrink = 1.0 - eta * model.sigma**2 * e2
-    return shrink * a - eta * e1 * model.mu_norm**2, abs(shrink) * float(b)
+    return shrink * a - eta * e1 * model.mu_norm**2, abs(shrink) * float(b), moved
 
 
 def run_population(config: ExperimentConfig) -> list[TrajectoryPoint]:
@@ -299,10 +314,9 @@ def run_population(config: ExperimentConfig) -> list[TrajectoryPoint]:
     ab = [split_ab(config.w_init, model)]
     moves = []  # (t, move) of each step whose refinement check fired
     for t in range(1, config.horizon + 1):
-        e1, e2, moved = _expectations(config.loss, *ab[-1], model)
+        a, b, moved = _step(*ab[-1], config.loss, model, config.eta)
         if moved:
             moves.append((t, moved))
-        a, b = _update(*ab[-1], e1, e2, model, config.eta)
         ab.append((a, b))
         if stopped := (not (math.isfinite(a) and math.isfinite(b))
                        or max(abs(a), b) > OVERFLOW_LIMIT or a == b == 0.0):
@@ -332,14 +346,18 @@ def conj_square_ratio_closed_form(r1: float, eta: float, mu_norm: float,
                                   sigma: float, t: int) -> float:
     """Ratio after t conjugate-square population steps: r1 g^t with
     g = 1 + eta ||mu||^2 / (1 + eta sigma^2).  r1 may be negative: a and b
-    share the factor 1 + eta sigma^2, so the ratio keeps its sign."""
+    share the factor 1 + eta sigma^2, so the ratio keeps its sign.  A g^t
+    past the float range gives inf with r1's sign, or 0.0 when r1 = 0."""
     r1 = check_finite("r1", r1)
     t = check_count("t", t, 0)
     eta = check_positive("eta", eta)
     mu_norm = check_positive("mu_norm", mu_norm)
     sigma = check_non_negative("sigma", sigma)
-    growth = 1.0 + eta * mu_norm**2 / (1.0 + eta * sigma**2)
-    return r1 * growth ** t
+    try:
+        power = (1.0 + _increment(eta, mu_norm, sigma)) ** t
+    except OverflowError:
+        power = math.inf
+    return 0.0 if r1 == 0.0 and power == math.inf else r1 * power
 
 
 def epsilon_iteration_bound(eps: float, r1: float, eta: float, mu_norm: float,
@@ -352,14 +370,27 @@ def epsilon_iteration_bound(eps: float, r1: float, eta: float, mu_norm: float,
     eta = check_positive("eta", eta)
     mu_norm = check_positive("mu_norm", mu_norm)
     sigma = check_non_negative("sigma", sigma)
-    ratio = mu_norm**2 / (eps * r1**2)
+    # x * x, not x**2: float ** raises OverflowError where * gives inf
+    scale = eps * (r1 * r1)  # 0.0 once r1 * r1 underflows
+    ratio = mu_norm * mu_norm / scale if scale > 0.0 else math.inf
+    check_finite(f"ratio = mu_norm**2 / (eps * r1**2) = {ratio}", ratio)
     if ratio <= 1.0:
         return 0
     # log g as log1p of the increment: 1 + increment rounds to 1.0 below ~1e-16
-    increment = eta * mu_norm**2 / (1.0 + eta * sigma**2)
-    check_positive(f"increment = eta * mu_norm**2 / (1 + eta * sigma**2) = {increment}",
-                   increment)
+    increment = _increment(eta, mu_norm, sigma)
+    name = f"increment = eta * mu_norm**2 / (1 + eta * sigma**2) = {increment}"
+    check_positive(name, check_finite(name, increment))
     return max(0, math.ceil(0.5 * math.log(ratio) / math.log1p(increment)))
+
+
+def _increment(eta: float, mu_norm: float, sigma: float) -> float:
+    """g - 1 = eta ||mu||^2 / (1 + eta sigma^2) of the conjugate-square dynamic,
+    inf when only the numerator overflows and 0.0 when only the denominator does."""
+    # x * x, not x**2: float ** raises OverflowError where * gives inf
+    increment = eta * (mu_norm * mu_norm) / (1.0 + eta * (sigma * sigma))
+    if increment != increment:  # inf / inf
+        raise ValueError("increment = eta * mu_norm**2 / (1 + eta * sigma**2) is inf / inf")
+    return increment
 
 
 # --- helpers -------------------------------------------------------------------

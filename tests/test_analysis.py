@@ -1,10 +1,12 @@
 """Certificates, recursion lower bound, tail exponents, identity checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ttalab import analysis
 from ttalab import (
     UnsupportedLossError,
     recursion_bound_run,
@@ -17,7 +19,8 @@ from ttalab import (
     tail_rate_curve,
     verify_club,
 )
-from ttalab.analysis import _check_log_bound
+from ttalab.analysis import _blocks, _check_log_bound, _even_nodes, _tail_nodes
+from ttalab.losses import ClubParams, LabelRule, LossFamily, SelfTrainingLoss, all_losses
 
 
 def _fixed_point(L, lo, hi):
@@ -60,6 +63,170 @@ def _loop_log_bound(seq, c, L, tau, T):
             if first is None and slack < 0.0:
                 first = t
     return first is None, first, min_slack
+
+
+def _whole_check_log_bound(seq, c, L, tau, T):
+    """_check_log_bound over the whole checked range as one array, as it was
+    computed before the range was walked in blocks: the oracle for the blocks."""
+    if c == 0.0 or tau + 1.0 >= T:
+        return True, None, math.inf
+    start = math.floor(tau + 1.0) + 1
+    t = np.arange(start, T + 1)
+    slack = seq[start - 1:T] - np.log(c * (t - 1)) / (2.0 * L)
+    violations = np.flatnonzero(slack < 0.0)
+    first = int(t[violations[0]]) if violations.size else None
+    return first is None, first, float(np.fmin.reduce(slack, initial=math.inf))
+
+
+def _whole_bits(loss, L, a_min, a_max=1000.0, step=1e-3):
+    """(repr(max_violation), evenness_passed) of verify_club from whole grid
+    arrays, as they were computed before the grids were walked in blocks: the
+    oracle for the blocks."""
+    a_cap = min(float(a_max), 700.0 / L)
+    n = int(math.floor((a_cap - a_min) / step)) + 1
+    grid = a_min + step * np.arange(n)
+    if not loss.smooth_second_derivative:
+        grid = grid[grid != 0.0]
+    gap = (-np.asarray(loss.dpsi(grid), dtype=float)) - np.exp(-L * grid)
+    max_violation = float(gap.min()) if gap.size else 0.0
+    sym = np.linspace(-a_cap, a_cap, 2 * n + 1)
+    left = np.asarray(loss.psi(sym), dtype=float)
+    right = np.asarray(loss.psi(-sym), dtype=float)
+    even_err = np.max(np.abs(left - right) / np.maximum(1.0, np.abs(left)))
+    return repr(max_violation), bool(even_err <= 1e-12)
+
+
+def _loop_recursion(r1, c, L, T, gain):
+    """r_{t+1} = r_t + gain c exp(-L r_t) one plain float at a time."""
+    values, x = [r1], r1
+    for _ in range(T - 1):
+        x += gain * c * math.exp(-L * x)
+        values.append(x)
+    return np.array(values)
+
+
+def _peak_bytes(call):
+    """Peak traced allocation, in bytes, while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _certificate_bits(cert):
+    return repr(cert.max_violation), cert.evenness_passed
+
+
+class TestBlockedGrids:
+    """The grid checks walk their index ranges in blocks of analysis._BLOCK;
+    no result may depend on the block size."""
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    @pytest.mark.parametrize("a_min,step,a_cap,n", [
+        (0.0, 1e-3, 1.0, 1),
+        (0.75, 0.125, 7.7, 7),  # k * step + start misses stop by 2e-15 at the end
+        (0.0, 0.1, 123.456, 10),
+        (0.5, 1e-3, 350.0, 4096),
+        (0.0, 0.3, 123.456, 4097),
+        (0.0, 1.0, 5e-324, 2),  # linspace's step underflows to 0 here
+    ])
+    def test_nodes_concatenate_to_the_whole_grids(self, monkeypatch, block, a_min, step,
+                                                  a_cap, n):
+        monkeypatch.setattr(analysis, "_BLOCK", block)
+        tail = np.concatenate([_tail_nodes(a_min, step, i, j) for i, j in _blocks(0, n)])
+        assert np.array_equal(tail, a_min + step * np.arange(n))
+        num = 2 * n + 1
+        even = np.concatenate([_even_nodes(a_cap, num, i, j) for i, j in _blocks(0, num)])
+        whole = np.linspace(-a_cap, a_cap, num)
+        assert np.array_equal(even, whole) and np.array_equal(np.signbit(even),
+                                                              np.signbit(whole))
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    @pytest.mark.parametrize("loss", all_losses(), ids=lambda loss: loss.name)
+    def test_certificate_equals_the_whole_array_check(self, monkeypatch, block, loss):
+        """Grids of a multiple of the block and of a multiple plus one nodes
+        (the evenness grid, 2n + 1 nodes, is odd), at the certified and at a
+        failing exponent; the hard losses start at a_min = 0."""
+        monkeypatch.setattr(analysis, "_BLOCK", block)
+        club = loss.club or ClubParams(L=1.0, a_min=0.0)
+        step = 1.0 / 64.0  # a_min + (n - 1) step is exact: the grid has n nodes
+        for n in (2 * block, 2 * block + 1, 5 * block + 3):
+            a_max = club.a_min + (n - 1) * step
+            for L in (club.L, 0.5 * club.L):
+                cert = verify_club(loss, L, club.a_min, a_max=a_max, step=step)
+                assert (cert.a_max - club.a_min) / step + 1 == n
+                assert _certificate_bits(cert) == _whole_bits(loss, L, club.a_min, a_max, step)
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_defects_in_the_last_block_are_caught(self, monkeypatch, block):
+        """A conj+exp whose psi is not even past |u| = 690 and whose psi' breaks
+        the tail bound past a = 699: at block 4096 both defects lie in the last
+        block of their grid (the evenness one, mirrored, in the first too)."""
+        base = make_loss("conj", "exp")
+        loss = SelfTrainingLoss(
+            LabelRule.CONJ, LossFamily.EXP,
+            lambda u: base.psi(u) + np.where(np.asarray(u) > 690.0, 1e-6, 0.0),
+            lambda u: base.dpsi(u) + np.where(np.asarray(u) > 699.0, 1e-3, 0.0),
+            base.ddpsi, ClubParams(L=1.0, a_min=0.75))
+        step = 0.125
+        n = int((700.0 - 0.75) / step) + 1
+        assert 0.75 + (n - n % 4096) * step < 699.0  # the tail grid's last block
+        assert -700.0 + (2 * n + 1 - (2 * n + 1) % 4096) * (1400.0 / (2 * n)) < 690.0
+        monkeypatch.setattr(analysis, "_BLOCK", block)
+        cert = verify_club(loss, 1.0, 0.75, step=step)
+        assert not cert.evenness_passed and not cert.passed
+        assert cert.max_violation < -9e-4
+        assert _certificate_bits(cert) == _whole_bits(loss, 1.0, 0.75, step=step)
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_a_nan_in_psi_prime_fails_the_certificate(self, monkeypatch, block):
+        # the NaN sits in a middle block; Python's min would drop it there
+        base = make_loss("conj", "exp")
+        loss = SelfTrainingLoss(
+            LabelRule.CONJ, LossFamily.EXP, base.psi,
+            lambda u: base.dpsi(u) + np.where(np.abs(np.asarray(u) - 300.0) < 0.1, np.nan, 0.0),
+            base.ddpsi, ClubParams(L=1.0, a_min=0.75))
+        monkeypatch.setattr(analysis, "_BLOCK", block)
+        cert = verify_club(loss, 1.0, 0.75, step=0.125)
+        assert math.isnan(cert.max_violation) and not cert.passed
+        assert _certificate_bits(cert) == _whole_bits(loss, 1.0, 0.75, step=0.125)
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_a_late_log_bound_violation_is_found(self, monkeypatch, block):
+        monkeypatch.setattr(analysis, "_BLOCK", block)
+        T = 3 * 4096 + 1
+        t = np.arange(1, T + 1)
+        seq = 1.0 + np.log(np.maximum(t - 1, 1)) / 2.0
+        seq[T - 4] = 0.5  # t = T - 3, the only violation, in the last block at 4096
+        for tau in (0.0, 5.5, 4096.0):
+            got = _check_log_bound(seq, 1.0, 1.0, tau, T)
+            assert got == _whole_check_log_bound(seq, 1.0, 1.0, tau, T)
+            assert got[:2] == (False, T - 3)
+
+    @pytest.mark.parametrize("block", [7, 4096])
+    def test_log_bound_of_recursion_runs_equals_the_whole_array_check(self, monkeypatch,
+                                                                       block):
+        monkeypatch.setattr(analysis, "_BLOCK", block)
+        for c, L in ((0.1, 0.2), (1.0, 1.0), (10.0, 1.0 / math.e - 1e-3)):
+            for T in (2 * block, 2 * block + 1, 10**4):
+                seq, report = recursion_bound_run(1.0, c, L, T)
+                for tau in (0.0, report.tau_star):
+                    assert _check_log_bound(seq, c, L, tau, T) == \
+                        _whole_check_log_bound(seq, c, L, tau, T)
+
+
+class TestMemory:
+    def test_club_certificate_is_blocked(self):
+        # the whole-array check peaked at 75 MB
+        loss = make_loss("conj", "exp")
+        assert _peak_bytes(lambda: verify_club(loss, 1.0, 0.75)) < 4 * 2**20
+
+    def test_recursion_run_holds_little_beyond_its_sequence(self):
+        # the 8 MB sequence plus the blocks; the per-step setitem loop and
+        # whole-array check peaked at 31 MB
+        assert _peak_bytes(lambda: recursion_bound_run(1.0, 1.0, 1.0, 10**6)) < 10 * 2**20
 
 
 class TestVerifyClub:
@@ -270,6 +437,13 @@ class TestRecursionBound:
                 assert got == _loop_log_bound(seq, c, L, tau, T)
                 violated += got[1] is not None
         assert violated > 0
+
+    @pytest.mark.parametrize("T", [1, 2, 10**5])
+    @pytest.mark.parametrize("equality", [True, False])
+    @pytest.mark.parametrize("c", [0.0, 0.3, 1.0])
+    def test_sequence_matches_a_plain_loop(self, T, equality, c):
+        seq, _ = recursion_bound_run(1.0, c, 0.7, T, equality=equality)
+        assert np.array_equal(seq, _loop_recursion(1.0, c, 0.7, T, 1.0 if equality else 2.0))
 
     def test_strict_inequality_instance_also_holds(self):
         # doubled increments: a representative strictly-greater dynamic

@@ -17,6 +17,7 @@ from ttalab import (
     GaussianModel,
     Mode,
     UnsupportedLossError,
+    all_losses,
     alternating_pm_mu_sampler,
     build_benchmark_domains,
     conj_square_ratio_closed_form,
@@ -452,6 +453,49 @@ class TestPopulationStep:
         assert abs(b2 - 1.0) <= 10 * eta
 
 
+def _update(a, b, e1, e2, model, eta):
+    """The population update from the two expectations, as population_step
+    applied it before the sigma = 0 step skipped psi'': the oracle below."""
+    shrink = 1.0 - eta * model.sigma**2 * e2
+    return shrink * a - eta * e1 * model.mu_norm**2, abs(shrink) * float(b)
+
+
+class TestNoiselessStep:
+    """At sigma = 0 population_step evaluates psi' only; its bits are those of
+    the update through both expectations."""
+
+    MARGINS = [0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5, 3.0, -3.0, 36.0, -36.0,
+               700.0, -700.0, 1e150, -1e150, 1e200, -1e308, math.nan]
+
+    @pytest.mark.parametrize("loss", all_losses(), ids=lambda loss: loss.name)
+    def test_bits_match_the_update_through_both_expectations(self, loss):
+        model = axis_model(1.3, 0.0)
+        # psi'' of conj+logistic at -1e308 is NaN, and so is inf * 0 at eta = inf
+        with np.errstate(all="ignore"):
+            for a in self.MARGINS:
+                for b in (0.0, 1.5):
+                    for eta in (0.7, 3.0, math.inf):
+                        want = _update(a, b, *expectation_terms(loss, a, b, model), model, eta)
+                        got = population_step(a, b, loss, model, eta)
+                        assert repr(got) == repr(want), (a, b, eta)
+
+    def test_b_is_returned_unchanged(self):
+        for b in (0.0, 1e-300, 2.5, 1e300):
+            assert population_step(0.4, b, make_loss("conj", "exp"), axis_model(1.0, 0.0),
+                                   0.5)[1] == b
+
+    @pytest.mark.parametrize("b", [-1.0, math.nan])
+    def test_bad_b_is_rejected(self, b):
+        with pytest.raises(ValueError, match="b must be non-negative"):
+            population_step(0.4, b, make_loss("conj", "exp"), axis_model(1.0, 0.0), 0.5)
+
+    @pytest.mark.parametrize("loss", all_losses(), ids=lambda loss: loss.name)
+    def test_expectation_terms_are_point_evaluations(self, loss):
+        for a in (0.0, -0.7, 2.0, 36.0):
+            assert expectation_terms(loss, a, 1.0, axis_model(1.0, 0.0)) == (
+                float(loss.dpsi(a)), float(loss.ddpsi(a)))
+
+
 class TestRunPopulation:
     def test_conj_square_matches_closed_form(self):
         eta, sigma, mu_norm = 1.0, 1.0, 1.0
@@ -602,6 +646,21 @@ class TestClosedFormAndBound:
             expected = conj_square_ratio_closed_form(-2.0, eta, mu_norm, sigma, p.t - 1)
             assert expected < 0
             assert abs(p.r - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("r1,mu_norm,t,expected", [
+        (1.0, 1e100, 3, math.inf),  # mu_norm**2 is past the float range
+        (1.0, 10.0, 10**6, math.inf),  # g = 101 and g^t is past the float range
+        (-2.0, 10.0, 10**6, -math.inf),
+        (0.0, 10.0, 10**6, 0.0),
+        (0.0, 1e200, 3, 0.0),
+        (0.5, 1e200, 0, 0.5),  # g = inf, but g^0 = 1
+    ])
+    def test_overflowing_growth_gives_a_signed_inf(self, r1, mu_norm, t, expected):
+        assert conj_square_ratio_closed_form(r1, 1.0, mu_norm, 0.0, t) == expected
+
+    def test_overflowing_sigma_squared_gives_no_growth(self):
+        # eta sigma^2 = inf, so the increment is 0 and g = 1
+        assert conj_square_ratio_closed_form(0.3, 1.0, 1.0, 1e200, 5) == 0.3
 
     def test_simulation_is_no_slower_than_bound_plus_one(self):
         for eps in (0.1, 0.01):

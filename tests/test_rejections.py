@@ -161,6 +161,18 @@ REJECTIONS = [
     pytest.param(lambda: epsilon_iteration_bound(0.1, 1e-120, 1e-300, 1e-100, 0.0),
                  "increment = eta * mu_norm**2 / (1 + eta * sigma**2) = 0.0",
                  id="iteration_bound-zero-increment"),
+    # squares past the float range: named rejections, not a bare OverflowError
+    pytest.param(lambda: epsilon_iteration_bound(0.1, 1.0, 1.0, 1e200, 0.0),
+                 "ratio = mu_norm**2 / (eps * r1**2) = inf", id="iteration_bound-inf-ratio"),
+    pytest.param(lambda: epsilon_iteration_bound(0.1, 1e-200, 1.0, 1.0, 0.0),
+                 "ratio = mu_norm**2 / (eps * r1**2) = inf",
+                 id="iteration_bound-underflowing-r1-squared"),
+    pytest.param(lambda: epsilon_iteration_bound(0.1, 1.0, 1e300, 1e10, 0.0),
+                 "increment = eta * mu_norm**2 / (1 + eta * sigma**2) = inf",
+                 id="iteration_bound-inf-increment"),
+    pytest.param(lambda: conj_square_ratio_closed_form(1.0, 1.0, 1e200, 1e200, 3),
+                 "increment = eta * mu_norm**2 / (1 + eta * sigma**2) is inf / inf",
+                 id="closed_form-inf-over-inf-increment"),
     pytest.param(lambda: conj_square_ratio_closed_form(1.0, 1.0, math.nan, 0.5, 3),
                  "mu_norm must be positive", id="closed_form-nan-mu_norm"),
     pytest.param(lambda: conj_square_ratio_closed_form(1.0, 1.0, 1.0, -0.5, 3),

@@ -9,13 +9,18 @@ every point is measured the same way.  It keeps the end-to-end medians, the
 quartiles of the per-pass values, the pass count, the correctness verdict and
 the environment line.  The file is written to the root of the checkout, so
 successive BENCH_<pr>.json files form the committed bench trajectory.
-Standard library only.
+
+It then compares the new file with the newest earlier BENCH_<n>.json (n < PR)
+and prints one line per (workload, end-to-end metric): the previous median,
+the new one, their ratio, and WORSE when the change is worse than the
+metric's relative `bound` in BENCHMARK.json.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -50,6 +55,36 @@ def run_workload(workload: str, seconds: int, metrics: list[str]) -> dict:
     }
 
 
+def previous_record(pr: int) -> tuple[int, dict] | None:
+    """(n, record) of the newest BENCH_<n>.json at the root with n < pr."""
+    numbers = [int(m[1]) for path in ROOT.glob("BENCH_*.json")
+               if (m := re.fullmatch(r"BENCH_(\d+)\.json", path.name)) and int(m[1]) < pr]
+    if not numbers:
+        return None
+    n = max(numbers)
+    return n, json.loads((ROOT / f"BENCH_{n}.json").read_text(encoding="utf-8"))
+
+
+def comparison(previous: dict, current: dict, end_to_end: list[dict]) -> list[str]:
+    """One line per (workload, end-to-end metric): previous -> new median,
+    new / previous, and WORSE past the metric's relative bound."""
+    lines = []
+    for workload, now in current["workloads"].items():
+        before = previous["workloads"].get(workload, {}).get("median", {})
+        for metric in end_to_end:
+            name = metric["name"]
+            old, new = before.get(name), now["median"][name]
+            if old is None:
+                lines.append(f"{workload:<11} {name:<12} (not in the previous record) -> {new:.4g}")
+                continue
+            ratio = new / old if old else float("inf")
+            lower = metric["better"] == "lower"
+            worse = ratio > 1.0 + metric["bound"] if lower else ratio < 1.0 - metric["bound"]
+            lines.append(f"{workload:<11} {name:<12} {old:.4g} -> {new:.4g}  x{ratio:.3f}"
+                         + ("  WORSE" if worse else ""))
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("pr", type=int, help="number of the change this point measures")
@@ -69,6 +104,12 @@ def main(argv=None) -> int:
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(path)
+    previous = previous_record(args.pr)
+    if previous is None:
+        print("no earlier BENCH_<n>.json to compare with")
+    else:
+        print(f"against BENCH_{previous[0]}.json (median; WORSE = past the bound):")
+        print("\n".join(comparison(previous[1], record, spec["end_to_end"])))
     return 0 if all(w["correct"] for w in workloads.values()) else 1
 
 
