@@ -192,54 +192,71 @@ def stochastic_sweep(base: ExperimentConfig, etas, seeds, sampler: Sampler | Non
 # the poles at u = +-i pi/2 bound the error by ~exp(-pi^2 / h) (Trefethen &
 # Weideman, SIAM Review 2014, secs. 4-5).  Against scipy.integrate.quad: within
 # 1e-15 + 1e-12 |E| for s in [1e-3, 1e6] and |m| <= 3 max(s, 1), the halved grid
-# (even nodes) inside the refinement tolerance.  conj+square is exact.  A window
-# cut on both sides has the same nodes u = 36 x unit on every step, so it reuses
-# one read-only (psi', psi'') pair per loss; its weights and the refinement
-# check are still computed on every step.
+# (even nodes) inside the refinement tolerance.  conj+square is exact.  An s
+# too small for m +- 14 s to differ from m gives the s -> 0 point evaluation.
+# One kernel per step: the rows are psi' and psi'' as a (2, 1, 641) block with
+# the end columns halved (exact, as every end weight is >= exp(-98)), and its
+# even columns.  The weights are built in one buffer; one stacked matmul gives
+# the trapezoid sums, a second over the even columns the halved-grid sums of
+# the refinement check.  Each item of a stacked matmul is one BLAS dot, so the
+# sums keep the bits of `d @ w` and of the strided `d[::2] @ w[::2]`.  A window
+# cut on both sides has the same nodes u = 36 x unit on every step, so it
+# reuses one read-only offset array and block per loss; any other window builds
+# its block from a fresh pair.
 _HALF_WIDTH, _MARGIN_CUT, _NODES = 14.0, 36.0, 641
 _UNIT = np.linspace(-1.0, 1.0, _NODES)
 _REFINE_ATOL, _REFINE_RTOL = 1e-12, 1e-9
 
 
-def _read_only(arrays):
-    for x in arrays:
-        x.setflags(write=False)
-    return arrays
+def _row_block(pair) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's rows: the pair as a (2, 1, 641) block with its end columns
+    halved, and that block's even columns."""
+    rows = np.array(pair)[:, None]
+    rows[..., ::_NODES - 1] *= 0.5
+    return rows, rows[..., ::2]
 
 
-# (rule, family) -> (psi', psi'') on the nodes of the fully cut window, u built
-# as below from mid = 0.0; keyed by value because losses hash by identity
-_CUT_PAIRS = {(rule, family): _read_only(_derivative_pair(
-                  make_loss(rule, family), 0.0 + _MARGIN_CUT * _UNIT))
-              for rule, family in _DERIVATIVE_PAIRS}
+# (rule, family) -> the read-only rows of the fully cut window, u built as below
+# from mid = 0.0; keyed by value because losses hash by identity
+_CUT_OFFSET = _MARGIN_CUT * _UNIT
+_CUT_BLOCKS = {(rule, family): _row_block(_derivative_pair(make_loss(rule, family),
+                                                           0.0 + _CUT_OFFSET))
+               for rule, family in _DERIVATIVE_PAIRS}
+for _array in (_CUT_OFFSET, *(x for block in _CUT_BLOCKS.values() for x in block)):
+    _array.setflags(write=False)
 
 
 def _gaussian_expectations(loss: SelfTrainingLoss, m: float, s: float
                            ) -> tuple[float, float, float]:
-    """(E[psi'], E[psi'']) at s > 0, and the largest move of the halved-grid
-    estimate past the refinement tolerance (0.0 when neither moved past it)."""
+    """(E[psi'], E[psi'']) at s > 0 (m +- 14 s distinct from m), and the largest
+    move of the halved-grid estimate past the refinement tolerance (0.0 when
+    neither moved past it)."""
     if loss.family is LossFamily.SQUARE:
         return -m, -1.0, 0.0
     lo, hi = m - _HALF_WIDTH * s, m + _HALF_WIDTH * s
-    if max(lo, -_MARGIN_CUT) < min(hi, _MARGIN_CUT):
-        lo, hi = max(lo, -_MARGIN_CUT), min(hi, _MARGIN_CUT)
     # u and z from the offsets to the window's middle: neither inherits the other's rounding
-    mid, offset = 0.5 * (lo + hi), (0.5 * (hi - lo)) * _UNIT
-    if lo == -_MARGIN_CUT and hi == _MARGIN_CUT:
-        pair = _CUT_PAIRS[loss.rule, loss.family]
+    if lo <= -_MARGIN_CUT and _MARGIN_CUT <= hi:  # cut on both sides
+        lo, hi, mid, offset = -_MARGIN_CUT, _MARGIN_CUT, 0.0, _CUT_OFFSET
+        rows, even = _CUT_BLOCKS[loss.rule, loss.family]
     else:
-        pair = _derivative_pair(loss, mid + offset)
-    z = (offset + (mid - m)) * (math.sqrt(0.5) / s)
-    w = np.exp(z * -z)  # the node weights over h / (s sqrt(2 pi))
-    w[::_NODES - 1] *= 0.5  # the two end nodes
+        if max(lo, -_MARGIN_CUT) < min(hi, _MARGIN_CUT):
+            lo, hi = max(lo, -_MARGIN_CUT), min(hi, _MARGIN_CUT)
+        mid, offset = 0.5 * (lo + hi), (0.5 * (hi - lo)) * _UNIT
+        rows, even = _row_block(_derivative_pair(loss, mid + offset))
+    w = offset + (mid - m)  # z, then the node weights over h / (s sqrt(2 pi))
+    w *= math.sqrt(0.5) / s
+    np.square(w, out=w)
+    np.negative(w, out=w)
+    w = np.exp(w, out=w)[:, None]
     scale = (hi - lo) / ((_NODES - 1) * s * math.sqrt(2.0 * math.pi))
-    fine, moved = [], 0.0
-    for d in pair:
-        fine.append(float(d @ w) * scale)
-        move = abs(fine[-1] - 2.0 * scale * float(d[::2] @ w[::2]))
-        if move > _REFINE_ATOL + _REFINE_RTOL * abs(fine[-1]):
+    e1, e2 = (rows @ w).ravel().tolist()
+    coarse = (even @ w[::2]).ravel().tolist()
+    e1, e2, moved = e1 * scale, e2 * scale, 0.0
+    for e, c in zip((e1, e2), coarse):
+        move = abs(e - 2.0 * scale * c)
+        if move > _REFINE_ATOL + _REFINE_RTOL * abs(e):
             moved = max(moved, move)
-    return fine[0], fine[1], moved
+    return e1, e2, moved
 
 
 def expectation_terms(loss: SelfTrainingLoss, a: float, b: float,
@@ -247,7 +264,8 @@ def expectation_terms(loss: SelfTrainingLoss, a: float, b: float,
     """(E[psi'(Z)], E[psi''(Z)]) for Z = w^T(mu + sigma xi) ~ N(m, s^2).
 
     Here m = a and s^2 = sigma^2 (a^2/||mu||^2 + b^2).  With s = 0 (sigma = 0,
-    or a = b = 0) the expectations collapse to point evaluations at a.  Losses
+    or a = b = 0), or s too small for a +- 14 s to differ from a, the
+    expectations collapse to point evaluations at a.  Losses
     with a distributional psi'' (hard rules) are rejected when sigma > 0.  A
     RuntimeWarning says when the quadrature's refinement check fires.
     """
@@ -270,7 +288,7 @@ def _expectations(loss: SelfTrainingLoss, a: float, b: float,
                 "so its population dynamics at sigma > 0 are not defined here)"
             )
         s = model.sigma * math.hypot(a / model.mu_norm, b)
-        if s > 0.0:
+        if a - _HALF_WIDTH * s < a < a + _HALF_WIDTH * s:  # s > 0, not lost in a's ulp
             return _gaussian_expectations(loss, a, s)
     return float(loss.dpsi(a)), float(loss.ddpsi(a)), 0.0
 

@@ -56,6 +56,9 @@ class GaussianModel:
         sigma = float(self.sigma)
         if not math.isfinite(sigma) or sigma < 0.0:
             raise ValueError("sigma must be finite and non-negative")
+        # 2x headroom: the 0-1 loss scales ||mu||/sigma by a cosine a few ulps past 1
+        if sigma > 0.0 and not math.isfinite(2.0 * (norm / sigma)):
+            raise ValueError(f"sigma = {sigma!r} is too small for mu: ||mu||/sigma overflows")
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
@@ -106,9 +109,7 @@ def derive_stream_seed(root_seed: int, index: int) -> int:
 
 def gauss_upper_tail(u: float) -> float:
     """Standard normal upper-tail probability P(Z >= u), via erfc."""
-    u = float(u)
-    if not math.isfinite(u):  # not check_finite: ab_metrics calls this once per point
-        raise ValueError("u must be finite")
+    u = check_finite("u", float(u))
     return 0.5 * math.erfc(u / math.sqrt(2.0))
 
 
@@ -153,7 +154,11 @@ def ab_metrics(a, b, model: GaussianModel) -> tuple[np.ndarray, np.ndarray, np.n
     if model.sigma == 0.0:
         loss01[ok] = 0.5 - 0.5 * np.sign(a[ok])
     else:
-        loss01[ok] = [gauss_upper_tail(u) for u in (model.mu_norm / model.sigma) * cos[ok]]
+        u = (model.mu_norm / model.sigma) * cos[ok]
+        if not np.isfinite(u).all():
+            raise ValueError("u must be finite")
+        # gauss_upper_tail's formula, one math.erfc per point
+        loss01[ok] = [0.5 * math.erfc(x) for x in (u / math.sqrt(2.0)).tolist()]
     return r, cos, loss01
 
 

@@ -171,14 +171,10 @@ def config_flat(config: ExperimentConfig) -> dict:
 
 
 def format_value(value) -> str:
-    if isinstance(value, bool):
+    """A CSV cell: true/false for a bool (NumPy's too), else str, which for a
+    float (NumPy's too) is its shortest round-trip repr, inf, -inf or nan."""
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return repr(value)
     return str(value)
 
 

@@ -27,7 +27,7 @@ from ttalab import (
     zero_one_loss,
 )
 from ttalab.cli import main
-from ttalab.serialize import TRAJECTORY_HEADER, read_csv_with_meta
+from ttalab.serialize import TRAJECTORY_HEADER, format_value, read_csv_with_meta
 
 
 # the inputs besides seed that each figure reads
@@ -156,6 +156,15 @@ class TestRunExperiment:
         assert meta["loss.family"] == "exp"
         assert meta["overflow"] is False
         assert meta["prng"] == "numpy-pcg64-seedsequence"
+
+
+@pytest.mark.parametrize("value,text", [
+    (True, "true"), (np.True_, "true"), (np.False_, "false"), (0.1, "0.1"),
+    (np.float64(0.5), "0.5"), (math.inf, "inf"), (np.float64(-math.inf), "-inf"),
+    (math.nan, "nan"), (-0.0, "-0.0"), (1e-320, "1e-320"), (7, "7"), ("conj+exp", "conj+exp"),
+])
+def test_csv_cell_text(value, text):
+    assert format_value(value) == text
 
 
 class TestGridSearch:

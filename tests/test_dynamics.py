@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ttalab import (
@@ -32,7 +32,8 @@ from ttalab import (
     stein_identity_check,
 )
 from ttalab import dynamics
-from ttalab.dynamics import _CUT_PAIRS, _UNIT, _gaussian_expectations, stochastic_sweep
+from ttalab.dynamics import (_CUT_BLOCKS, _CUT_OFFSET, _UNIT, _gaussian_expectations,
+                             _row_block, stochastic_sweep)
 from ttalab.losses import _derivative_pair
 from ttalab.model import ab_metrics
 
@@ -316,6 +317,26 @@ def quad_oracle(family, m, s):
                 for g in ORACLE_DERIVATIVES[family]]
 
 
+def four_dot_expectations(loss, m, s):
+    """The quadrature as four dots on one weight vector with halved end weights
+    (the formulation before the row-block kernel), refinement move included."""
+    lo, hi = m - 14.0 * s, m + 14.0 * s
+    if max(lo, -36.0) < min(hi, 36.0):
+        lo, hi = max(lo, -36.0), min(hi, 36.0)
+    mid, offset = 0.5 * (lo + hi), (0.5 * (hi - lo)) * _UNIT
+    z = (offset + (mid - m)) * (math.sqrt(0.5) / s)
+    w = np.exp(z * -z)
+    w[::640] *= 0.5
+    scale = (hi - lo) / (640 * s * math.sqrt(2.0 * math.pi))
+    fine, moved = [], 0.0
+    for d in _derivative_pair(loss, mid + offset):
+        fine.append(float(d @ w) * scale)
+        move = abs(fine[-1] - 2.0 * scale * float(d[::2] @ w[::2]))
+        if move > 1e-12 + 1e-9 * abs(fine[-1]):
+            moved = max(moved, move)
+    return fine[0], fine[1], moved
+
+
 class TestQuadrature:
     @pytest.mark.parametrize("family", ["logistic", "exp"])
     def test_matches_the_quad_oracle(self, family):
@@ -372,8 +393,9 @@ class TestQuadrature:
     @pytest.mark.parametrize("family", ["logistic", "exp"])
     def test_cut_window_pair_is_the_fresh_pair(self, family):
         loss = make_loss("conj", family)
-        for stored, fresh in zip(_CUT_PAIRS["conj", family],
-                                 _derivative_pair(loss, 0.0 + 36.0 * _UNIT)):
+        block = _row_block(_derivative_pair(loss, 0.0 + 36.0 * _UNIT))
+        for stored, fresh in (*zip(_CUT_BLOCKS["conj", family], block),
+                              (_CUT_OFFSET, 36.0 * _UNIT)):
             assert stored.tobytes() == fresh.tobytes()
             with pytest.raises(ValueError):
                 stored[0] = 1.0
@@ -391,13 +413,44 @@ class TestQuadrature:
 
         class Recomputed(dict):
             def __getitem__(self, key):
-                return _derivative_pair(make_loss(*key), 0.0 + 36.0 * _UNIT)
+                return _row_block(_derivative_pair(make_loss(*key), 0.0 + 36.0 * _UNIT))
 
         with mock.patch.object(dynamics, "_derivative_pair", no_recompute):
             cached = _gaussian_expectations(loss, m, s)
-        with mock.patch.object(dynamics, "_CUT_PAIRS", Recomputed()):
+        with mock.patch.object(dynamics, "_CUT_BLOCKS", Recomputed()):
             fresh = _gaussian_expectations(loss, m, s)
         assert [x.hex() for x in cached] == [x.hex() for x in fresh]
+
+    @pytest.mark.parametrize("family", ["logistic", "exp"])
+    @given(log_s=st.floats(-6.0, 6.0), m=st.floats(-1e3, 1e3),
+           edge=st.one_of(st.none(), st.floats(-10.0, 60.0)))
+    @example(log_s=2.0, m=0.3, edge=None)  # cut on both sides
+    @example(log_s=0.0, m=1.0, edge=20.0)  # cut on one side
+    @example(log_s=-0.3, m=1.0, edge=None)  # not cut
+    @example(log_s=0.0, m=-1.0, edge=50.0)  # wholly past the cut
+    @settings(max_examples=200)
+    def test_kernel_matches_the_four_dot_formulation(self, family, log_s, m, edge):
+        # edge puts the window's near end at +-edge: cut on one side, or past the cut
+        loss, s = make_loss("conj", family), 10.0**log_s
+        if edge is not None:
+            m = math.copysign(14.0 * s + edge, m)
+        assert ([x.hex() for x in _gaussian_expectations(loss, m, s)]
+                == [x.hex() for x in four_dot_expectations(loss, m, s)])
+
+    @pytest.mark.parametrize("family", ["logistic", "exp"])
+    def test_a_spread_lost_in_the_ulp_of_m_is_the_point_evaluation(self, family):
+        # sigma = 1e-20: m +- 14 s rounds to m, and the window collapses
+        loss, mu = make_loss("conj", family), np.array([1.0, 0.0])
+        exact, tiny = (GaussianModel(mu=mu, sigma=sigma) for sigma in (0.0, 1e-20))
+        np.testing.assert_allclose(expectation_terms(loss, 1.0, 0.5, tiny),
+                                   expectation_terms(loss, 1.0, 0.5, exact), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(population_step(1.0, 0.5, loss, tiny, 0.5),
+                                   population_step(1.0, 0.5, loss, exact, 0.5), rtol=1e-15, atol=0)
+        # 14 s = 6e-17 at m = 1: m - 14 s rounds down to 1 - 2^-53, m + 14 s rounds to m
+        one_side = GaussianModel(mu=mu, sigma=6e-17 / 14.0)
+        assert 1.0 - 14.0 * one_side.sigma < 1.0 == 1.0 + 14.0 * one_side.sigma
+        np.testing.assert_allclose(expectation_terms(loss, 1.0, 0.0, one_side),
+                                   expectation_terms(loss, 1.0, 0.0, exact), rtol=1e-15, atol=0)
 
     def test_a_benchmark_shaped_run_raises_no_warning(self):
         _, mu, sigma, w_init = build_benchmark_domains(10, 0)

@@ -88,6 +88,9 @@ REJECTIONS = [
                  "mu must have dimension >= 1", id="model-empty-mu"),
     pytest.param(lambda: GaussianModel(mu=np.array([math.inf, 0.0]), sigma=1.0),
                  "mu must be finite", id="model-non-finite-mu"),
+    pytest.param(lambda: GaussianModel(mu=np.array([1.0, 0.0]), sigma=1e-320),
+                 "sigma = 1e-320 is too small for mu: ||mu||/sigma overflows",
+                 id="model-sigma-too-small"),
     pytest.param(lambda: decompose(np.ones(3), MODEL),
                  "w has length 3 but the model dimension is 2", id="decompose-length"),
     # harness

@@ -1,58 +1,109 @@
-"""Record one benchmark point: run every ttabench workload and write BENCH_<pr>.json.
+"""Record one benchmark point: run every ttabench workload on HEAD and on the
+working tree, in alternating runs, and write BENCH_<pr>.json.
 
     python3 tools/bench_record.py PR
 
-Run from anywhere; it works on the checkout that holds this file.  For each
-workload named in BENCHMARK.json it runs `python3 ttabench/run.py --workload W
---seed 0 --seconds S --trace 0`, S being BENCHMARK.json's run_seconds, so
-every point is measured the same way.  It keeps the end-to-end medians, the
-quartiles of the per-pass values, the pass count, the correctness verdict and
-the environment line.  The file is written to the root of the checkout, so
-successive BENCH_<pr>.json files form the committed bench trajectory.
+Run it from anywhere, before committing the change it measures: it works on
+the checkout that holds this file, and HEAD is the base.  HEAD is exported with
+`git archive` into .ttabench/parent/.  For each workload named in BENCHMARK.json
+it then makes PAIRS pairs of runs, one of each tree, alternating which runs
+first; each run is `python3 ttabench/run.py --workload W --seed 0 --seconds S
+--trace 0` with S BENCHMARK.json's run_seconds.  Runs of both trees in the same
+minutes keep machine drift out of the comparison.
 
-It then compares the new file with the newest earlier BENCH_<n>.json (n < PR)
-and prints one line per (workload, end-to-end metric): the previous median,
-the new one, their ratio, and WORSE when the change is worse than the
-metric's relative `bound` in BENCHMARK.json.  Standard library only.
+The file, at the root of the checkout, holds the working tree's numbers per
+workload: the median over runs of each run's end-to-end median, the run medians,
+the quartiles of the pooled per-pass values, the pass count, the correctness
+verdict and the environment line; the same for the base tree under "base".
+Successive BENCH_<pr>.json files form the committed bench trajectory.
+
+It prints one line per (workload, end-to-end metric): base -> working tree
+median, their ratio, the pairs in which the working tree was better, and a flag.
+WORSE: the ratio is past the metric's relative `bound` in BENCHMARK.json.
+BETTER: the working tree is better in at least 9 in 10 of the pairs, and its
+median is better by more than the spread between the quartiles of the base's
+runs.  The newest earlier BENCH_<n>.json (n < PR) is printed beside them as
+context only, never flagged: it was measured at another time.  Standard library
+only.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BASE = ROOT / ".ttabench" / "parent"
 SEED = 0
+PAIRS = 10
 
 
-def run_workload(workload: str, seconds: int, metrics: list[str]) -> dict:
+def export_base() -> str:
+    """Write the tree of HEAD to BASE; return its commit id."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", "HEAD^{commit}"], cwd=ROOT,
+                            capture_output=True, text=True, check=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    shutil.rmtree(BASE, ignore_errors=True)
+    BASE.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(BASE, filter="data")
+    return commit
+
+
+def run_workload(root: Path, workload: str, seconds: int) -> dict:
+    """One ttabench run of workload in the checkout at root."""
     cmd = [sys.executable, "ttabench/run.py", "--workload", workload, "--seed", str(SEED),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
-    result = json.loads(lines[-1])
-    header = next(line for line in lines if line.startswith("workload "))
     env = next(line for line in lines if line.startswith("environment "))
-    raw = json.loads((ROOT / ".ttabench" / "results" /
+    raw = json.loads((root / ".ttabench" / "results" /
                       f"{workload}-seed{SEED}-trace0.json").read_text(encoding="utf-8"))
-    # run.py makes at least three passes, enough for quartiles
-    quartiles = {name: statistics.quantiles([p[name] for p in raw["passes"]], n=4)[::2]
-                 for name in metrics}
+    return {"result": json.loads(lines[-1]), "passes": raw["passes"],
+            "environment": json.loads(env[len("environment "):])}
+
+
+def summary(runs: list[dict], metrics: list[str]) -> dict:
+    """One tree's numbers for one workload over its runs."""
+    passes = [p for run in runs for p in run["passes"]]
+    run_medians = {name: [run["result"]["metrics"][name]["value"] for run in runs]
+                   for name in metrics}
     return {
-        "passes": int(header.split("passes ")[1].split()[0]),
-        "correct": result["correct"],
-        "attempted": result["attempted"],
-        "failed": result["failed"],
-        "median": {name: m["value"] for name, m in result["metrics"].items()},
-        "quartiles": quartiles,
-        "units": {name: m["unit"] for name, m in result["metrics"].items()},
-        "environment": json.loads(env[len("environment "):]),
+        "runs": len(runs),
+        "passes": len(passes),
+        "correct": all(run["result"]["correct"] for run in runs),
+        "attempted": sum(run["result"]["attempted"] for run in runs),
+        "failed": sum(run["result"]["failed"] for run in runs),
+        "median": {name: statistics.median(values) for name, values in run_medians.items()},
+        "run_medians": run_medians,
+        # ttabench makes at least three passes per run, enough for quartiles
+        "quartiles": {name: statistics.quantiles([p[name] for p in passes], n=4)[::2]
+                      for name in metrics},
+        "units": {name: m["unit"] for name, m in runs[0]["result"]["metrics"].items()},
+        "environment": runs[-1]["environment"],
     }
+
+
+def flag(metric: dict, base: list[float], new: list[float]) -> tuple[int, str]:
+    """(pairs the working tree won, "WORSE" / "BETTER" / "") for one metric."""
+    lower = metric["better"] == "lower"
+    wins = sum((n < b) if lower else (n > b) for b, n in zip(base, new))
+    old, now = statistics.median(base), statistics.median(new)
+    ratio = now / old if old else float("inf")
+    if ratio > 1.0 + metric["bound"] if lower else ratio < 1.0 - metric["bound"]:
+        return wins, "WORSE"
+    q1, q3 = statistics.quantiles(base, n=4)[::2] if len(base) > 1 else (old, old)
+    gain = old - now if lower else now - old
+    return wins, "BETTER" if wins >= 0.9 * len(base) and gain > q3 - q1 else ""
 
 
 def previous_record(pr: int) -> tuple[int, dict] | None:
@@ -65,23 +116,23 @@ def previous_record(pr: int) -> tuple[int, dict] | None:
     return n, json.loads((ROOT / f"BENCH_{n}.json").read_text(encoding="utf-8"))
 
 
-def comparison(previous: dict, current: dict, end_to_end: list[dict]) -> list[str]:
-    """One line per (workload, end-to-end metric): previous -> new median,
-    new / previous, and WORSE past the metric's relative bound."""
+def comparison(record: dict, end_to_end: list[dict], previous: tuple[int, dict] | None
+               ) -> list[str]:
+    """One line per (workload, end-to-end metric): base -> working tree median,
+    ratio, pairs won, flag, and the previous record's median as context."""
     lines = []
-    for workload, now in current["workloads"].items():
-        before = previous["workloads"].get(workload, {}).get("median", {})
+    for workload, now in record["workloads"].items():
+        before = previous[1]["workloads"].get(workload, {}).get("median", {}) if previous else {}
         for metric in end_to_end:
             name = metric["name"]
-            old, new = before.get(name), now["median"][name]
-            if old is None:
-                lines.append(f"{workload:<11} {name:<12} (not in the previous record) -> {new:.4g}")
-                continue
-            ratio = new / old if old else float("inf")
-            lower = metric["better"] == "lower"
-            worse = ratio > 1.0 + metric["bound"] if lower else ratio < 1.0 - metric["bound"]
-            lines.append(f"{workload:<11} {name:<12} {old:.4g} -> {new:.4g}  x{ratio:.3f}"
-                         + ("  WORSE" if worse else ""))
+            base, new = now["base"]["run_medians"][name], now["run_medians"][name]
+            wins, verdict = flag(metric, base, new)
+            old, median = now["base"]["median"][name], now["median"][name]
+            ratio = median / old if old else float("inf")
+            context = (f"  (BENCH_{previous[0]}: {before[name]:.4g})"
+                       if name in before else "")
+            lines.append(f"{workload:<11} {name:<12} {old:.4g} -> {median:.4g}  x{ratio:.3f}  "
+                         f"won {wins}/{len(base)}{'  ' + verdict if verdict else ''}{context}")
     return lines
 
 
@@ -92,25 +143,29 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
     metrics = [m["name"] for m in spec["end_to_end"]]
+    commit = export_base()
     workloads = {}
     for w in spec["workloads"]:
-        workloads[w["name"]] = run_workload(w["name"], seconds, metrics)
+        runs = {BASE: [], ROOT: []}
+        for i in range(PAIRS):
+            for root in (BASE, ROOT) if i % 2 == 0 else (ROOT, BASE):
+                runs[root].append(run_workload(root, w["name"], seconds))
+        workloads[w["name"]] = {**summary(runs[ROOT], metrics),
+                                "base": summary(runs[BASE], metrics)}
         print(f"{w['name']}: correct={workloads[w['name']]['correct']} "
               f"median={workloads[w['name']]['median']}", file=sys.stderr)
-    record = {"pr": args.pr, "seed": SEED, "seconds": seconds,
+    record = {"pr": args.pr, "seed": SEED, "seconds": seconds, "pairs": PAIRS,
+              "base": commit,
               "command": "python3 ttabench/run.py --workload W "
                          f"--seed {SEED} --seconds {seconds} --trace 0",
               "workloads": workloads}
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(path)
-    previous = previous_record(args.pr)
-    if previous is None:
-        print("no earlier BENCH_<n>.json to compare with")
-    else:
-        print(f"against BENCH_{previous[0]}.json (median; WORSE = past the bound):")
-        print("\n".join(comparison(previous[1], record, spec["end_to_end"])))
-    return 0 if all(w["correct"] for w in workloads.values()) else 1
+    print(f"base {commit[:12]} -> working tree, median of {PAIRS} paired runs "
+          "(WORSE = past the bound; BETTER = won 9 in 10 pairs, past the base's quartiles):")
+    print("\n".join(comparison(record, spec["end_to_end"], previous_record(args.pr))))
+    return 0 if all(w["correct"] and w["base"]["correct"] for w in workloads.values()) else 1
 
 
 if __name__ == "__main__":
