@@ -30,12 +30,13 @@ block size.  Reports serialize to key = value text.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import UnsupportedLossError, population_step
+from .dynamics import UnsupportedLossError, _steps
 from .losses import SelfTrainingLoss
 from .model import (GaussianModel, check_count, check_finite, check_non_negative,
                     check_positive)
@@ -387,13 +388,8 @@ def log_rate_check(loss: SelfTrainingLoss, a1: float, b1: float, eta: float,
     check_positive(f"exponent = L * b1 = {exponent} (L = {loss.club.L})", exponent)
 
     model = GaussianModel(mu=np.array([mu_norm, 0.0]), sigma=0.0)
-    a_seq = np.empty(T)
-    a, b = a1, b1
-    a_seq[0] = a
-    for t in range(1, T):
-        a, b = population_step(a, b, loss, model, eta)
-        a_seq[t] = a
-
+    steps = _steps(a1, b1, loss, model, eta)
+    a_seq = np.fromiter(itertools.chain([a1], (a for a, _, _ in steps)), dtype=float, count=T)
     r_seq = a_seq / b1
     tau = _burn_in(c, exponent)
     holds, first, min_slack = _check_log_bound(r_seq, c, exponent, tau, T)

@@ -8,7 +8,9 @@
     ttalab stein --loss RULE:FAMILY --m M --s S --n N [--seed S]
 
 Exit codes: 0 success, 1 validation error, 2 unsupported-mode error
-(population dynamics with a hard-label loss at sigma > 0).
+(population dynamics with a hard-label loss at sigma > 0) or a usage error
+that argparse reports (a missing option, or a value of the wrong type, such
+as `--T 1e3`).
 """
 
 from __future__ import annotations
@@ -103,7 +105,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "grid":
-        etas = [float(v) for v in args.etas.split(",") if v.strip()]
+        try:
+            etas = [float(v) for v in args.etas.split(",") if v.strip()]
+        except ValueError as exc:  # float names the entry, not the option
+            raise ValueError(f"--etas: {exc}") from None
         base = parse_config_file(args.config)
         best_eta, rows = grid_search(base, etas)
         out = Path(args.out)

@@ -13,7 +13,10 @@ with Z = w^T (mu + sigma xi) ~ N(a, sigma^2 (a^2/||mu||^2 + b^2)).  The b
 update picks up E[psi''] through the identity E[xi g(xi)] = E[g'(xi)] for
 standard normal xi, which requires psi' to be continuous; hard-label losses
 are therefore rejected in population mode whenever sigma > 0 (their psi''
-carries a point mass at 0 whose coefficient we do not guess).
+carries a point mass at 0 whose coefficient we do not guess).  At sigma = 0
+b is frozen, and for hard square a_bar = a / ||mu|| follows the recursion
+a_bar' = (1 - eta ||mu||^2) a_bar + eta sign(a_bar) ||mu||.  _step is the one
+copy of the update, for population_step, run_population and log_rate_check.
 
 Both runners record the trajectory point for iteration t *before* the t-th
 update, so point t always describes w_t, plus one final point at T+1.  They
@@ -25,16 +28,16 @@ steps S seed streams x K step sizes as one array; run_stochastic is S = K = 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .losses import (_DERIVATIVE_PAIRS, LossFamily, SelfTrainingLoss, _derivative_pair,
-                     make_loss)
+from .losses import LossFamily, SelfTrainingLoss, all_losses
 from .model import (GaussianModel, ab_metrics, check_count, check_finite, check_non_negative,
                     check_positive, check_predictor, sample_batch, split_ab)
 
@@ -49,7 +52,6 @@ __all__ = [
     "expectation_terms",
     "population_step",
     "run_population",
-    "hard_square_scalar_step",
     "conj_square_ratio_closed_form",
     "epsilon_iteration_bound",
 ]
@@ -92,8 +94,7 @@ class ExperimentConfig:
         object.__setattr__(self, "mode", Mode(self.mode))
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
+class TrajectoryPoint(NamedTuple):
     """State of the run at iteration t (pre-update for t <= horizon).
 
     overflow flags the last record of a run that stopped early: a component
@@ -199,19 +200,20 @@ def stochastic_sweep(base: ExperimentConfig, etas, seeds, sampler: Sampler | Non
 # even columns.  The weights are built in one buffer; one stacked matmul gives
 # the trapezoid sums, a second over the even columns the halved-grid sums of
 # the refinement check.  Each item of a stacked matmul is one BLAS dot, so the
-# sums keep the bits of `d @ w` and of the strided `d[::2] @ w[::2]`.  A window
-# cut on both sides has the same nodes u = 36 x unit on every step, so it
-# reuses one read-only offset array and block per loss; any other window builds
-# its block from a fresh pair.
+# sums keep the bits of `d @ w` and of the strided `d[::2] @ w[::2]`.  psi' and
+# psi'' are the loss's own dpsi and ddpsi, the formulas the sampled engine uses.
+# A window cut on both sides has the same nodes u = 36 x unit on every step, so
+# it reuses one read-only offset array and block per loss; any other window
+# evaluates dpsi and ddpsi on its own nodes.
 _HALF_WIDTH, _MARGIN_CUT, _NODES = 14.0, 36.0, 641
 _UNIT = np.linspace(-1.0, 1.0, _NODES)
 _REFINE_ATOL, _REFINE_RTOL = 1e-12, 1e-9
 
 
-def _row_block(pair) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel's rows: the pair as a (2, 1, 641) block with its end columns
-    halved, and that block's even columns."""
-    rows = np.array(pair)[:, None]
+def _row_block(loss: SelfTrainingLoss, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's rows: psi' and psi'' on the nodes u as a (2, 1, 641) block
+    with its end columns halved, and that block's even columns."""
+    rows = np.array((loss.dpsi(u), loss.ddpsi(u)))[:, None]
     rows[..., ::_NODES - 1] *= 0.5
     return rows, rows[..., ::2]
 
@@ -219,9 +221,9 @@ def _row_block(pair) -> tuple[np.ndarray, np.ndarray]:
 # (rule, family) -> the read-only rows of the fully cut window, u built as below
 # from mid = 0.0; keyed by value because losses hash by identity
 _CUT_OFFSET = _MARGIN_CUT * _UNIT
-_CUT_BLOCKS = {(rule, family): _row_block(_derivative_pair(make_loss(rule, family),
-                                                           0.0 + _CUT_OFFSET))
-               for rule, family in _DERIVATIVE_PAIRS}
+_CUT_BLOCKS = {(loss.rule, loss.family): _row_block(loss, 0.0 + _CUT_OFFSET)
+               for loss in all_losses()
+               if loss.smooth_second_derivative and loss.family is not LossFamily.SQUARE}
 for _array in (_CUT_OFFSET, *(x for block in _CUT_BLOCKS.values() for x in block)):
     _array.setflags(write=False)
 
@@ -242,7 +244,7 @@ def _gaussian_expectations(loss: SelfTrainingLoss, m: float, s: float
         if max(lo, -_MARGIN_CUT) < min(hi, _MARGIN_CUT):
             lo, hi = max(lo, -_MARGIN_CUT), min(hi, _MARGIN_CUT)
         mid, offset = 0.5 * (lo + hi), (0.5 * (hi - lo)) * _UNIT
-        rows, even = _row_block(_derivative_pair(loss, mid + offset))
+        rows, even = _row_block(loss, mid + offset)
     w = offset + (mid - m)  # z, then the node weights over h / (s sqrt(2 pi))
     w *= math.sqrt(0.5) / s
     np.square(w, out=w)
@@ -270,9 +272,7 @@ def expectation_terms(loss: SelfTrainingLoss, a: float, b: float,
     RuntimeWarning says when the quadrature's refinement check fires.
     """
     e1, e2, moved = _expectations(loss, a, b, model)
-    if moved:
-        warnings.warn(f"reduced quadrature precision for {loss.name} at (a={a}, b={b}): "
-                      f"refinement moved the estimate by {moved:.3e}", RuntimeWarning, stacklevel=2)
+    _warn_refined(loss, a, b, moved)
     return e1, e2
 
 
@@ -297,10 +297,16 @@ def population_step(a: float, b: float, loss: SelfTrainingLoss,
                     model: GaussianModel, eta: float) -> tuple[float, float]:
     """One infinite-data update of the pair (a, b)."""
     a_next, b_next, moved = _step(a, b, loss, model, eta)
+    _warn_refined(loss, a, b, moved)
+    return a_next, b_next
+
+
+def _warn_refined(loss: SelfTrainingLoss, a: float, b: float, moved: float) -> None:
+    """The RuntimeWarning of one expectation_terms or population_step call
+    whose refinement check fired (moved > 0), pointed at that call's caller."""
     if moved:
         warnings.warn(f"reduced quadrature precision for {loss.name} at (a={a}, b={b}): "
-                      f"refinement moved the estimate by {moved:.3e}", RuntimeWarning, stacklevel=2)
-    return a_next, b_next
+                      f"refinement moved the estimate by {moved:.3e}", RuntimeWarning, stacklevel=3)
 
 
 def _step(a, b, loss, model, eta):
@@ -319,6 +325,14 @@ def _step(a, b, loss, model, eta):
     return shrink * a - eta * e1 * model.mu_norm**2, abs(shrink) * float(b), moved
 
 
+def _steps(a, b, loss, model, eta):
+    """_step from (a, b) over and over: yields (a', b', refinement move) of
+    each update, without end; the caller takes as many as it needs."""
+    while True:
+        a, b, moved = _step(a, b, loss, model, eta)
+        yield a, b, moved
+
+
 def run_population(config: ExperimentConfig) -> list[TrajectoryPoint]:
     """Iterate the population dynamic from split_ab(w_init).
 
@@ -331,8 +345,8 @@ def run_population(config: ExperimentConfig) -> list[TrajectoryPoint]:
     model = config.model
     ab = [split_ab(config.w_init, model)]
     moves = []  # (t, move) of each step whose refinement check fired
-    for t in range(1, config.horizon + 1):
-        a, b, moved = _step(*ab[-1], config.loss, model, config.eta)
+    steps = _steps(*ab[0], config.loss, model, config.eta)
+    for t, (a, b, moved) in enumerate(itertools.islice(steps, config.horizon), start=1):
         if moved:
             moves.append((t, moved))
         ab.append((a, b))
@@ -346,18 +360,7 @@ def run_population(config: ExperimentConfig) -> list[TrajectoryPoint]:
     return trajectory(ab, model, stopped=stopped)
 
 
-# --- scalar dynamics and closed forms -----------------------------------------
-
-
-def hard_square_scalar_step(a_bar: float, eta: float, mu_norm: float) -> float:
-    """Noiseless along-mu recursion of the hard square loss.
-
-    a_bar' = (1 - eta ||mu||^2) a_bar + eta sign(a_bar) ||mu||.  Fixed point
-    1/||mu|| for small steps; for eta ||mu||^2 > 2 and |a_bar| large enough the
-    magnitude grows while the sign oscillates.
-    """
-    a_bar = float(a_bar)
-    return (1.0 - eta * mu_norm**2) * a_bar + eta * float(np.sign(a_bar)) * mu_norm
+# --- closed forms --------------------------------------------------------------
 
 
 def conj_square_ratio_closed_form(r1: float, eta: float, mu_norm: float,
@@ -421,5 +424,5 @@ def trajectory(ab: list[tuple[float, float]], model: GaussianModel,
     columns = (a.tolist(), b.tolist(), *(m.tolist() for m in ab_metrics(a, b, model)))
     points = [TrajectoryPoint(t, *row) for t, row in enumerate(zip(*columns), start=1)]
     if stopped:
-        points[-1] = replace(points[-1], overflow=True)
+        points[-1] = points[-1]._replace(overflow=True)
     return points

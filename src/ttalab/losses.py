@@ -20,10 +20,12 @@ The six resulting losses:
 
 Each loss is one row of the table `_LOSSES`: psi, psi' and psi'' as
 vectorized callables, which take a float, an int, a list or an array and
-return float64, plus optional tail-bound parameters.  For the hard rules psi'
-jumps at the origin (sign(0) := 0 everywhere), so ddpsi stores only the smooth
-part of psi'' and `smooth_second_derivative` is False; the point mass at 0 is
-deliberately not assigned a coefficient.
+return float64, plus optional tail-bound parameters.  These are the only
+formulas for psi' and psi'': the sampled engine, the population quadrature and
+the certificates all call them.  For the hard rules psi' jumps at the origin
+(sign(0) := 0 everywhere), so ddpsi stores only the smooth part of psi'' and
+`smooth_second_derivative` is False; the point mass at 0 is deliberately not
+assigned a coefficient.
 
 The four non-square losses carry tail-bound parameters (L, a_min) certifying
 -psi'(a) >= exp(-L a) for a >= a_min; these are data here and are verified
@@ -177,26 +179,6 @@ _LOSSES = {
         _conj_exp_ddpsi,
         ClubParams(L=1.0, a_min=0.75)),
 }
-
-
-# (psi', psi'') of the smooth conjugate losses from (u, sech u, tanh u), for the
-# population quadrature.  The dpsi and ddpsi of _LOSSES stay the reference: the
-# sampled engine's bits rest on them.
-_DERIVATIVE_PAIRS = {
-    (LabelRule.CONJ, LossFamily.LOGISTIC):
-        lambda u, sech, tanh: (-u * sech**2, sech**2 * (2.0 * u * tanh - 1.0)),
-    (LabelRule.CONJ, LossFamily.EXP):
-        lambda u, sech, tanh: (-tanh * sech, sech * (tanh * tanh - sech * sech)),
-}
-
-
-def _derivative_pair(loss: SelfTrainingLoss, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(psi', psi'') of conj+logistic or conj+exp from one e = exp(-|u|): sech u =
-    2e / (1 + e^2), tanh u = sign(u) (1 - e^2) / (1 + e^2) (absolute error ~1e-16)."""
-    e = np.exp(-np.abs(u))
-    two_over = 2.0 / (1.0 + e * e)
-    sech, tanh = e * two_over, np.copysign(two_over - 1.0, u)
-    return _DERIVATIVE_PAIRS[loss.rule, loss.family](u, sech, tanh)
 
 
 def make_loss(rule: LabelRule | str, family: LossFamily | str) -> SelfTrainingLoss:

@@ -19,10 +19,10 @@ from ttalab import (
     epsilon_iteration_bound,
     expectation_terms,
     gauss_upper_tail,
-    hard_square_scalar_step,
     recursion_bound_run,
     make_loss,
     log_rate_check,
+    population_step,
     reproduce_figure,
     run_population,
     stein_identity_check,
@@ -119,11 +119,13 @@ def test_criterion_03_hard_square_small_step_plateau():
 
 def test_criterion_04_hard_square_large_step_oscillation():
     """eta = 3, ||mu|| = 1, a_bar1 = 4: |a_bar| strictly increases and the
-    sign alternates for 20 consecutive scalar steps."""
+    sign alternates for 20 consecutive noiseless population steps (at
+    sigma = 0, a = a_bar since ||mu|| = 1)."""
+    loss, model = make_loss("hard", "square"), GaussianModel(mu=np.array([1.0, 0.0]), sigma=0.0)
     a = 4.0
     ok = True
     for _ in range(20):
-        nxt = hard_square_scalar_step(a, 3.0, 1.0)
+        nxt, _ = population_step(a, 1.0, loss, model, 3.0)
         ok = ok and abs(nxt) > abs(a) and math.copysign(1, nxt) == -math.copysign(1, a)
         a = nxt
     check(4, "hard-square large-step magnitudes grow with alternating sign", ok)

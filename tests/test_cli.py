@@ -406,6 +406,18 @@ class TestCliExitCodes:
         assert meta["run.seed"] == 7 and meta["loss.family"] == "exp"
         assert meta["prng"] == "numpy-pcg64-seedsequence"
 
+    def test_grid_command_names_a_bad_eta(self, tmp_path, capsys):
+        path = write_config(tmp_path / "g.json", **{"run.horizon": 30})
+        assert main(["grid", str(path), "--etas", "0.1,abc", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: --etas: could not convert string to float: 'abc'\n"
+        assert not (tmp_path / "g.grid.csv").exists()
+
+    def test_a_usage_error_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["recursion", "--c", "1", "--L", "1", "--r1", "1", "--T", "1e3"])
+        assert exc.value.code == 2
+        assert "invalid int value: '1e3'" in capsys.readouterr().err
+
     def test_grid_command_on_a_population_config(self, tmp_path, capsys):
         path = write_config(tmp_path / "p.json", **{"run.mode": "population",
                                                     "run.horizon": 20, "run.batch": None})

@@ -1,7 +1,6 @@
 """Stochastic and population update rules, scalar dynamics, closed forms."""
 
 import math
-import re
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -24,7 +23,6 @@ from ttalab import (
     epsilon_iteration_bound,
     expectation_terms,
     gd_step,
-    hard_square_scalar_step,
     make_loss,
     population_step,
     run_population,
@@ -33,9 +31,8 @@ from ttalab import (
 )
 from ttalab import dynamics
 from ttalab.dynamics import (_CUT_BLOCKS, _CUT_OFFSET, _UNIT, _gaussian_expectations,
-                             _row_block, stochastic_sweep)
-from ttalab.losses import _derivative_pair
-from ttalab.model import ab_metrics
+                             stochastic_sweep)
+from ttalab.model import ab_metrics, sample_batch, split_ab
 
 
 def config_from_ab(a1, b1, model, loss, eta, mode, horizon, seed=0, batch_size=32):
@@ -317,6 +314,14 @@ def quad_oracle(family, m, s):
                 for g in ORACLE_DERIVATIVES[family]]
 
 
+def table_block(loss, u):
+    """psi' and psi'' of the loss table on the 641 nodes u as a (2, 1, 641)
+    block with halved end columns, and its even columns: the kernel's rows."""
+    rows = np.array((loss.dpsi(u), loss.ddpsi(u)))[:, None]
+    rows[..., ::640] *= 0.5
+    return rows, rows[..., ::2]
+
+
 def four_dot_expectations(loss, m, s):
     """The quadrature as four dots on one weight vector with halved end weights
     (the formulation before the row-block kernel), refinement move included."""
@@ -329,7 +334,7 @@ def four_dot_expectations(loss, m, s):
     w[::640] *= 0.5
     scale = (hi - lo) / (640 * s * math.sqrt(2.0 * math.pi))
     fine, moved = [], 0.0
-    for d in _derivative_pair(loss, mid + offset):
+    for d in (loss.dpsi(mid + offset), loss.ddpsi(mid + offset)):
         fine.append(float(d @ w) * scale)
         move = abs(fine[-1] - 2.0 * scale * float(d[::2] @ w[::2]))
         if move > 1e-12 + 1e-9 * abs(fine[-1]):
@@ -380,20 +385,9 @@ class TestQuadrature:
         assert got == (float(loss.dpsi(0.0)), float(loss.ddpsi(0.0)))
 
     @pytest.mark.parametrize("family", ["logistic", "exp"])
-    def test_fused_pairs_match_dpsi_and_ddpsi(self, family):
-        # atol: the one-exp tanh (1 - e^2)/(1 + e^2) loses relative digits
-        # only near u = 0, where its absolute error stays near 1e-16
-        loss = make_loss("conj", family)
-        small = np.geomspace(1e-12, 1.0, 200)
-        u = np.concatenate([np.linspace(-700.0, 700.0, 20001), small, -small, [0.0]])
-        d1, d2 = _derivative_pair(loss, u)
-        np.testing.assert_allclose(d1, loss.dpsi(u), rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(d2, loss.ddpsi(u), rtol=1e-14, atol=1e-15)
-
-    @pytest.mark.parametrize("family", ["logistic", "exp"])
     def test_cut_window_pair_is_the_fresh_pair(self, family):
         loss = make_loss("conj", family)
-        block = _row_block(_derivative_pair(loss, 0.0 + 36.0 * _UNIT))
+        block = table_block(loss, 0.0 + 36.0 * _UNIT)
         for stored, fresh in (*zip(_CUT_BLOCKS["conj", family], block),
                               (_CUT_OFFSET, 36.0 * _UNIT)):
             assert stored.tobytes() == fresh.tobytes()
@@ -413,9 +407,9 @@ class TestQuadrature:
 
         class Recomputed(dict):
             def __getitem__(self, key):
-                return _row_block(_derivative_pair(make_loss(*key), 0.0 + 36.0 * _UNIT))
+                return table_block(make_loss(*key), 0.0 + 36.0 * _UNIT)
 
-        with mock.patch.object(dynamics, "_derivative_pair", no_recompute):
+        with mock.patch.object(dynamics, "_row_block", no_recompute):
             cached = _gaussian_expectations(loss, m, s)
         with mock.patch.object(dynamics, "_CUT_BLOCKS", Recomputed()):
             fresh = _gaussian_expectations(loss, m, s)
@@ -608,23 +602,41 @@ class TestRunPopulation:
         assert all(p.cos <= final.cos + 1e-12 for p in points)
 
     def test_one_refinement_warning_per_run(self, monkeypatch):
-        # a zero tolerance makes the refinement check fire on (nearly) every step
-        monkeypatch.setattr(dynamics, "_REFINE_ATOL", 0.0)
-        monkeypatch.setattr(dynamics, "_REFINE_RTOL", 0.0)
+        # one _gaussian_expectations call per step; calls 3, 4 and 9 report a
+        # move past the refinement tolerance, on the real expectations
+        real, calls, real_moves = dynamics._gaussian_expectations, [], []
+        moves = {3: 2e-9, 4: 5e-9, 9: 1e-9}
+
+        def fired_on_chosen_calls(loss, m, s):
+            calls.append((m, s))
+            e1, e2, moved = real(loss, m, s)
+            real_moves.append(moved)
+            return e1, e2, moves.get(len(calls), 0.0)
+
+        monkeypatch.setattr(dynamics, "_gaussian_expectations", fired_on_chosen_calls)
         loss, model = make_loss("conj", "logistic"), axis_model(1.0, 0.8)
         config = config_from_ab(1.0, 1.0, model, loss, 0.5, Mode.POPULATION, horizon=20)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            run_population(config)
+            points = run_population(config)
+        assert len(calls) == 20 and len(points) == 21 and set(real_moves) == {0.0}
         assert [w.category for w in caught] == [RuntimeWarning]
-        fired = re.search(r"fired on (\d+) steps, first at t=(\d+), largest move (\S+)",
-                          str(caught[0].message))
-        assert fired and 2 <= int(fired[1]) <= 20 and 1 <= int(fired[2]) <= 20
-        assert float(fired[3]) > 0.0
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            expectation_terms(loss, 1.0, 1.0, model)
-        assert [w.category for w in caught] == [RuntimeWarning]
+        assert str(caught[0].message) == (
+            "reduced quadrature precision in a conj+logistic population run: refinement "
+            "fired on 3 steps, first at t=3, largest move 5.000e-09")
+        assert caught[0].filename == __file__
+        moves[1] = 3e-9
+        for call in (lambda: expectation_terms(loss, 1.0, 1.0, model),
+                     lambda: population_step(1.0, 1.0, loss, model, 0.5)):
+            calls.clear()  # the call below is call 1 again
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert len(calls) == 1 and [w.category for w in caught] == [RuntimeWarning]
+            assert str(caught[0].message) == (
+                "reduced quadrature precision for conj+logistic at (a=1.0, b=1.0): "
+                "refinement moved the estimate by 3.000e-09")
+            assert caught[0].filename == __file__
 
     def test_population_overflow_flagged(self):
         config = config_from_ab(1.0, 1.0, axis_model(1.0, 0.0),
@@ -634,22 +646,59 @@ class TestRunPopulation:
         assert points[-1].overflow and len(points) < 1001
 
 
+class TestCrossModeWhenNoisy:
+    """At sigma > 0 one sampled mean-gradient step on a large batch matches
+    population_step, for the three losses population mode runs at sigma > 0."""
+
+    @pytest.fixture(scope="class")
+    def domain(self):
+        model = GaussianModel(mu=np.array([0.8, -0.3, 0.5]), sigma=0.7)
+        xs = sample_batch(model, np.random.default_rng(np.random.SeedSequence(11)), 2_000_000)
+        return model, np.array([0.9, 0.2, 0.4]), xs
+
+    @pytest.mark.parametrize("family", ["square", "logistic", "exp"])
+    def test_a_large_batch_step_is_the_population_step(self, domain, family):
+        # each standard error is that of the batch-mean per-sample gradient
+        # psi'(w^T x) x projected on mu (for a) and on w's orthogonal direction (for b)
+        model, w, xs = domain
+        loss, eta = make_loss("conj", family), 0.5
+        a, b = split_ab(w, model)
+        want = population_step(a, b, loss, model, eta)
+        got = split_ab(gd_step(w, xs, loss, eta), model)
+        coeff = loss.dpsi(xs @ w)
+        ortho = (w - (a / model.mu_norm**2) * model.mu) / b
+        for g, p, direction in zip(got, want, (model.mu, ortho)):
+            se = eta * np.std(coeff * (xs @ direction), ddof=1) / math.sqrt(len(xs))
+            assert abs(g - p) <= 4.0 * se, (family, g, p, se)
+
+
 class TestScalarDynamic:
+    """The noiseless hard-square recursion a_bar' = (1 - eta ||mu||^2) a_bar +
+    eta sign(a_bar) ||mu|| in a_bar = a / ||mu||, which population_step takes
+    at sigma = 0."""
+
+    @staticmethod
+    def step(a_bar, eta, mu_norm):
+        """population_step at sigma = 0 in a_bar."""
+        a, _ = population_step(a_bar * mu_norm, 1.0, make_loss("hard", "square"),
+                               axis_model(mu_norm, 0.0), eta)
+        return a / mu_norm
+
     def test_fixed_point(self):
         for mu_norm in (1.0, 2.0):
             for eta in (0.2 / mu_norm**2, 1.0 / mu_norm**2):
-                out = hard_square_scalar_step(1.0 / mu_norm, eta, mu_norm)
+                out = self.step(1.0 / mu_norm, eta, mu_norm)
                 assert out == pytest.approx(1.0 / mu_norm, rel=1e-14)
 
     def test_halfway_value(self):
-        assert hard_square_scalar_step(0.5, 0.5, 1.0) == pytest.approx(0.75)
+        assert self.step(0.5, 0.5, 1.0) == pytest.approx(0.75)
 
     def test_large_step_flips_sign_and_grows(self):
         # eta ||mu||^2 > 2 and |a_bar| above eta||mu||/(eta||mu||^2 - 2) = 3
-        assert hard_square_scalar_step(4.0, 3.0, 1.0) == -5.0
+        assert self.step(4.0, 3.0, 1.0) == -5.0
         a = 4.0
         for _ in range(20):
-            nxt = hard_square_scalar_step(a, 3.0, 1.0)
+            nxt = self.step(a, 3.0, 1.0)
             assert abs(nxt) > abs(a)
             assert math.copysign(1, nxt) == -math.copysign(1, a)
             a = nxt
@@ -663,7 +712,7 @@ class TestScalarDynamic:
         points = run_population(config)
         a_bar = points[0].a / mu_norm
         for p in points[1:]:
-            a_bar = hard_square_scalar_step(a_bar, 0.3, mu_norm)
+            a_bar = (1.0 - 0.3 * mu_norm**2) * a_bar + 0.3 * np.sign(a_bar) * mu_norm
             assert p.a / mu_norm == pytest.approx(a_bar, rel=1e-12)
 
 
