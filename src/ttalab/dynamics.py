@@ -28,6 +28,7 @@ steps S seed streams x K step sizes as one array; run_stochastic is S = K = 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -37,7 +38,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .losses import LossFamily, SelfTrainingLoss, all_losses
+from .losses import LossFamily, SelfTrainingLoss
 from .model import (GaussianModel, ab_metrics, check_count, check_finite, check_non_negative,
                     check_positive, check_predictor, sample_batch, split_ab)
 
@@ -202,30 +203,28 @@ def stochastic_sweep(base: ExperimentConfig, etas, seeds, sampler: Sampler | Non
 # the refinement check.  Each item of a stacked matmul is one BLAS dot, so the
 # sums keep the bits of `d @ w` and of the strided `d[::2] @ w[::2]`.  psi' and
 # psi'' are the loss's own dpsi and ddpsi, the formulas the sampled engine uses.
-# A window cut on both sides has the same nodes u = 36 x unit on every step, so
-# it reuses one read-only offset array and block per loss; any other window
-# evaluates dpsi and ddpsi on its own nodes.
+# _window memoizes offsets and rows by (loss, lo, hi): a window cut on both sides
+# is [-36, 36] on every step, so it is built once per loss object.
 _HALF_WIDTH, _MARGIN_CUT, _NODES = 14.0, 36.0, 641
 _UNIT = np.linspace(-1.0, 1.0, _NODES)
 _REFINE_ATOL, _REFINE_RTOL = 1e-12, 1e-9
+# a ttabench population pass (12 runs, one loss object each) misses 770 times: 762
+# uncut windows seen once and one cut window per smooth run, which is never evicted
+_WINDOW_CACHE_SIZE = 16
 
 
-def _row_block(loss: SelfTrainingLoss, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel's rows: psi' and psi'' on the nodes u as a (2, 1, 641) block
-    with its end columns halved, and that block's even columns."""
-    rows = np.array((loss.dpsi(u), loss.ddpsi(u)))[:, None]
+@functools.lru_cache(maxsize=_WINDOW_CACHE_SIZE)
+def _window(loss: SelfTrainingLoss, lo: float, hi: float
+            ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """(mid, offsets, rows, even) of the window [lo, hi], arrays read-only: rows
+    is psi' and psi'' on the nodes mid + offsets as a (2, 1, 641) block with its
+    end columns halved, and even is that block's even columns."""
+    mid, offset = 0.5 * (lo + hi), (0.5 * (hi - lo)) * _UNIT
+    rows = np.array((loss.dpsi(u := mid + offset), loss.ddpsi(u)))[:, None]
     rows[..., ::_NODES - 1] *= 0.5
-    return rows, rows[..., ::2]
-
-
-# (rule, family) -> the read-only rows of the fully cut window, u built as below
-# from mid = 0.0; keyed by value because losses hash by identity
-_CUT_OFFSET = _MARGIN_CUT * _UNIT
-_CUT_BLOCKS = {(loss.rule, loss.family): _row_block(loss, 0.0 + _CUT_OFFSET)
-               for loss in all_losses()
-               if loss.smooth_second_derivative and loss.family is not LossFamily.SQUARE}
-for _array in (_CUT_OFFSET, *(x for block in _CUT_BLOCKS.values() for x in block)):
-    _array.setflags(write=False)
+    offset.setflags(write=False)
+    rows.setflags(write=False)
+    return mid, offset, rows, rows[..., ::2]
 
 
 def _gaussian_expectations(loss: SelfTrainingLoss, m: float, s: float
@@ -236,15 +235,12 @@ def _gaussian_expectations(loss: SelfTrainingLoss, m: float, s: float
     if loss.family is LossFamily.SQUARE:
         return -m, -1.0, 0.0
     lo, hi = m - _HALF_WIDTH * s, m + _HALF_WIDTH * s
+    cut_lo = lo if lo > -_MARGIN_CUT else -_MARGIN_CUT  # comparisons: max/min cost ~0.3 us
+    cut_hi = hi if hi < _MARGIN_CUT else _MARGIN_CUT
+    if cut_lo < cut_hi:  # not wholly past the cut
+        lo, hi = cut_lo, cut_hi
     # u and z from the offsets to the window's middle: neither inherits the other's rounding
-    if lo <= -_MARGIN_CUT and _MARGIN_CUT <= hi:  # cut on both sides
-        lo, hi, mid, offset = -_MARGIN_CUT, _MARGIN_CUT, 0.0, _CUT_OFFSET
-        rows, even = _CUT_BLOCKS[loss.rule, loss.family]
-    else:
-        if max(lo, -_MARGIN_CUT) < min(hi, _MARGIN_CUT):
-            lo, hi = max(lo, -_MARGIN_CUT), min(hi, _MARGIN_CUT)
-        mid, offset = 0.5 * (lo + hi), (0.5 * (hi - lo)) * _UNIT
-        rows, even = _row_block(loss, mid + offset)
+    mid, offset, rows, even = _window(loss, lo, hi)
     w = offset + (mid - m)  # z, then the node weights over h / (s sqrt(2 pi))
     w *= math.sqrt(0.5) / s
     np.square(w, out=w)

@@ -3,7 +3,6 @@
 import math
 import warnings
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,8 +29,7 @@ from ttalab import (
     stein_identity_check,
 )
 from ttalab import dynamics
-from ttalab.dynamics import (_CUT_BLOCKS, _CUT_OFFSET, _UNIT, _gaussian_expectations,
-                             stochastic_sweep)
+from ttalab.dynamics import _UNIT, _gaussian_expectations, _window, stochastic_sweep
 from ttalab.model import ab_metrics, sample_batch, split_ab
 
 
@@ -387,12 +385,21 @@ class TestQuadrature:
     @pytest.mark.parametrize("family", ["logistic", "exp"])
     def test_cut_window_pair_is_the_fresh_pair(self, family):
         loss = make_loss("conj", family)
-        block = table_block(loss, 0.0 + 36.0 * _UNIT)
-        for stored, fresh in (*zip(_CUT_BLOCKS["conj", family], block),
-                              (_CUT_OFFSET, 36.0 * _UNIT)):
-            assert stored.tobytes() == fresh.tobytes()
+        mid, *stored = _window(loss, -36.0, 36.0)
+        assert mid == 0.0
+        fresh = (36.0 * _UNIT, *table_block(loss, 0.0 + 36.0 * _UNIT))
+        for got, want in zip(stored, fresh, strict=True):
+            assert got.tobytes() == want.tobytes()
             with pytest.raises(ValueError):
-                stored[0] = 1.0
+                got[0] = 1.0
+
+    def test_a_custom_dpsi_is_read_on_every_window(self):
+        # (0.5, 1) gives an uncut window, (0.5, 10) one cut on both sides
+        base, model = make_loss("conj", "exp"), axis_model(1.0, 1.0, d=2)
+        doubled = replace(base, dpsi=lambda u: 2.0 * base.dpsi(u))
+        for b in (1.0, 10.0):
+            e1, e2 = expectation_terms(base, 0.5, b, model)
+            assert expectation_terms(doubled, 0.5, b, model) == (2.0 * e1, e2)
 
     @pytest.mark.parametrize("family", ["logistic", "exp"])
     @given(m=st.floats(-60.0, 60.0), spread=st.floats(1.001, 1e4))
@@ -401,18 +408,13 @@ class TestQuadrature:
         # s >= (36 + |m|) / 14 clips the window [m - 14 s, m + 14 s] on both sides
         loss = make_loss("conj", family)
         s = spread * (36.0 + abs(m)) / 14.0
-
-        def no_recompute(*_):
-            raise AssertionError("a cut window recomputed its pair")
-
-        class Recomputed(dict):
-            def __getitem__(self, key):
-                return table_block(make_loss(*key), 0.0 + 36.0 * _UNIT)
-
-        with mock.patch.object(dynamics, "_row_block", no_recompute):
-            cached = _gaussian_expectations(loss, m, s)
-        with mock.patch.object(dynamics, "_CUT_BLOCKS", Recomputed()):
-            fresh = _gaussian_expectations(loss, m, s)
+        _gaussian_expectations(loss, m, s)
+        hits = _window.cache_info().hits
+        cached = _gaussian_expectations(loss, m, s)
+        _window(loss, -36.0, 36.0)  # the window the call built is the cut one
+        assert _window.cache_info().hits == hits + 2
+        _window.cache_clear()
+        fresh = _gaussian_expectations(loss, m, s)
         assert [x.hex() for x in cached] == [x.hex() for x in fresh]
 
     @pytest.mark.parametrize("family", ["logistic", "exp"])
@@ -637,6 +639,27 @@ class TestRunPopulation:
                 "reduced quadrature precision for conj+logistic at (a=1.0, b=1.0): "
                 "refinement moved the estimate by 3.000e-09")
             assert caught[0].filename == __file__
+
+    def test_the_refinement_check_fires_on_a_grid_scale_ripple(self):
+        # cos(pi (u + 36) / h) with h the cut window's spacing alternates sign on
+        # its nodes: the 641-node sums cancel it, the halved grid's do not
+        base, h = make_loss("conj", "exp"), 72.0 / 640
+        ripple = replace(base, dpsi=lambda u: base.dpsi(u) + 1e-6 * np.cos(np.pi * (u + 36.0) / h))
+        assert 9.9e-7 < _gaussian_expectations(ripple, 0.5, 10.0)[2] < 1e-6
+        model = axis_model(1.0, 3.0, d=2)
+        config = config_from_ab(0.5, 10.0, model, ripple, 0.5, Mode.POPULATION, horizon=20)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_population(config)
+            expectation_terms(ripple, 0.5, 10.0, model)
+            population_step(0.5, 10.0, ripple, model, 0.5)
+        assert [w.category for w in caught] == [RuntimeWarning] * 3
+        assert [str(w.message) for w in caught] == [
+            "reduced quadrature precision in a conj+exp population run: refinement fired on "
+            "20 steps, first at t=1, largest move 7.692e-07",
+            *2 * ["reduced quadrature precision for conj+exp at (a=0.5, b=10.0): refinement "
+                  "moved the estimate by 7.692e-07"]]
+        assert {w.filename for w in caught} == {__file__}
 
     def test_population_overflow_flagged(self):
         config = config_from_ab(1.0, 1.0, axis_model(1.0, 0.0),
