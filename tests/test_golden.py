@@ -9,11 +9,17 @@ tests/golden/losses.csv holds psi, psi' and psi'' of all six losses on a
 fixed margin grid, one row per (loss, u), each value written with repr.  No
 sum is involved, so it is compared as text: every value keeps its bits.
 
+tests/golden/figures.sha256 holds the SHA-256 of figure outputs written at
+seed 0, one `<hex>  <file>` line each: fig2.csv and fig3.csv without their `#`
+lines (psi and the tail exponent on a grid, no sum involved, so every value
+keeps its bits) and the fig1a, fig2 and fig3 SVGs (coordinates at 2 decimals).
+
 Regenerate deliberately, never to make a failing comparison pass:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +32,7 @@ from ttalab import (
     alternating_pm_mu_sampler,
     build_benchmark_domains,
     parse_loss_id,
+    reproduce_figure,
     run_population,
     run_stochastic,
 )
@@ -173,7 +180,40 @@ def test_population_golden_covers_both_quadrature_windows():
         assert cut.sum() >= 10 and (~cut).sum() >= 10, (loss, cut.sum(), (~cut).sum())
 
 
+# figure -> the files of its output directory that figures.sha256 pins
+FIGURE_FILES = {"fig1a": ("fig1a.svg",), "fig2": ("fig2.csv", "fig2.svg"),
+                "fig3": ("fig3.csv", "fig3.svg")}
+
+
+def figure_digests(out_dir):
+    """{file: SHA-256 hex} of the pinned figure outputs, written at seed 0 into out_dir;
+    a CSV is hashed without its `#` lines."""
+    digests = {}
+    for fig_id, names in FIGURE_FILES.items():
+        reproduce_figure(fig_id, seed=0, out_dir=out_dir)
+        for name in names:
+            lines = (Path(out_dir) / name).read_text(encoding="utf-8").splitlines(keepends=True)
+            if name.endswith(".csv"):
+                lines = [line for line in lines if not line.startswith("#")]
+            digests[name] = hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
+    return digests
+
+
+def test_figures_match_golden_bytes(tmp_path):
+    """fig2.csv, fig3.csv (data lines) and the fig1a, fig2 and fig3 SVGs at seed 0
+    hash as in tests/golden/figures.sha256.  Regenerate deliberately, never to make
+    a failing comparison pass: `PYTHONPATH=src python tests/test_golden.py`."""
+    stored = dict(line.split()[::-1] for line in
+                  (GOLDEN_DIR / "figures.sha256").read_text(encoding="utf-8").splitlines())
+    fresh = figure_digests(tmp_path)
+    assert sorted(fresh) == sorted(stored)
+    differ = [name for name in fresh if fresh[name] != stored[name]]
+    assert not differ, f"figure output differs from tests/golden/figures.sha256: {differ}"
+
+
 if __name__ == "__main__":
+    import tempfile
+
     GOLDEN_DIR.mkdir(exist_ok=True)
     for golden_name in GOLDEN:
         (GOLDEN_DIR / f"{golden_name}.csv").write_text(golden_text(golden_name),
@@ -181,3 +221,8 @@ if __name__ == "__main__":
         print(GOLDEN_DIR / f"{golden_name}.csv")
     (GOLDEN_DIR / "losses.csv").write_text(loss_golden_text(), encoding="utf-8")
     print(GOLDEN_DIR / "losses.csv")
+    with tempfile.TemporaryDirectory() as tmp:
+        (GOLDEN_DIR / "figures.sha256").write_text(
+            "".join(f"{digest}  {name}\n" for name, digest in figure_digests(tmp).items()),
+            encoding="utf-8")
+    print(GOLDEN_DIR / "figures.sha256")
