@@ -200,9 +200,7 @@ _FIG2_LOSSES = ("hard+exp", "conj+exp", "hard+logistic", "conj+logistic")
 
 def _emit_fig2(fig_id, out, seed, d, batch, horizon):
     u = np.round(np.arange(-600, 601) * 0.01, 2)
-    losses = {name: parse_loss_id(name) for name in _FIG2_LOSSES}
-    rows = [[float(ui)] + [float(losses[name].psi(ui)) for name in _FIG2_LOSSES]
-            for ui in u]
+    rows = zip(u.tolist(), *(parse_loss_id(name).psi(u).tolist() for name in _FIG2_LOSSES))
     header = "u," + ",".join(name.replace("+", "_") for name in _FIG2_LOSSES)
     path = out / "fig2.csv"
     path.write_text(csv_with_meta_text(header, rows, {"content": "loss values psi(u)"}),
@@ -219,8 +217,7 @@ def _emit_fig3(fig_id, out, seed, d, batch, horizon):
         if curve.skipped.size:
             raise RuntimeError(f"unexpected skipped tail points for {name}")
         columns[name] = curve.rate
-    rows = [[float(z[i])] + [float(columns[name][i]) for name in _FIG2_LOSSES]
-            for i in range(z.size)]
+    rows = zip(z.tolist(), *(columns[name].tolist() for name in _FIG2_LOSSES))
     path = out / "fig3.csv"
     path.write_text(csv_with_meta_text(header, rows,
                                        {"content": "tail exponent -log(-psi'(z))/z"}),
@@ -274,27 +271,24 @@ def _render_fig1(fig_id, out):
     series = []
     for stem in ("hard_square", "conj_square", "no_adaptation"):
         cols, rows, _ = read_csv_with_meta(out / f"{fig_id}_{stem}.csv")
-        t = [row[cols.index("t")] for row in rows]
-        loss = [row[cols.index("loss01")] for row in rows]
-        series.append((stem.replace("_", "+"), t, loss))
+        columns = dict(zip(cols, zip(*rows)))
+        series.append((stem.replace("_", "+"), columns["t"], columns["loss01"]))
     return svg_line_chart(series, title=f"{fig_id}: expected 0-1 loss vs iteration",
                           xlabel="iteration t", ylabel="expected 0-1 loss")
 
 
 def _render_loss_columns(fig_id, out, *, title, xlabel, ylabel):
     cols, rows, _ = read_csv_with_meta(out / f"{fig_id}.csv")
-    xs = [row[0] for row in rows]
-    series = [(name.replace("_", "+"), xs, [row[i] for row in rows])
-              for i, name in enumerate(cols) if i > 0]
+    xs, *columns = zip(*rows)
+    series = [(name.replace("_", "+"), xs, ys) for name, ys in zip(cols[1:], columns)]
     return svg_line_chart(series, title=title, xlabel=xlabel, ylabel=ylabel)
 
 
 def _render_fig4(fig_id, out):
     cols, rows, meta = read_csv_with_meta(out / f"{fig_id}_curves.csv")
-    xs = [row[0] for row in rows]
-    series = [(name.removesuffix("_mean_loss01").replace("_", "+"), xs,
-               [row[i] for row in rows])
-              for i, name in enumerate(cols) if i > 0]
+    xs, *columns = zip(*rows)
+    series = [(name.removesuffix("_mean_loss01").replace("_", "+"), xs, ys)
+              for name, ys in zip(cols[1:], columns)]
     hlines = [("best achievable", float(meta["best_error"]))]
     return svg_line_chart(series, title=f"{fig_id}: mean 0-1 loss at best step size",
                           xlabel="iteration t", ylabel="expected 0-1 loss",

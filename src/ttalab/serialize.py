@@ -178,23 +178,23 @@ def format_value(value) -> str:
     return str(value)
 
 
-def csv_with_meta_text(header: str, rows: list[list], meta: dict) -> str:
-    """CSV layout shared by all emitters: header, `#` metadata block, rows."""
+def csv_with_meta_text(header: str, rows, meta: dict) -> str:
+    """CSV layout shared by all emitters: header, `#` metadata block, rows
+    (any iterable of cell sequences)."""
     lines = [header]
     for key, value in meta.items():
         lines.append(f"# {key} = {json.dumps(value)}")
     lines.append(f"# prng = {json.dumps(PRNG_ID)}")
     lines.append(f"# code_version = {json.dumps(__version__)}")
     for row in rows:
-        lines.append(",".join(format_value(cell) for cell in row))
+        lines.append(",".join(map(format_value, row)))
     return "\n".join(lines) + "\n"
 
 
 def trajectory_csv_text(points: list[TrajectoryPoint], meta: dict) -> str:
     """Render a trajectory as CSV: header, `#` metadata block, data rows."""
-    meta = dict(meta)
-    meta["overflow"] = any(p.overflow for p in points)
-    rows = [[p.t, p.a, p.b, p.r, p.cos, p.loss01] for p in points]
+    meta = {**meta, "overflow": any(p.overflow for p in points)}
+    rows = [p[:6] for p in points]  # t, a, b, r, cos, loss01
     return csv_with_meta_text(TRAJECTORY_HEADER, rows, meta)
 
 
@@ -272,22 +272,25 @@ def svg_line_chart(series: list[tuple[str, list[float], list[float]]],
     """Axis-labelled polyline chart; no plotting dependency.
 
     series is a list of (label, xs, ys).  hlines draws dashed horizontal
-    reference lines.  Non-finite points are dropped from the polylines.
+    reference lines at finite heights.  Non-finite points are dropped from the
+    polylines.  Bounds and pixel coordinates are computed on arrays.
     """
     hlines = hlines or []
-    xs_all: list[float] = []
-    ys_all: list[float] = []
+    for label, y in hlines:
+        if not math.isfinite(y):
+            raise ValueError(f"hline {label!r} is at {y}, not a finite height")
+    points = []  # (xs, ys) of each series' finite points, as float arrays
     for _, xs, ys in series:
-        for x, y in zip(xs, ys):
-            if math.isfinite(x) and math.isfinite(y):
-                xs_all.append(x)
-                ys_all.append(y)
-    ys_all.extend(y for _, y in hlines)
-    if not xs_all:
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        finite = np.isfinite(xs) & np.isfinite(ys)
+        points.append((xs[finite], ys[finite]))
+    xs_all = np.concatenate([*(xs for xs, _ in points), []])
+    ys_all = np.concatenate([*(ys for _, ys in points), [y for _, y in hlines]])
+    if not xs_all.size:
         raise ValueError("no finite data to plot")
 
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
+    y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -350,13 +353,9 @@ def svg_line_chart(series: list[tuple[str, list[float], list[float]]],
             f'font-family="sans-serif" font-size="11" fill="#555">{_esc(label)}</text>'
         )
 
-    for k, (label, xs, ys) in enumerate(series):
+    for k, ((label, _, _), (xs, ys)) in enumerate(zip(series, points)):
         color = _PALETTE[k % len(_PALETTE)]
-        coords = " ".join(
-            f"{px(x):.2f},{py(y):.2f}"
-            for x, y in zip(xs, ys)
-            if math.isfinite(x) and math.isfinite(y)
-        )
+        coords = " ".join(map("%.2f,%.2f".__mod__, zip(px(xs).tolist(), py(ys).tolist())))
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.6"/>'
         )

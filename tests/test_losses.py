@@ -171,6 +171,24 @@ class TestPseudoLabels:
             assert pseudo_label(loss, 1.3) == pytest.approx(math.tanh(1.3), rel=1e-15)
 
 
+# the base loss l(u, y) of each family, with y the pseudo-label
+BASE_LOSSES = {
+    "square": lambda u, y: 0.5 * (y - u) ** 2,
+    "logistic": lambda u, y: math.log1p(math.exp(-2.0 * y * u)) - math.log(2.0),
+    "exp": lambda u, y: math.exp(-y * u),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BASE_LOSSES))
+def test_hard_psi_is_the_base_loss_at_the_pseudo_label(family):
+    """psi(u) = l(u, pseudo_label(loss, u)) for the hard rules, on a margin
+    grid with 0 and both signs: the loss table and pseudo_label agree."""
+    loss = make_loss("hard", family)
+    for u in np.arange(-400, 401) * 0.05:
+        want = BASE_LOSSES[family](u, pseudo_label(loss, u))
+        assert float(loss.psi(u)) == pytest.approx(want, rel=1e-12, abs=0.0), u
+
+
 class TestGradient:
     def test_hard_square_gradient(self):
         # gradient is -(sign(w.x) - w.x) x; with margin 0.5 that is -0.5 x

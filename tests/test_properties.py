@@ -5,8 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ttalab import (
     ExperimentConfig,
@@ -19,6 +20,7 @@ from ttalab import (
     run_stochastic,
     zero_one_loss,
 )
+from ttalab.dynamics import OVERFLOW_LIMIT, _stopped
 
 LOSSES = all_losses()
 SMOOTH_LOSSES = [loss for loss in LOSSES if loss.smooth_second_derivative]
@@ -106,3 +108,30 @@ def test_population_orthogonal_size_contracts_by_the_curvature(case, loss, eta):
             e2 = expectation_terms(loss, p.a, p.b, model)[1]
             want = abs(1.0 - eta * model.sigma**2 * e2) * p.b
             assert q.b == pytest.approx(want, rel=1e-13) or math.isnan(want)
+
+
+def two_reduction_stopped(w):
+    """The sampled engine's stop rule before it took one reduction."""
+    return ~((np.abs(w).max(axis=-1) <= OVERFLOW_LIMIT) & w.any(axis=-1))
+
+
+# the values on the edges of each test: NaN, +-inf, +-0, subnormals and the
+# neighbours of the overflow limit
+_EDGES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-309, -1e-310,
+          OVERFLOW_LIMIT, -OVERFLOW_LIMIT, np.nextafter(OVERFLOW_LIMIT, math.inf),
+          np.nextafter(OVERFLOW_LIMIT, -math.inf), -np.nextafter(OVERFLOW_LIMIT, math.inf),
+          -np.nextafter(OVERFLOW_LIMIT, -math.inf))
+iterates = hnp.arrays(np.float64, hnp.array_shapes(min_dims=3, max_dims=3, max_side=4),
+                      elements=st.one_of(st.sampled_from(_EDGES), st.floats()),
+                      fill=st.sampled_from((0.0, -0.0)))
+
+
+@settings(max_examples=300)
+@given(iterates)
+@example(np.array([[[0.0, -0.0], [5e-324, -0.0]], [[math.nan, 0.0], [-math.inf, 1.0]]]))
+def test_one_reduction_stop_rule_is_the_two_reduction_rule(w):
+    """stochastic_sweep's stop rule on an (S, K, d) stack of iterates: one
+    max-reduction gives the mask of max|w| <= limit and w.any()."""
+    got = _stopped(w)
+    assert got.shape == w.shape[:2] and got.dtype == bool
+    np.testing.assert_array_equal(got, two_reduction_stopped(w))

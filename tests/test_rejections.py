@@ -199,6 +199,11 @@ REJECTIONS = [
     # serialize
     pytest.param(lambda: svg_line_chart([("s", [0.0], [math.nan])], "t", "x", "y"),
                  "no finite data to plot", id="svg-no-finite-data"),
+    # a reference line must sit at a finite height, named by its label
+    *[pytest.param(lambda y=y: svg_line_chart([("s", [0.0, 1.0], [0.0, 1.0])], "t", "x", "y",
+                                              hlines=[("ok", 0.5), ("b", y)]),
+                   f"hline 'b' is at {y}, not a finite height", id=f"svg-hline-{y}")
+      for y in (math.inf, -math.inf, math.nan)],
 ]
 
 
