@@ -19,12 +19,14 @@ Everything here turns an analytic statement into a falsifiable finite check:
                     population b-update
 
 Certificates are grid-based: a for-all-reals claim is checked on a dense
-finite grid and the gap is the grid granularity.  The grids of verify_club
-and the checked range of the logarithmic bound are walked in blocks of
-_BLOCK indices, each block's nodes built from its index range with the
-formula the whole grid would use; the minima, maxima and first violation are
-folded across blocks, so memory is O(_BLOCK) and no result depends on the
-block size.  Reports serialize to key = value text.
+finite grid and the gap is the grid granularity.  verify_club walks one grid,
+a_min + step k from the origin to the cap, for both evenness and the tail
+bound, so psi is evaluated twice per node (at u and -u) and psi' once per
+tail node.  That grid and the checked range of the logarithmic bound are
+walked in blocks of _BLOCK indices, each block's nodes built from its index
+range with the formula the whole grid would use.  The minima, maxima and
+first violation are folded across blocks, so memory is O(_BLOCK) and no
+result depends on the block size.  Reports serialize to key = value text.
 """
 
 from __future__ import annotations
@@ -147,37 +149,42 @@ def verify_club(loss: SelfTrainingLoss, L: float, a_min: float,
                 a_max: float = 1000.0, step: float = 1e-3) -> ClubCertificate:
     """Certify evenness of psi and -psi'(a) >= exp(-L a) on [a_min, a_max].
 
-    a_max is capped at 700/L where the right-hand side underflows.  For
-    losses whose psi' jumps at the origin, the single grid point a = 0 is
-    excluded: psi'(0) = 0 there by the sign(0) = 0 convention, while the
-    bound concerns the one-sided limit.
+    a_max is capped at 700/L where the right-hand side underflows; an a_min
+    past that cap is rejected.  One grid, u = a_min + step k, is walked from
+    the last node at or below the origin (k = -ceil(a_min / step)) to the
+    cap: every node is checked for psi(u) = psi(-u), so each pair (u, -u) is
+    evaluated once at spacing step, and the nodes with k >= 0 for the tail
+    bound.  The walk has about a_cap / step nodes whatever a_min is.  For
+    losses whose psi' jumps at the origin, the tail node a = 0 is excluded:
+    psi'(0) = 0 there by the sign(0) = 0 convention, while the bound
+    concerns the one-sided limit.
     """
     L = check_positive("L", L)
     a_min = check_non_negative("a_min", a_min)
     if not (a_max > a_min):
         raise ValueError("a_max must exceed a_min")
     step = check_positive("step", step)
-
     a_cap = min(float(a_max), _UNDERFLOW_CAP / L)
-    n = int(math.floor((a_cap - a_min) / step)) + 1
-    lows = []  # the smallest gap (-psi'(a)) - exp(-L a) of each block
-    for i, j in _blocks(0, n):
-        grid = _tail_nodes(a_min, step, i, j)
-        if i == 0 and not loss.smooth_second_derivative:
-            grid = grid[grid != 0.0]
-        if grid.size:
-            gap = (-np.asarray(loss.dpsi(grid), dtype=float)) - np.exp(-L * grid)
-            lows.append(gap.min())
-    # np.min, unlike Python's min, passes a NaN on wherever it sits
-    max_violation = float(np.min(lows)) if lows else 0.0
+    if a_cap < a_min:
+        raise ValueError(f"a_min = {a_min} is past the underflow cap "
+                         f"{_UNDERFLOW_CAP:g}/L = {a_cap}")
 
+    n = int(math.floor((a_cap - a_min) / step)) + 1  # tail nodes, k = 0 .. n-1
+    lows = []  # the smallest gap (-psi'(a)) - exp(-L a) of each block
     even_errs = []  # the largest relative |psi(u) - psi(-u)| of each block
-    num = 2 * n + 1
-    for i, j in _blocks(0, num):
-        sym = _even_nodes(a_cap, num, i, j)
-        left = np.asarray(loss.psi(sym), dtype=float)
-        right = np.asarray(loss.psi(-sym), dtype=float)
+    for i, j in _blocks(-math.ceil(a_min / step), n):
+        u = a_min + step * np.arange(i, j)
+        left = np.asarray(loss.psi(u), dtype=float)
+        right = np.asarray(loss.psi(-u), dtype=float)
         even_errs.append(np.max(np.abs(left - right) / np.maximum(1.0, np.abs(left))))
+        tail = u[max(0, -i):]
+        if not loss.smooth_second_derivative:
+            tail = tail[tail != 0.0]
+        if tail.size:
+            gap = (-np.asarray(loss.dpsi(tail), dtype=float)) - np.exp(-L * tail)
+            lows.append(gap.min())
+    # np.min and np.max, unlike Python's min and max or np.fmax, pass a NaN on
+    max_violation = float(np.min(lows)) if lows else 0.0
     evenness_passed = bool(np.max(even_errs) <= 1e-12)
 
     return ClubCertificate(
@@ -198,26 +205,6 @@ def _blocks(lo: int, hi: int):
     return ((i, min(i + _BLOCK, hi)) for i in range(lo, hi, _BLOCK))
 
 
-def _tail_nodes(a_min: float, step: float, i: int, j: int) -> np.ndarray:
-    """Nodes i..j-1 of the tail grid a_min + step * np.arange(n)."""
-    return a_min + step * np.arange(i, j)
-
-
-def _even_nodes(a_cap: float, num: int, i: int, j: int) -> np.ndarray:
-    """Nodes i..j-1 of np.linspace(-a_cap, a_cap, num), num >= 2, computed as
-    np.linspace computes them: k * step + start, the last node set to stop."""
-    delta, div = 2.0 * a_cap, num - 1  # stop - start, exactly
-    k = np.arange(i, j, dtype=float)
-    if delta / div == 0.0:  # linspace's branch for a step that underflows
-        k = k / div * delta
-    else:
-        k *= delta / div
-    k -= a_cap
-    if j == num:
-        k[-1] = a_cap
-    return k
-
-
 def tail_rate_curve(loss: SelfTrainingLoss, z_grid: np.ndarray) -> TailRateCurve:
     """L(z) = -log(-psi'(z)) / z on the positive grid.
 
@@ -226,7 +213,7 @@ def tail_rate_curve(loss: SelfTrainingLoss, z_grid: np.ndarray) -> TailRateCurve
     -psi'(z) <= 0 (or underflows to 0) are skipped and flagged.
     """
     z = np.asarray(z_grid, dtype=float).reshape(-1)
-    if np.any(z <= 0.0):
+    if not np.all(z > 0.0):  # NaN fails the comparison, so it is rejected too
         raise ValueError("z grid must be strictly positive")
     neg_slope = -np.asarray(loss.dpsi(z), dtype=float)
     valid = neg_slope > 0.0

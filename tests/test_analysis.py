@@ -19,7 +19,7 @@ from ttalab import (
     tail_rate_curve,
     verify_club,
 )
-from ttalab.analysis import _blocks, _check_log_bound, _even_nodes, _tail_nodes
+from ttalab.analysis import _check_log_bound
 from ttalab.losses import ClubParams, LabelRule, LossFamily, SelfTrainingLoss, all_losses
 
 
@@ -79,21 +79,34 @@ def _whole_check_log_bound(seq, c, L, tau, T):
 
 
 def _whole_bits(loss, L, a_min, a_max=1000.0, step=1e-3):
-    """(repr(max_violation), evenness_passed) of verify_club from whole grid
-    arrays, as they were computed before the grids were walked in blocks: the
-    oracle for the blocks."""
+    """(repr(max_violation), evenness_passed) of verify_club from one whole
+    grid array, a_min + step k from the last node at or below the origin to
+    the cap, as it would be computed without blocks: the oracle for the blocks."""
     a_cap = min(float(a_max), 700.0 / L)
     n = int(math.floor((a_cap - a_min) / step)) + 1
-    grid = a_min + step * np.arange(n)
+    below = math.ceil(a_min / step)
+    u = a_min + step * np.arange(-below, n)
+    left = np.asarray(loss.psi(u), dtype=float)
+    right = np.asarray(loss.psi(-u), dtype=float)
+    even_err = np.max(np.abs(left - right) / np.maximum(1.0, np.abs(left)))
+    grid = u[below:]
     if not loss.smooth_second_derivative:
         grid = grid[grid != 0.0]
     gap = (-np.asarray(loss.dpsi(grid), dtype=float)) - np.exp(-L * grid)
     max_violation = float(gap.min()) if gap.size else 0.0
-    sym = np.linspace(-a_cap, a_cap, 2 * n + 1)
-    left = np.asarray(loss.psi(sym), dtype=float)
-    right = np.asarray(loss.psi(-sym), dtype=float)
-    even_err = np.max(np.abs(left - right) / np.maximum(1.0, np.abs(left)))
     return repr(max_violation), bool(even_err <= 1e-12)
+
+
+def _recording(base, seen):
+    """base with psi and dpsi wrapped to append a copy of every argument
+    array to seen["psi"] and seen["dpsi"]."""
+    def record(name, f):
+        def wrapped(u):
+            seen[name].append(np.array(u, dtype=float))
+            return f(u)
+        return wrapped
+    return SelfTrainingLoss(base.rule, base.family, record("psi", base.psi),
+                            record("dpsi", base.dpsi), base.ddpsi, base.club)
 
 
 def _loop_recursion(r1, c, L, T, gain):
@@ -124,31 +137,35 @@ class TestBlockedGrids:
     no result may depend on the block size."""
 
     @pytest.mark.parametrize("block", [1, 7, 4096])
-    @pytest.mark.parametrize("a_min,step,a_cap,n", [
-        (0.0, 1e-3, 1.0, 1),
-        (0.75, 0.125, 7.7, 7),  # k * step + start misses stop by 2e-15 at the end
-        (0.0, 0.1, 123.456, 10),
-        (0.5, 1e-3, 350.0, 4096),
-        (0.0, 0.3, 123.456, 4097),
-        (0.0, 1.0, 5e-324, 2),  # linspace's step underflows to 0 here
+    @pytest.mark.parametrize("a_min,step,n", [
+        (0.0, 1e-3, 1),
+        (0.75, 0.125, 7),
+        (0.0, 0.1, 10),
+        (0.5, 1e-3, 4096),
+        (0.0, 0.3, 4097),
     ])
-    def test_nodes_concatenate_to_the_whole_grids(self, monkeypatch, block, a_min, step,
-                                                  a_cap, n):
+    def test_walk_nodes_are_the_whole_grid(self, monkeypatch, block, a_min, step, n):
+        """psi sees each block's nodes u, then -u, and psi' the nodes with
+        k >= 0: across blocks they are the whole grid a_min + step k from the
+        origin, its exact negation and the n-node tail grid."""
         monkeypatch.setattr(analysis, "_BLOCK", block)
-        tail = np.concatenate([_tail_nodes(a_min, step, i, j) for i, j in _blocks(0, n)])
-        assert np.array_equal(tail, a_min + step * np.arange(n))
-        num = 2 * n + 1
-        even = np.concatenate([_even_nodes(a_cap, num, i, j) for i, j in _blocks(0, num)])
-        whole = np.linspace(-a_cap, a_cap, num)
-        assert np.array_equal(even, whole) and np.array_equal(np.signbit(even),
-                                                              np.signbit(whole))
+        seen = {"psi": [], "dpsi": []}
+        loss = _recording(make_loss("conj", "exp"), seen)
+        verify_club(loss, 0.1, a_min, a_max=a_min + (n - 0.5) * step, step=step)  # cap 7000
+        whole = a_min + step * np.arange(-math.ceil(a_min / step), n)
+        assert -step < whole[0] <= 0.0
+        assert np.array_equal(np.concatenate(seen["psi"][0::2]), whole)
+        mirrored = np.concatenate(seen["psi"][1::2])
+        assert np.array_equal(mirrored, -whole)
+        assert np.array_equal(np.signbit(mirrored), ~np.signbit(whole))
+        assert np.array_equal(np.concatenate(seen["dpsi"]), a_min + step * np.arange(n))
 
     @pytest.mark.parametrize("block", [1, 7, 4096])
     @pytest.mark.parametrize("loss", all_losses(), ids=lambda loss: loss.name)
     def test_certificate_equals_the_whole_array_check(self, monkeypatch, block, loss):
-        """Grids of a multiple of the block and of a multiple plus one nodes
-        (the evenness grid, 2n + 1 nodes, is odd), at the certified and at a
-        failing exponent; the hard losses start at a_min = 0."""
+        """Tail grids of a multiple of the block and of a multiple plus one
+        nodes, at the certified and at a failing exponent; the hard losses
+        start at a_min = 0."""
         monkeypatch.setattr(analysis, "_BLOCK", block)
         club = loss.club or ClubParams(L=1.0, a_min=0.0)
         step = 1.0 / 64.0  # a_min + (n - 1) step is exact: the grid has n nodes
@@ -163,7 +180,7 @@ class TestBlockedGrids:
     def test_defects_in_the_last_block_are_caught(self, monkeypatch, block):
         """A conj+exp whose psi is not even past |u| = 690 and whose psi' breaks
         the tail bound past a = 699: at block 4096 both defects lie in the last
-        block of their grid (the evenness one, mirrored, in the first too)."""
+        block of the walk."""
         base = make_loss("conj", "exp")
         loss = SelfTrainingLoss(
             LabelRule.CONJ, LossFamily.EXP,
@@ -172,8 +189,9 @@ class TestBlockedGrids:
             base.ddpsi, ClubParams(L=1.0, a_min=0.75))
         step = 0.125
         n = int((700.0 - 0.75) / step) + 1
-        assert 0.75 + (n - n % 4096) * step < 699.0  # the tail grid's last block
-        assert -700.0 + (2 * n + 1 - (2 * n + 1) % 4096) * (1400.0 / (2 * n)) < 690.0
+        first = -6  # -ceil(0.75 / step)
+        last_block = first + (n - first) // 4096 * 4096
+        assert 0.75 + last_block * step < 690.0  # the walk's last block holds both
         monkeypatch.setattr(analysis, "_BLOCK", block)
         cert = verify_club(loss, 1.0, 0.75, step=step)
         assert not cert.evenness_passed and not cert.passed
@@ -192,6 +210,53 @@ class TestBlockedGrids:
         cert = verify_club(loss, 1.0, 0.75, step=0.125)
         assert math.isnan(cert.max_violation) and not cert.passed
         assert _certificate_bits(cert) == _whole_bits(loss, 1.0, 0.75, step=0.125)
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_a_nan_in_psi_fails_evenness(self, monkeypatch, block):
+        """psi is NaN within 1/16 of u = 300, at one node of the walk, in a
+        middle block; a fold of the per-block errors that drops NaN (np.fmax)
+        would certify it even."""
+        base = make_loss("conj", "exp")
+        loss = SelfTrainingLoss(
+            LabelRule.CONJ, LossFamily.EXP,
+            lambda u: base.psi(u) + np.where(np.abs(np.asarray(u) - 300.0) < 0.0625, np.nan, 0.0),
+            base.dpsi, base.ddpsi, ClubParams(L=1.0, a_min=0.75))
+        monkeypatch.setattr(analysis, "_BLOCK", block)
+        cert = verify_club(loss, 1.0, 0.75, step=0.125)
+        assert not cert.evenness_passed and not cert.passed
+        assert cert.max_violation >= -1e-12  # the tail bound itself holds
+        assert _certificate_bits(cert) == _whole_bits(loss, 1.0, 0.75, step=0.125)
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_an_odd_part_below_a_min_fails_evenness(self, monkeypatch, block):
+        """psi gets +1e-6 only on 0.1 < u < 0.2, below a_min = 0.75: the walk
+        starts at the origin, not at a_min."""
+        base = make_loss("conj", "exp")
+        loss = SelfTrainingLoss(
+            LabelRule.CONJ, LossFamily.EXP,
+            lambda u: base.psi(u) + np.where((0.1 < np.asarray(u)) & (np.asarray(u) < 0.2),
+                                             1e-6, 0.0),
+            base.dpsi, base.ddpsi, ClubParams(L=1.0, a_min=0.75))
+        monkeypatch.setattr(analysis, "_BLOCK", block)
+        cert = verify_club(loss, 1.0, 0.75, step=0.125)
+        assert not cert.evenness_passed and not cert.passed
+        assert _certificate_bits(cert) == _whole_bits(loss, 1.0, 0.75, step=0.125)
+
+    @pytest.mark.parametrize("block,step,below,tail", [
+        (1, 0.125, 6, 5595),
+        (7, 0.125, 6, 5595),
+        (4096, 0.125, 6, 5595),
+        (4096, 1e-3, 750, 699251),  # the default certificate
+    ])
+    def test_psi_sees_each_node_pair_once(self, monkeypatch, block, step, below, tail):
+        """The conj+exp certificate (a_min = 0.75, cap 700) walks `below` nodes
+        under a_min, the origin included, and `tail` nodes from a_min: psi is
+        evaluated at u and -u for each, psi' at each tail node."""
+        monkeypatch.setattr(analysis, "_BLOCK", block)
+        seen = {"psi": [], "dpsi": []}
+        verify_club(_recording(make_loss("conj", "exp"), seen), 1.0, 0.75, step=step)
+        assert sum(u.size for u in seen["psi"]) == 2 * (below + tail)
+        assert sum(u.size for u in seen["dpsi"]) == tail
 
     @pytest.mark.parametrize("block", [1, 7, 4096])
     def test_a_late_log_bound_violation_is_found(self, monkeypatch, block):
@@ -263,6 +328,13 @@ class TestVerifyClub:
                 cert = verify_club(loss, L, loss.club.a_min, a_max=60.0)
                 if cert.passed:
                     assert cert.max_violation >= -1e-12 and cert.evenness_passed
+
+    def test_a_min_at_the_cap_is_a_one_node_tail(self):
+        seen = {"psi": [], "dpsi": []}
+        cert = verify_club(_recording(make_loss("hard", "exp"), seen), 1.0, 700.0, step=0.5)
+        assert cert.a_max == cert.a_min == 700.0
+        assert np.array_equal(np.concatenate(seen["dpsi"]), [700.0])
+        assert cert.passed
 
     def test_validates_grid_arguments(self):
         loss = make_loss("conj", "exp")

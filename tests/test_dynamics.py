@@ -26,6 +26,7 @@ from ttalab import (
     population_step,
     run_population,
     run_stochastic,
+    self_loss_gradient,
     stein_identity_check,
 )
 from ttalab import dynamics
@@ -94,6 +95,20 @@ class TestGdStep:
             for s in range(3):
                 for k in range(4):
                     assert (stacked[s, k] == gd_step(w[s, k], xs[s, 0], loss, etas[k])).all()
+
+    @pytest.mark.parametrize("loss", all_losses(), ids=lambda loss: loss.name)
+    def test_one_row_step_is_the_self_loss_gradient_step(self, loss):
+        """On a one-row batch gd_step is w - eta * self_loss_gradient(loss, w, x),
+        bit for bit: 200 seeded cases of dimension 1 to 6 and scales 1e-3 to 1e3."""
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            d = int(rng.integers(1, 7))
+            w = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
+            x = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
+            eta = 10.0 ** rng.uniform(-3, 2)
+            want = w - eta * self_loss_gradient(loss, w, x)
+            got = gd_step(w, x[None], loss, eta)
+            assert got.tobytes() == want.tobytes(), (w, x, eta)
 
     def test_rejects_empty_and_mismatched(self):
         loss = make_loss("conj", "square")

@@ -30,6 +30,7 @@ from ttalab import (
     run_stochastic,
     stein_identity_check,
     step_size_sweep,
+    tail_rate_curve,
     verify_club,
 )
 from ttalab.serialize import read_csv_with_meta, svg_line_chart
@@ -53,6 +54,15 @@ REJECTIONS = [
                  id="verify_club-L"),
     pytest.param(lambda: verify_club(CONJ_EXP, 1.0, -1.0), "a_min must be non-negative",
                  id="verify_club-a_min"),
+    pytest.param(lambda: verify_club(CONJ_EXP, 10.0, 100.0), "a_min = 100.0 is past the "
+                 "underflow cap 700/L = 70.0", id="verify_club-a_min-past-cap"),
+    pytest.param(lambda: verify_club(CONJ_EXP, 1.0, math.nextafter(700.0, math.inf)),
+                 "a_min = 700.0000000000001 is past the underflow cap 700/L = 700.0",
+                 id="verify_club-a_min-just-past-cap"),
+    pytest.param(lambda: tail_rate_curve(CONJ_EXP, np.array([0.0, 1.0])),
+                 "z grid must be strictly positive", id="tail_rate-zero-z"),
+    pytest.param(lambda: tail_rate_curve(CONJ_EXP, np.array([math.nan, 1.0])),
+                 "z grid must be strictly positive", id="tail_rate-nan-z"),
     pytest.param(lambda: nu_star(0.0), "L must be positive", id="nu_star-L"),
     pytest.param(lambda: recursion_bound_run(1.0, 1.0, 0.0, 10), "L must be positive",
                  id="recursion-L"),
