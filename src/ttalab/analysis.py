@@ -169,6 +169,10 @@ def verify_club(loss: SelfTrainingLoss, L: float, a_min: float,
         raise ValueError(f"a_min = {a_min} is past the underflow cap "
                          f"{_UNDERFLOW_CAP:g}/L = {a_cap}")
 
+    # a_cap / step bounds both a_min / step and (a_cap - a_min) / step
+    if not math.isfinite(a_cap / step):
+        raise ValueError(f"step = {step} is too small for a_max = {a_cap}: "
+                         "the node count overflows")
     n = int(math.floor((a_cap - a_min) / step)) + 1  # tail nodes, k = 0 .. n-1
     lows = []  # the smallest gap (-psi'(a)) - exp(-L a) of each block
     even_errs = []  # the largest relative |psi(u) - psi(-u)| of each block
@@ -215,6 +219,8 @@ def tail_rate_curve(loss: SelfTrainingLoss, z_grid: np.ndarray) -> TailRateCurve
     z = np.asarray(z_grid, dtype=float).reshape(-1)
     if not np.all(z > 0.0):  # NaN fails the comparison, so it is rejected too
         raise ValueError("z grid must be strictly positive")
+    if np.isinf(z).any():  # only +inf is left: a bad input, not an underflow to skip
+        raise ValueError("z grid must be finite")
     neg_slope = -np.asarray(loss.dpsi(z), dtype=float)
     valid = neg_slope > 0.0
     rate = np.full(z.shape, np.nan)

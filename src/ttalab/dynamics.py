@@ -15,8 +15,9 @@ standard normal xi, which requires psi' to be continuous; hard-label losses
 are therefore rejected in population mode whenever sigma > 0 (their psi''
 carries a point mass at 0 whose coefficient we do not guess).  At sigma = 0
 b is frozen, and for hard square a_bar = a / ||mu|| follows the recursion
-a_bar' = (1 - eta ||mu||^2) a_bar + eta sign(a_bar) ||mu||.  _step is the one
-copy of the update, for population_step, run_population and log_rate_check.
+a_bar' = (1 - eta ||mu||^2) a_bar + eta sign(a_bar) ||mu||.  population_step
+is the one copy of the update: run_population and log_rate_check step
+through it, and it returns the quadrature's refinement move with (a', b').
 
 Both runners record the trajectory point for iteration t *before* the t-th
 update, so point t always describes w_t, plus one final point at T+1.  They
@@ -265,23 +266,16 @@ def _gaussian_expectations(loss: SelfTrainingLoss, m: float, s: float
 
 
 def expectation_terms(loss: SelfTrainingLoss, a: float, b: float,
-                      model: GaussianModel) -> tuple[float, float]:
-    """(E[psi'(Z)], E[psi''(Z)]) for Z = w^T(mu + sigma xi) ~ N(m, s^2).
+                      model: GaussianModel) -> tuple[float, float, float]:
+    """(E[psi'(Z)], E[psi''(Z)], refinement move) for Z = w^T(mu + sigma xi) ~ N(m, s^2).
 
     Here m = a and s^2 = sigma^2 (a^2/||mu||^2 + b^2).  With s = 0 (sigma = 0,
     or a = b = 0), or s too small for a +- 14 s to differ from a, the
     expectations collapse to point evaluations at a.  Losses
-    with a distributional psi'' (hard rules) are rejected when sigma > 0.  A
-    RuntimeWarning says when the quadrature's refinement check fires.
+    with a distributional psi'' (hard rules) are rejected when sigma > 0.  The
+    move is how far the halved-grid estimate moved past the quadrature's
+    refinement tolerance, 0.0 when the check did not fire; nothing is warned.
     """
-    e1, e2, moved = _expectations(loss, a, b, model)
-    _warn_refined(loss, a, b, moved)
-    return e1, e2
-
-
-def _expectations(loss: SelfTrainingLoss, a: float, b: float,
-                  model: GaussianModel) -> tuple[float, float, float]:
-    """expectation_terms, with the refinement move in place of the warning."""
     a = float(a)
     b = check_non_negative("b", b)
     if model.sigma > 0.0:
@@ -297,42 +291,30 @@ def _expectations(loss: SelfTrainingLoss, a: float, b: float,
 
 
 def population_step(a: float, b: float, loss: SelfTrainingLoss,
-                    model: GaussianModel, eta: float) -> tuple[float, float]:
-    """One infinite-data update of the pair (a, b)."""
-    a_next, b_next, moved = _step(a, b, loss, model, eta)
-    _warn_refined(loss, a, b, moved)
-    return a_next, b_next
+                    model: GaussianModel, eta: float) -> tuple[float, float, float]:
+    """(a', b', refinement move) of one infinite-data update of the pair (a, b).
 
-
-def _warn_refined(loss: SelfTrainingLoss, a: float, b: float, moved: float) -> None:
-    """The RuntimeWarning of one expectation_terms or population_step call
-    whose refinement check fired (moved > 0), pointed at that call's caller."""
-    if moved:
-        warnings.warn(f"reduced quadrature precision for {loss.name} at (a={a}, b={b}): "
-                      f"refinement moved the estimate by {moved:.3e}", RuntimeWarning, stacklevel=3)
-
-
-def _step(a, b, loss, model, eta):
-    """(a', b', refinement move) of one population update.
-
-    At sigma = 0 the shrink factor 1 - eta sigma^2 E[psi''] is exactly 1.0
-    when eta and psi''(a) are finite, and psi'' of all six losses is finite
-    for |a| <= OVERFLOW_LIMIT (the conj+logistic psi'' is NaN past |a| ~ 9e307).
+    The move is expectation_terms' (0.0 when its check did not fire).  At
+    sigma = 0 the shrink factor 1 - eta sigma^2 E[psi''] is exactly 1.0 when
+    eta and psi''(a) are finite, and psi'' of all six losses is finite for
+    |a| <= OVERFLOW_LIMIT (the conj+logistic psi'' is NaN past |a| ~ 9e307).
     There b' = b and psi'' is not evaluated.
     """
     if model.sigma == 0.0 and abs(a) <= OVERFLOW_LIMIT and abs(eta) < math.inf:
         b = check_non_negative("b", b)
         return a - eta * float(loss.dpsi(float(a))) * model.mu_norm**2, b, 0.0
-    e1, e2, moved = _expectations(loss, a, b, model)
+    e1, e2, moved = expectation_terms(loss, a, b, model)
     shrink = 1.0 - eta * model.sigma**2 * e2
     return shrink * a - eta * e1 * model.mu_norm**2, abs(shrink) * float(b), moved
 
 
 def _steps(a, b, loss, model, eta):
-    """_step from (a, b) over and over: yields (a', b', refinement move) of
-    each update, without end; the caller takes as many as it needs."""
+    """population_step from (a, b) over and over: yields (a', b', refinement
+    move) of each update, without end; the caller takes as many as it needs.
+    population_step is looked up on each step, so a rebinding of the module
+    name is seen by every run."""
     while True:
-        a, b, moved = _step(a, b, loss, model, eta)
+        a, b, moved = population_step(a, b, loss, model, eta)
         yield a, b, moved
 
 

@@ -125,7 +125,7 @@ def test_criterion_04_hard_square_large_step_oscillation():
     a = 4.0
     ok = True
     for _ in range(20):
-        nxt, _ = population_step(a, 1.0, loss, model, 3.0)
+        nxt, _, _ = population_step(a, 1.0, loss, model, 3.0)
         ok = ok and abs(nxt) > abs(a) and math.copysign(1, nxt) == -math.copysign(1, a)
         a = nxt
     check(4, "hard-square large-step magnitudes grow with alternating sign", ok)
@@ -216,7 +216,7 @@ def test_criterion_09_quadrature_and_identity_checks():
                     a, b, model = 0.0, 1.0, GaussianModel(np.array([1.0, 0.0]), s)
                 else:
                     a, b, model = m, 0.0, GaussianModel(np.array([1.0, 0.0]), s / m)
-                e1, e2 = expectation_terms(loss, a, b, model)
+                e1, e2, _ = expectation_terms(loss, a, b, model)
                 rng = np.random.default_rng(next(seed))
                 u = m + s * rng.standard_normal(10**6)
                 for estimate, samples in ((e1, np.asarray(loss.dpsi(u))),

@@ -22,6 +22,7 @@ from ttalab import (
     epsilon_iteration_bound,
     expectation_terms,
     gd_step,
+    log_rate_check,
     make_loss,
     population_step,
     run_population,
@@ -269,11 +270,11 @@ class TestExpectationTerms:
         for sigma in (0.0, 0.5, 2.0):
             model = axis_model(1.3, sigma)
             for a, b in ((0.2, 0.0), (1.0, 1.0), (-3.0, 2.5), (1e149, 1e149)):
-                assert expectation_terms(loss, a, b, model) == (-a, -1.0)
+                assert expectation_terms(loss, a, b, model) == (-a, -1.0, 0.0)
 
     def test_noiseless_collapses_to_point_evaluation(self):
         loss = make_loss("conj", "exp")
-        e1, e2 = expectation_terms(loss, 2.0, 5.0, axis_model(1.0, 0.0))
+        e1, e2, _ = expectation_terms(loss, 2.0, 5.0, axis_model(1.0, 0.0))
         assert e1 == pytest.approx(-math.tanh(2.0) / math.cosh(2.0), rel=1e-14)
         assert e2 == pytest.approx(float(loss.ddpsi(2.0)), rel=1e-14)
 
@@ -281,7 +282,7 @@ class TestExpectationTerms:
         loss = make_loss("conj", "logistic")
         model = axis_model(1.0, 1.0)
         a, b = 1.0, 1.0  # argument is N(1, 2)
-        e1, e2 = expectation_terms(loss, a, b, model)
+        e1, e2, _ = expectation_terms(loss, a, b, model)
         rng = np.random.default_rng(2024)
         u = a + math.sqrt(a**2 + b**2) * rng.standard_normal(10**6)
         for estimate, samples in ((e1, loss.dpsi(u)), (e2, loss.ddpsi(u))):
@@ -295,8 +296,8 @@ class TestExpectationTerms:
             with pytest.raises(UnsupportedLossError):
                 expectation_terms(make_loss("hard", family), 1.0, 1.0, model)
         # but fine in the noiseless domain
-        e1, _ = expectation_terms(make_loss("hard", "exp"), 1.0, 1.0,
-                                  axis_model(1.0, 0.0))
+        e1, _, _ = expectation_terms(make_loss("hard", "exp"), 1.0, 1.0,
+                                     axis_model(1.0, 0.0))
         assert e1 == pytest.approx(-math.exp(-1.0), rel=1e-14)
 
 
@@ -395,7 +396,7 @@ class TestQuadrature:
         loss = make_loss("conj", family)
         got = expectation_terms(loss, 0.0, 0.0, axis_model(1.0, 0.7))
         assert got == expectation_terms(loss, 0.0, 0.0, axis_model(1.0, 0.0))
-        assert got == (float(loss.dpsi(0.0)), float(loss.ddpsi(0.0)))
+        assert got == (float(loss.dpsi(0.0)), float(loss.ddpsi(0.0)), 0.0)
 
     @pytest.mark.parametrize("family", ["logistic", "exp"])
     def test_cut_window_pair_is_the_fresh_pair(self, family):
@@ -413,8 +414,8 @@ class TestQuadrature:
         base, model = make_loss("conj", "exp"), axis_model(1.0, 1.0, d=2)
         doubled = replace(base, dpsi=lambda u: 2.0 * base.dpsi(u))
         for b in (1.0, 10.0):
-            e1, e2 = expectation_terms(base, 0.5, b, model)
-            assert expectation_terms(doubled, 0.5, b, model) == (2.0 * e1, e2)
+            e1, e2, _ = expectation_terms(base, 0.5, b, model)
+            assert expectation_terms(doubled, 0.5, b, model)[:2] == (2.0 * e1, e2)
 
     @pytest.mark.parametrize("family", ["logistic", "exp"])
     @given(m=st.floats(-60.0, 60.0), spread=st.floats(1.001, 1e4))
@@ -478,15 +479,15 @@ class TestQuadrature:
 class TestPopulationStep:
     def test_conj_square_worked_example(self):
         # e1 = -1, e2 = -1 at (a, b) = (1, 1): a' = 3, b' = 2, r' = 1.5 r0
-        a2, b2 = population_step(1.0, 1.0, make_loss("conj", "square"),
-                                 axis_model(1.0, 1.0), eta=1.0)
+        a2, b2, _ = population_step(1.0, 1.0, make_loss("conj", "square"),
+                                    axis_model(1.0, 1.0), eta=1.0)
         assert a2 == pytest.approx(3.0, rel=1e-13)
         assert b2 == pytest.approx(2.0, rel=1e-13)
 
     def test_alignment_is_preserved(self):
         for loss_id in (("conj", "square"), ("conj", "exp"), ("conj", "logistic")):
-            a2, b2 = population_step(0.8, 0.0, make_loss(*loss_id),
-                                     axis_model(1.0, 1.0), eta=0.5)
+            a2, b2, _ = population_step(0.8, 0.0, make_loss(*loss_id),
+                                        axis_model(1.0, 1.0), eta=0.5)
             assert b2 == 0.0
 
     @pytest.mark.parametrize("loss_id", [("hard", "exp"), ("hard", "logistic"),
@@ -505,14 +506,14 @@ class TestPopulationStep:
         if not loss.smooth_second_derivative:
             grid = grid[grid > 0.0]
         for a in grid:
-            a2, _ = population_step(float(a), 1.0, loss, model, eta)
+            a2, _, _ = population_step(float(a), 1.0, loss, model, eta)
             floor = a + eta * math.exp(-loss.club.L * a) * model.mu_norm**2
             assert a2 >= floor - 1e-12
 
     def test_small_step_moves_little(self):
         eta = 1e-8
-        a2, b2 = population_step(1.0, 1.0, make_loss("conj", "exp"),
-                                 axis_model(1.0, 1.0), eta)
+        a2, b2, _ = population_step(1.0, 1.0, make_loss("conj", "exp"),
+                                    axis_model(1.0, 1.0), eta)
         assert abs(a2 - 1.0) <= 10 * eta
         assert abs(b2 - 1.0) <= 10 * eta
 
@@ -539,7 +540,8 @@ class TestNoiselessStep:
             for a in self.MARGINS:
                 for b in (0.0, 1.5):
                     for eta in (0.7, 3.0, math.inf):
-                        want = _update(a, b, *expectation_terms(loss, a, b, model), model, eta)
+                        e1, e2, moved = expectation_terms(loss, a, b, model)
+                        want = (*_update(a, b, e1, e2, model, eta), moved)
                         got = population_step(a, b, loss, model, eta)
                         assert repr(got) == repr(want), (a, b, eta)
 
@@ -557,7 +559,7 @@ class TestNoiselessStep:
     def test_expectation_terms_are_point_evaluations(self, loss):
         for a in (0.0, -0.7, 2.0, 36.0):
             assert expectation_terms(loss, a, 1.0, axis_model(1.0, 0.0)) == (
-                float(loss.dpsi(a)), float(loss.ddpsi(a)))
+                float(loss.dpsi(a)), float(loss.ddpsi(a)), 0.0)
 
 
 class TestRunPopulation:
@@ -642,18 +644,15 @@ class TestRunPopulation:
             "reduced quadrature precision in a conj+logistic population run: refinement "
             "fired on 3 steps, first at t=3, largest move 5.000e-09")
         assert caught[0].filename == __file__
+        # a direct call returns the move and warns nothing
         moves[1] = 3e-9
         for call in (lambda: expectation_terms(loss, 1.0, 1.0, model),
                      lambda: population_step(1.0, 1.0, loss, model, 0.5)):
             calls.clear()  # the call below is call 1 again
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                call()
-            assert len(calls) == 1 and [w.category for w in caught] == [RuntimeWarning]
-            assert str(caught[0].message) == (
-                "reduced quadrature precision for conj+logistic at (a=1.0, b=1.0): "
-                "refinement moved the estimate by 3.000e-09")
-            assert caught[0].filename == __file__
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert call()[2] == 3e-9
+            assert len(calls) == 1
 
     def test_the_refinement_check_fires_on_a_grid_scale_ripple(self):
         # cos(pi (u + 36) / h) with h the cut window's spacing alternates sign on
@@ -666,15 +665,34 @@ class TestRunPopulation:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             run_population(config)
-            expectation_terms(ripple, 0.5, 10.0, model)
-            population_step(0.5, 10.0, ripple, model, 0.5)
-        assert [w.category for w in caught] == [RuntimeWarning] * 3
+        assert [w.category for w in caught] == [RuntimeWarning]
         assert [str(w.message) for w in caught] == [
             "reduced quadrature precision in a conj+exp population run: refinement fired on "
-            "20 steps, first at t=1, largest move 7.692e-07",
-            *2 * ["reduced quadrature precision for conj+exp at (a=0.5, b=10.0): refinement "
-                  "moved the estimate by 7.692e-07"]]
+            "20 steps, first at t=1, largest move 7.692e-07"]
         assert {w.filename for w in caught} == {__file__}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            direct = (expectation_terms(ripple, 0.5, 10.0, model)[2],
+                      population_step(0.5, 10.0, ripple, model, 0.5)[2])
+        assert [f"{move:.3e}" for move in direct] == ["7.692e-07"] * 2
+
+    def test_every_step_runs_the_public_pair(self, monkeypatch):
+        # the runners step through the module's public names, so a rebinding
+        # (as a tracer makes) sees every step
+        calls = {"expectation_terms": 0, "population_step": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(dynamics, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(dynamics, name, counted)
+        config = config_from_ab(1.0, 1.0, axis_model(1.0, 0.8), make_loss("conj", "logistic"),
+                                0.5, Mode.POPULATION, horizon=25)
+        points = run_population(config)
+        assert len(points) == 26 and not points[-1].overflow
+        assert calls == {"expectation_terms": 25, "population_step": 25}
+        calls.update(expectation_terms=0, population_step=0)
+        log_rate_check(make_loss("conj", "exp"), 1.0, 1.0, 0.5, 1.0, 40)
+        assert calls == {"expectation_terms": 0, "population_step": 39}
 
     def test_population_overflow_flagged(self):
         config = config_from_ab(1.0, 1.0, axis_model(1.0, 0.0),
@@ -701,7 +719,7 @@ class TestCrossModeWhenNoisy:
         model, w, xs = domain
         loss, eta = make_loss("conj", family), 0.5
         a, b = split_ab(w, model)
-        want = population_step(a, b, loss, model, eta)
+        want = population_step(a, b, loss, model, eta)[:2]
         got = split_ab(gd_step(w, xs, loss, eta), model)
         coeff = loss.dpsi(xs @ w)
         ortho = (w - (a / model.mu_norm**2) * model.mu) / b
@@ -718,8 +736,8 @@ class TestScalarDynamic:
     @staticmethod
     def step(a_bar, eta, mu_norm):
         """population_step at sigma = 0 in a_bar."""
-        a, _ = population_step(a_bar * mu_norm, 1.0, make_loss("hard", "square"),
-                               axis_model(mu_norm, 0.0), eta)
+        a, _, _ = population_step(a_bar * mu_norm, 1.0, make_loss("hard", "square"),
+                                  axis_model(mu_norm, 0.0), eta)
         return a / mu_norm
 
     def test_fixed_point(self):
@@ -850,8 +868,8 @@ class TestRatioOrdering:
         model = axis_model(1.0, 0.0)
         a_c = a_h = crossover + 1e-3
         for _ in range(5000):
-            a_c, _ = population_step(a_c, 1.0, conj, model, 1.0)
-            a_h, _ = population_step(a_h, 1.0, hard, model, 1.0)
+            a_c, _, _ = population_step(a_c, 1.0, conj, model, 1.0)
+            a_h, _, _ = population_step(a_h, 1.0, hard, model, 1.0)
             assert a_c >= a_h
 
 

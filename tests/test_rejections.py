@@ -59,10 +59,17 @@ REJECTIONS = [
     pytest.param(lambda: verify_club(CONJ_EXP, 1.0, math.nextafter(700.0, math.inf)),
                  "a_min = 700.0000000000001 is past the underflow cap 700/L = 700.0",
                  id="verify_club-a_min-just-past-cap"),
+    pytest.param(lambda: verify_club(CONJ_EXP, 1.0, 0.75, step=1e-310),
+                 "step = 1e-310 is too small for a_max = 700.0", id="verify_club-tiny-step"),
+    pytest.param(lambda: verify_club(CONJ_EXP, 1.0, 0.0, step=1e-310),
+                 "step = 1e-310 is too small for a_max = 700.0",
+                 id="verify_club-tiny-step-from-0"),
     pytest.param(lambda: tail_rate_curve(CONJ_EXP, np.array([0.0, 1.0])),
                  "z grid must be strictly positive", id="tail_rate-zero-z"),
     pytest.param(lambda: tail_rate_curve(CONJ_EXP, np.array([math.nan, 1.0])),
                  "z grid must be strictly positive", id="tail_rate-nan-z"),
+    pytest.param(lambda: tail_rate_curve(CONJ_EXP, np.array([math.inf, 1.0])),
+                 "z grid must be finite", id="tail_rate-inf-z"),
     pytest.param(lambda: nu_star(0.0), "L must be positive", id="nu_star-L"),
     pytest.param(lambda: recursion_bound_run(1.0, 1.0, 0.0, 10), "L must be positive",
                  id="recursion-L"),
