@@ -32,13 +32,13 @@ result depends on the block size.  Reports serialize to key = value text.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import UnsupportedLossError, _steps
+from . import dynamics
+from .dynamics import UnsupportedLossError
 from .losses import SelfTrainingLoss
 from .model import (GaussianModel, check_count, check_finite, check_non_negative,
                     check_positive)
@@ -381,9 +381,11 @@ def log_rate_check(loss: SelfTrainingLoss, a1: float, b1: float, eta: float,
     check_positive(f"exponent = L * b1 = {exponent} (L = {loss.club.L})", exponent)
 
     model = GaussianModel(mu=np.array([mu_norm, 0.0]), sigma=0.0)
-    steps = _steps(a1, b1, loss, model, eta)
-    a_seq = np.fromiter(itertools.chain([a1], (a for a, _, _ in steps)), dtype=float, count=T)
-    r_seq = a_seq / b1
+    a, b, a_seq = a1, b1, [a1]
+    for _ in range(T - 1):  # looked up per call, so a rebinding (a tracer's) sees every step
+        a, b, _moved = dynamics.population_step(a, b, loss, model, eta)
+        a_seq.append(a)
+    r_seq = np.array(a_seq) / b1
     tau = _burn_in(c, exponent)
     holds, first, min_slack = _check_log_bound(r_seq, c, exponent, tau, T)
     return LogRateReport(rule=loss.rule.value, family=loss.family.value,

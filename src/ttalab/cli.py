@@ -92,8 +92,8 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "run":
         manifest = run_experiment(args.config, args.out)
-        for path in manifest.outputs:
-            print(path)
+        for path in manifest.outputs:  # relative to the manifest, which is in --out
+            print(args.out / path)
         return 0
 
     if args.command == "figure":

@@ -16,8 +16,9 @@ are therefore rejected in population mode whenever sigma > 0 (their psi''
 carries a point mass at 0 whose coefficient we do not guess).  At sigma = 0
 b is frozen, and for hard square a_bar = a / ||mu|| follows the recursion
 a_bar' = (1 - eta ||mu||^2) a_bar + eta sign(a_bar) ||mu||.  population_step
-is the one copy of the update: run_population and log_rate_check step
-through it, and it returns the quadrature's refinement move with (a', b').
+is the one copy of the update: run_population and log_rate_check call it once
+per step.  It returns the quadrature's refinement move with (a', b'), and its
+sigma^2 and ||mu||^2 are finite, as GaussianModel rejects any that overflow.
 
 Both runners record the trajectory point for iteration t *before* the t-th
 update, so point t always describes w_t, plus one final point at T+1.  They
@@ -30,7 +31,6 @@ steps S seed streams x K step sizes as one array; run_stochastic is S = K = 1.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -308,16 +308,6 @@ def population_step(a: float, b: float, loss: SelfTrainingLoss,
     return shrink * a - eta * e1 * model.mu_norm**2, abs(shrink) * float(b), moved
 
 
-def _steps(a, b, loss, model, eta):
-    """population_step from (a, b) over and over: yields (a', b', refinement
-    move) of each update, without end; the caller takes as many as it needs.
-    population_step is looked up on each step, so a rebinding of the module
-    name is seen by every run."""
-    while True:
-        a, b, moved = population_step(a, b, loss, model, eta)
-        yield a, b, moved
-
-
 def run_population(config: ExperimentConfig) -> list[TrajectoryPoint]:
     """Iterate the population dynamic from split_ab(w_init).
 
@@ -328,10 +318,11 @@ def run_population(config: ExperimentConfig) -> list[TrajectoryPoint]:
     if config.mode is not Mode.POPULATION:
         raise ValueError(f"config.mode is {config.mode.value}, expected population")
     model = config.model
-    ab = [split_ab(config.w_init, model)]
+    a, b = split_ab(config.w_init, model)
+    ab = [(a, b)]
     moves = []  # (t, move) of each step whose refinement check fired
-    steps = _steps(*ab[0], config.loss, model, config.eta)
-    for t, (a, b, moved) in enumerate(itertools.islice(steps, config.horizon), start=1):
+    for t in range(1, config.horizon + 1):
+        a, b, moved = population_step(a, b, config.loss, model, config.eta)
         if moved:
             moves.append((t, moved))
         ab.append((a, b))

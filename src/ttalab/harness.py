@@ -2,8 +2,9 @@
 
 run_experiment parses a flat JSON config, dispatches on run.mode, and writes
 the trajectory CSV next to a JSON manifest recording config, code version,
-seed and output paths.  Rerunning the same config produces byte-identical
-CSV output (the manifest differs only in its wall-clock stamp).
+seed and output paths (relative to the manifest's directory).  Rerunning the
+same config produces byte-identical CSV output (the manifest differs only in
+its wall-clock stamp), wherever out_dir points.
 
 step_size_sweep runs a base config at every step size on one list of seed
 streams (a stochastic base as one dynamics.stochastic_sweep).  Every step
@@ -21,12 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import (ExperimentConfig, Mode, TrajectoryPoint, run_population, run_stochastic,
-                       stochastic_sweep)
+from .dynamics import ExperimentConfig, Mode, run_population, run_stochastic, stochastic_sweep
 from .model import ab_metrics, derive_stream_seed
 from .serialize import RunManifest, config_flat, parse_config_file, trajectory_csv_text, write_manifest
 
-__all__ = ["GridPoint", "run_config", "run_experiment", "step_size_sweep", "grid_search"]
+__all__ = ["GridPoint", "run_experiment", "step_size_sweep", "grid_search"]
 
 
 @dataclass(frozen=True)
@@ -50,18 +50,11 @@ class GridPoint:
         return self.n_overflow > 0
 
 
-def run_config(config: ExperimentConfig) -> list[TrajectoryPoint]:
-    """Dispatch a config to its runner."""
-    if config.mode is Mode.STOCHASTIC:
-        return run_stochastic(config)
-    return run_population(config)
-
-
 def run_experiment(config_path: str | Path, out_dir: str | Path = ".") -> RunManifest:
     """Run the experiment described by a config file; write CSV + manifest."""
     config_path = Path(config_path)
     config = parse_config_file(config_path)
-    points = run_config(config)
+    points = (run_stochastic if config.mode is Mode.STOCHASTIC else run_population)(config)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

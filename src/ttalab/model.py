@@ -9,12 +9,14 @@ Everything downstream reasons about w through its decomposition into the
 component a = <w, mu> along mu and the size b of the orthogonal remainder.
 split_ab computes (a, b) for a predictor or a stack; ab_metrics is the one
 place that turns (a, b) into the ratio r, the cosine and the 0-1 loss,
-elementwise over arrays.  decompose, zero_one_loss and both runners use both.
+elementwise over arrays, the loss by one gauss_upper_tail call.  decompose,
+zero_one_loss and both runners use both.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,13 +32,17 @@ __all__ = [
     "is_epsilon_optimal",
 ]
 
+# the largest float x whose x**2 is finite (float ** raises OverflowError past it)
+_SQUARE_MAX = math.sqrt(sys.float_info.max)
+
 
 @dataclass(frozen=True, eq=False)
 class GaussianModel:
     """Test-domain distribution x ~ N(y mu, sigma^2 I_d), y uniform on {-1,+1}.
 
     mu must be a nonzero vector; sigma >= 0 (sigma = 0 is the noiseless
-    domain where x = y mu exactly).  Instances are immutable.
+    domain where x = y mu exactly); ||mu||**2, sigma**2 and ||mu||/sigma must
+    be finite.  Instances are immutable.
     """
 
     mu: np.ndarray
@@ -48,14 +54,14 @@ class GaussianModel:
         mu = np.array(self.mu, dtype=float, copy=True).reshape(-1)
         if mu.size < 1:
             raise ValueError("mu must have dimension >= 1")
-        if not np.all(np.isfinite(mu)):
-            raise ValueError("mu must be finite")
-        norm = float(np.linalg.norm(mu))
-        if norm == 0.0:
-            raise ValueError("mu must be a nonzero vector")
+        norm = check_vector("mu", mu)
+        if not norm <= _SQUARE_MAX:  # inf too: the sum of squares overflowed
+            raise ValueError("mu is too large: ||mu||**2 overflows")
         sigma = float(self.sigma)
         if not math.isfinite(sigma) or sigma < 0.0:
             raise ValueError("sigma must be finite and non-negative")
+        if sigma > _SQUARE_MAX:
+            raise ValueError(f"sigma = {sigma!r} is too large: sigma**2 overflows")
         # 2x headroom: the 0-1 loss scales ||mu||/sigma by a cosine a few ulps past 1
         if sigma > 0.0 and not math.isfinite(2.0 * (norm / sigma)):
             raise ValueError(f"sigma = {sigma!r} is too small for mu: ||mu||/sigma overflows")
@@ -107,10 +113,14 @@ def derive_stream_seed(root_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def gauss_upper_tail(u: float) -> float:
-    """Standard normal upper-tail probability P(Z >= u), via erfc."""
-    u = check_finite("u", float(u))
-    return 0.5 * math.erfc(u / math.sqrt(2.0))
+def gauss_upper_tail(u: float | np.ndarray) -> float | np.ndarray:
+    """Standard normal upper-tail probability P(Z >= u) of a float, or of each
+    element of an array (an array of its shape), by one math.erfc each."""
+    x = np.asarray(u, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("u must be finite")
+    tail = [0.5 * math.erfc(v) for v in np.ravel(x / math.sqrt(2.0)).tolist()]
+    return tail[0] if x.ndim == 0 else np.reshape(tail, x.shape)
 
 
 def split_ab(w: np.ndarray, model: GaussianModel):
@@ -154,11 +164,7 @@ def ab_metrics(a, b, model: GaussianModel) -> tuple[np.ndarray, np.ndarray, np.n
     if model.sigma == 0.0:
         loss01[ok] = 0.5 - 0.5 * np.sign(a[ok])
     else:
-        u = (model.mu_norm / model.sigma) * cos[ok]
-        if not np.isfinite(u).all():
-            raise ValueError("u must be finite")
-        # gauss_upper_tail's formula, one math.erfc per point
-        loss01[ok] = [0.5 * math.erfc(x) for x in (u / math.sqrt(2.0)).tolist()]
+        loss01[ok] = gauss_upper_tail((model.mu_norm / model.sigma) * cos[ok])
     return r, cos, loss01
 
 
@@ -200,15 +206,24 @@ def check_predictor(w, model: GaussianModel) -> np.ndarray:
     w = np.array(w, dtype=float).reshape(-1)
     if w.size != model.d:
         raise ValueError(f"w has length {w.size} but the model dimension is {model.d}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("w must be finite")
-    if float(np.linalg.norm(w)) == 0.0:
-        raise ValueError("w must be a nonzero vector")
+    check_vector("w", w)
     return w
 
 
 # The numeric input rules: each returns the value coerced, or raises a
 # ValueError whose message starts with the field name.
+
+
+def check_vector(name: str, v: np.ndarray) -> float:
+    """||v|| of a flat float array, once v is finite and nonzero (the norm is
+    inf, without a warning, when the sum of squares overflows)."""
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        raise ValueError(f"{name} must be a nonzero vector")
+    return norm
 
 
 def check_finite(name: str, x) -> float:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -51,13 +52,13 @@ class ConfigError(ValueError):
     """Invalid or incomplete run configuration; message names the field."""
 
 
-_REQUIRED_KEYS = (
+# config_flat's keys, in its order; run.batch is the one optional key
+_KEYS = (
     "model.mu", "model.sigma", "model.dim",
     "loss.rule", "loss.family",
-    "run.mode", "run.eta", "run.horizon", "run.seed",
+    "run.mode", "run.eta", "run.batch", "run.horizon", "run.seed",
     "init.w",
 )
-_OPTIONAL_KEYS = ("run.batch",)
 
 
 def parse_config_file(path: str | Path) -> ExperimentConfig:
@@ -70,10 +71,10 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a flat JSON object")
 
-    unknown = sorted(set(raw) - set(_REQUIRED_KEYS) - set(_OPTIONAL_KEYS))
+    unknown = sorted(set(raw) - set(_KEYS))
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    missing = [k for k in _REQUIRED_KEYS if k not in raw]
+    missing = [k for k in _KEYS if k not in raw and k != "run.batch"]
     if missing:
         raise ConfigError(f"missing config key(s): {', '.join(missing)}")
 
@@ -120,13 +121,9 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
 
 
 def _name_config_field(message: str) -> str:
-    prefixes = {
-        "eta": "run.eta", "horizon": "run.horizon", "batch": "run.batch",
-        "seed": "run.seed", "w ": "init.w", "mu ": "model.mu",
-        "sigma ": "model.sigma",
-    }
-    for frag, key in prefixes.items():
-        if message.startswith(frag):
+    """message prefixed with the key whose last part starts it ("eta ..." names run.eta)."""
+    for key in _KEYS:
+        if message.startswith(key.rpartition(".")[2] + " "):
             return f"{key}: {message}"
     return message
 
@@ -244,16 +241,17 @@ class RunManifest:
 
 def write_manifest(path: str | Path, config: ExperimentConfig,
                    outputs: list[str | Path], notes: dict | None = None) -> RunManifest:
+    """Write a run's manifest to path, each output relative to path's directory."""
+    path = Path(path)
     manifest = RunManifest(
         config=config_flat(config),
         code_version=__version__,
         root_seed=config.seed,
         prng=PRNG_ID,
         created_utc=datetime.now(timezone.utc).isoformat(),
-        outputs=tuple(str(p) for p in outputs),
+        outputs=tuple(os.path.relpath(p, path.parent) for p in outputs),
         notes=dict(notes or {}),
     )
-    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(manifest.to_json(), encoding="utf-8")
     return manifest

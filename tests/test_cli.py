@@ -26,8 +26,9 @@ from ttalab import (
     step_size_sweep,
     zero_one_loss,
 )
+from ttalab import model, serialize
 from ttalab.cli import main
-from ttalab.serialize import TRAJECTORY_HEADER, format_value, read_csv_with_meta
+from ttalab.serialize import TRAJECTORY_HEADER, config_flat, format_value, read_csv_with_meta
 
 
 # the inputs besides seed that each figure reads
@@ -66,6 +67,10 @@ class TestConfigParsing:
         del raw["run.batch"]
         path.write_text(json.dumps(raw))
         assert parse_config_file(path).batch_size == 32
+
+    def test_one_key_list_in_config_flat_order(self, tmp_path):
+        config = parse_config_file(write_config(tmp_path / "c.json"))
+        assert tuple(config_flat(config)) == serialize._KEYS
 
     def test_eta_zero_names_the_field(self, tmp_path):
         path = write_config(tmp_path / "c.json", **{"run.eta": 0})
@@ -137,6 +142,17 @@ class TestRunExperiment:
         assert ((tmp_path / "a" / "demo.trajectory.csv").read_bytes()
                 == (tmp_path / "b" / "demo.trajectory.csv").read_bytes())
 
+    def test_manifest_does_not_depend_on_where_out_sits(self, tmp_path, capsys):
+        path = write_config(tmp_path / "demo.json")
+        manifests = []
+        for out in (tmp_path / "a", tmp_path / "b" / "deeper"):
+            assert main(["run", str(path), "--out", str(out)]) == 0
+            assert capsys.readouterr().out == f"{out / 'demo.trajectory.csv'}\n"
+            manifests.append(json.loads((out / "demo.manifest.json").read_text()))
+        first, second = manifests
+        assert first["outputs"] == second["outputs"] == ["demo.trajectory.csv"]
+        assert first["notes"] == second["notes"] == {"points": 13, "overflow": False}
+
     def test_infinite_ratio_serializes_as_inf(self, tmp_path):
         # aligned start in population mode keeps b = 0, so r = inf
         path = write_config(tmp_path / "aligned.json",
@@ -165,6 +181,26 @@ class TestRunExperiment:
 ])
 def test_csv_cell_text(value, text):
     assert format_value(value) == text
+
+
+def test_every_zero_one_loss_goes_through_gauss_upper_tail(monkeypatch):
+    calls = []
+
+    def counted(u, _real=model.gauss_upper_tail):
+        calls.append(np.size(u))
+        return _real(u)
+
+    monkeypatch.setattr(model, "gauss_upper_tail", counted)
+    noisy = GaussianModel(mu=np.array([0.6, 0.8]), sigma=0.5)
+    base = ExperimentConfig(model=noisy, loss=make_loss("conj", "exp"), eta=0.5,
+                            mode=Mode.POPULATION, horizon=4, seed=0,
+                            w_init=np.array([1.0, 0.0]), batch_size=8)
+    assert 0.0 < zero_one_loss(noisy, [1.0, 0.0]) < 0.5
+    assert calls == [1]
+    points = run_population(base)
+    assert calls == [1, 5] and not math.isnan(points[-1].loss01)
+    step_size_sweep(replace(base, mode=Mode.STOCHASTIC), [0.1, 0.5], [0, 1])
+    assert calls == [1, 5, 5 * 2 * 2]  # one call on all 5 points x 2 seeds x 2 step sizes
 
 
 class TestGridSearch:

@@ -1,5 +1,7 @@
 """Invariants of the model, the losses and the dynamics, checked on drawn inputs."""
 
+import dataclasses
+import json
 import math
 import warnings
 
@@ -16,11 +18,13 @@ from ttalab import (
     all_losses,
     decompose,
     expectation_terms,
+    parse_config_file,
     run_population,
     run_stochastic,
     zero_one_loss,
 )
 from ttalab.dynamics import OVERFLOW_LIMIT, _stopped
+from ttalab.serialize import config_flat
 
 LOSSES = all_losses()
 SMOOTH_LOSSES = [loss for loss in LOSSES if loss.smooth_second_derivative]
@@ -74,6 +78,32 @@ def test_first_point_is_the_initial_predictor(case, loss, mode):
     # one path from (a, b) to the metrics: equal, not merely close
     assert (first.a, first.b, first.r, first.cos) == (dec.a, dec.b, dec.r, dec.cos)
     assert first.loss01 == zero_one_loss(model, w)
+
+
+@settings(max_examples=60)
+@given(model_and_w(), st.sampled_from(LOSSES), st.sampled_from(list(Mode)),
+       st.floats(min_value=1e-300, max_value=1e300), st.integers(1, 10**6),
+       st.integers(1, 10**9), st.integers(0, 2**64))
+def test_config_flat_reruns_as_the_same_config(tmp_path_factory, case, loss, mode, eta,
+                                               batch, horizon, seed):
+    """The `#` block of a trajectory CSV is config_flat: written as a config
+    file it parses back to the config of the run, every field equal."""
+    model, w = case
+    config = ExperimentConfig(model=model, loss=loss, eta=eta, mode=mode, horizon=horizon,
+                              seed=seed, w_init=w, batch_size=batch)
+    path = tmp_path_factory.getbasetemp() / "flat.json"
+    path.write_text(json.dumps(config_flat(config)))
+    back = parse_config_file(path)
+    for f in dataclasses.fields(ExperimentConfig):
+        got, want = getattr(back, f.name), getattr(config, f.name)
+        if f.name == "model":
+            assert (got.mu.tobytes(), got.sigma) == (want.mu.tobytes(), want.sigma)
+        elif f.name == "loss":
+            assert got.name == want.name
+        elif f.name == "w_init":
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert got == want
 
 
 margins = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)

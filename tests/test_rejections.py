@@ -108,6 +108,13 @@ REJECTIONS = [
     pytest.param(lambda: GaussianModel(mu=np.array([1.0, 0.0]), sigma=1e-320),
                  "sigma = 1e-320 is too small for mu: ||mu||/sigma overflows",
                  id="model-sigma-too-small"),
+    # ||mu|| and sigma whose squares overflow: the runners take mu_norm**2 and sigma**2
+    pytest.param(lambda: GaussianModel(mu=np.array([1e160, 0.0]), sigma=0.0),
+                 "mu is too large: ||mu||**2 overflows", id="model-huge-mu-noiseless"),
+    pytest.param(lambda: GaussianModel(mu=np.array([1e160, 0.0]), sigma=0.5),
+                 "mu is too large: ||mu||**2 overflows", id="model-huge-mu"),
+    pytest.param(lambda: GaussianModel(mu=np.array([1.0, 0.0]), sigma=1e160),
+                 "sigma = 1e+160 is too large: sigma**2 overflows", id="model-huge-sigma"),
     pytest.param(lambda: decompose(np.ones(3), MODEL),
                  "w has length 3 but the model dimension is 2", id="decompose-length"),
     # harness
@@ -275,6 +282,8 @@ CONFIG_REJECTIONS = [
     ("run.eta", True, "run.eta", "must be a number"),
     ("run.horizon", 3.0, "run.horizon", "must be an integer"),
     ("model.dim", True, "model.dim", "must be an integer"),
+    ("model.mu", [1e160, 0.0], "model.mu", "mu is too large: ||mu||**2 overflows"),
+    ("model.sigma", 1e160, "model.sigma", "sigma = 1e+160 is too large: sigma**2 overflows"),
 ]
 
 
