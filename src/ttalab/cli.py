@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .analysis import recursion_bound_run, record_text, stein_identity_check, verify_club
 from .dynamics import UnsupportedLossError
-from .harness import grid_search, run_experiment
+from .harness import run_experiment, step_size_sweep
 from .losses import club_losses, parse_loss_id
 from .presets import FIGURE_IDS, reproduce_figure
 from .serialize import ConfigError, config_flat, csv_with_meta_text, parse_config_file
@@ -110,7 +110,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         except ValueError as exc:  # float names the entry, not the option
             raise ValueError(f"--etas: {exc}") from None
         base = parse_config_file(args.config)
-        best_eta, rows = grid_search(base, etas)
+        best, rows = step_size_sweep(base, etas, 1)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         summary_path = out / f"{Path(args.config).stem}.grid.csv"
@@ -120,7 +120,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                                config_flat(base)),
             encoding="utf-8")
         print(summary_path)
-        print(f"best_eta = {best_eta}")
+        print(f"best_eta = {best.eta}")
         return 0
 
     if args.command == "club":

@@ -6,12 +6,13 @@ seed and output paths (relative to the manifest's directory).  Rerunning the
 same config produces byte-identical CSV output (the manifest differs only in
 its wall-clock stamp), wherever out_dir points.
 
-step_size_sweep runs a base config at every step size on one list of seed
-streams (a stochastic base as one dynamics.stochastic_sweep).  Every step
-size reads the same streams (common random numbers), so a step size's row
-does not depend on the rest of the grid.  Overflowing step sizes rank last,
-then the lowest mean final expected 0-1 loss wins, ties going to the smaller
-step.  grid_search is the sweep on one stream; the fig4 presets run it on ten.
+step_size_sweep runs a base config at every step size on `streams` seed
+streams, stream k seeded with derive_stream_seed(base.seed, k) (a stochastic
+base as one dynamics.stochastic_sweep).  Every step size reads the same
+streams (common random numbers), so a step size's row does not depend on the
+rest of the grid.  Overflowing step sizes rank last, then the lowest mean
+final expected 0-1 loss wins, ties going to the smaller step.  `ttalab grid`
+runs the sweep on one stream; the fig4 presets run it on ten.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ExperimentConfig, Mode, run_population, run_stochastic, stochastic_sweep
-from .model import ab_metrics, derive_stream_seed
+from .model import ab_metrics, check_count, derive_stream_seed
 from .serialize import RunManifest, config_flat, parse_config_file, trajectory_csv_text, write_manifest
 
-__all__ = ["GridPoint", "run_experiment", "step_size_sweep", "grid_search"]
+__all__ = ["GridPoint", "run_experiment", "step_size_sweep"]
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,9 @@ def run_experiment(config_path: str | Path, out_dir: str | Path = ".") -> RunMan
 
 
 def step_size_sweep(base: ExperimentConfig, eta_grid,
-                    stream_seeds) -> tuple[GridPoint, list[GridPoint]]:
-    """Run base at every step size on every seed stream; return (best, rows).
+                    streams: int) -> tuple[GridPoint, list[GridPoint]]:
+    """Run base at every step size on each of `streams` seed streams, stream k
+    seeded with derive_stream_seed(base.seed, k); return (best, rows).
 
     Rows come in ascending step-size order, duplicates merged.  Only the
     final losses and one mean curve per step size are kept, not the
@@ -78,9 +80,8 @@ def step_size_sweep(base: ExperimentConfig, eta_grid,
     etas = sorted(set(float(e) for e in eta_grid))
     if not etas:
         raise ValueError("eta grid must be non-empty")
-    seeds = list(stream_seeds)
-    if not seeds:
-        raise ValueError("at least one seed stream is needed")
+    seeds = [derive_stream_seed(base.seed, k)
+             for k in range(check_count("streams", streams, 1))]
     if base.mode is Mode.STOCHASTIC:
         ab, stopped = stochastic_sweep(base, etas, seeds)
         loss01 = ab_metrics(ab[..., 0], ab[..., 1], base.model)[2]
@@ -105,15 +106,3 @@ def step_size_sweep(base: ExperimentConfig, eta_grid,
                               n_overflow=n_overflow, curve=curve))
     best = min(rows, key=lambda p: (p.overflow, p.mean_final_loss01, p.eta))
     return best, rows
-
-
-def grid_search(base_config: ExperimentConfig,
-                eta_grid: list[float]) -> tuple[float, list[GridPoint]]:
-    """Run base_config once per step size and select the best one.
-
-    Every step size reads the same seed stream, derive_stream_seed(seed, 0),
-    so the rows do not depend on the order or the other members of the grid.
-    """
-    best, rows = step_size_sweep(base_config, eta_grid,
-                                 [derive_stream_seed(base_config.seed, 0)])
-    return best.eta, rows

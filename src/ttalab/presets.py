@@ -39,7 +39,7 @@ from .analysis import tail_rate_curve
 from .dynamics import ExperimentConfig, Mode, run_stochastic, trajectory
 from .harness import step_size_sweep
 from .losses import make_loss, parse_loss_id
-from .model import GaussianModel, check_count, derive_stream_seed, gauss_upper_tail, split_ab
+from .model import GaussianModel, check_count, gauss_upper_tail, split_ab
 from .serialize import (
     config_flat,
     csv_with_meta_text,
@@ -152,28 +152,26 @@ def _figure(fig_id: str):
 
 
 def _benchmark_configs(family: str, eta: float, seed: int, d: int, batch: int,
-                       horizon: int) -> dict[str, ExperimentConfig]:
-    """Hard- and conjugate-label runs of one loss family on the benchmark
-    target domain, keyed "rule+family"."""
+                       horizon: int) -> list[ExperimentConfig]:
+    """[hard, conj]: the hard- and conjugate-label runs of one loss family on
+    the benchmark target domain."""
     _, mu_t, sigma_t, w_init = build_benchmark_domains(d, seed)
     model = GaussianModel(mu=mu_t, sigma=sigma_t)
-    return {
-        f"{rule}+{family}": ExperimentConfig(
-            model=model, loss=make_loss(rule, family), eta=eta,
-            mode=Mode.STOCHASTIC, horizon=horizon, seed=seed,
-            w_init=w_init, batch_size=batch)
-        for rule in ("hard", "conj")
-    }
+    return [ExperimentConfig(model=model, loss=make_loss(rule, family), eta=eta,
+                             mode=Mode.STOCHASTIC, horizon=horizon, seed=seed,
+                             w_init=w_init, batch_size=batch)
+            for rule in ("hard", "conj")]
 
 
 def _emit_fig1(fig_id, out, seed, d, batch, horizon, *, eta):
     configs = _benchmark_configs("square", eta, seed, d, 1,
                                  200 if horizon is None else horizon)
-    first = next(iter(configs.values()))
+    first = configs[0]
     csv_paths = []
     summary: dict = {"best_error": best_achievable_error(first.model)}
     sampler = alternating_pm_mu_sampler(first.model)
-    for name, config in configs.items():
+    for config in configs:
+        name = config.loss.name
         points = run_stochastic(config, sampler=sampler)
         path = out / f"{fig_id}_{name.replace('+', '_')}.csv"
         meta = {**config_flat(config), "stream": "alternating-pm-mu"}
@@ -228,21 +226,21 @@ def _emit_fig3(fig_id, out, seed, d, batch, horizon):
 def _emit_fig4(fig_id, out, seed, d, batch, horizon, *, family):
     configs = _benchmark_configs(family, 1.0, seed, d, batch,
                                  500 if horizon is None else horizon)
-    base = next(iter(configs.values()))
+    base = configs[0]
     # the base config minus the two fields the rows vary
     meta = config_flat(base)
     del meta["loss.rule"], meta["run.eta"]
     grid_rows = []
-    curves = {}
+    curves = []
     summary: dict = {"best_error": best_achievable_error(base.model)}
-    for name, config in configs.items():
-        streams = [derive_stream_seed(config.seed, k) for k in range(_FIG4_SEED_COUNT)]
-        best, rows = step_size_sweep(config, ETA_GRID, streams)
-        grid_rows += [[name.split("+")[0], p.eta, p.mean_final_loss01,
+    for config in configs:
+        best, rows = step_size_sweep(config, ETA_GRID, _FIG4_SEED_COUNT)
+        grid_rows += [[config.loss.rule.value, p.eta, p.mean_final_loss01,
                        p.std_final_loss01, p.n_overflow] for p in rows]
-        curves[name] = best.curve
-        summary[name] = {"best_eta": best.eta, "mean_final_loss01": best.mean_final_loss01,
-                         "std_final_loss01": best.std_final_loss01}
+        curves.append(best.curve)
+        summary[config.loss.name] = {"best_eta": best.eta,
+                                     "mean_final_loss01": best.mean_final_loss01,
+                                     "std_final_loss01": best.std_final_loss01}
 
     grid_path = out / f"{fig_id}_grid.csv"
     grid_path.write_text(
@@ -251,9 +249,8 @@ def _emit_fig4(fig_id, out, seed, d, batch, horizon, *, family):
                            {**meta, "seeds": _FIG4_SEED_COUNT, "figure": fig_id}),
         encoding="utf-8")
 
-    names = list(configs)
-    length = min(len(curves[n]) for n in names)
-    curve_rows = [[t + 1] + [float(curves[n][t]) for n in names] for t in range(length)]
+    names = [config.loss.name for config in configs]
+    curve_rows = zip(range(1, base.horizon + 2), *curves)
     header = "t," + ",".join(f"{n.replace('+', '_')}_mean_loss01" for n in names)
     curves_path = out / f"{fig_id}_curves.csv"
     curves_path.write_text(

@@ -133,14 +133,21 @@ def _vector(raw: dict, key: str) -> np.ndarray:
     if (not isinstance(value, list) or not value
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
         raise ConfigError(f"{key}: must be a non-empty list of numbers")
-    return np.asarray(value, dtype=float)
+    return np.array([_float(key, v) for v in value])
 
 
 def _number(raw: dict, key: str) -> float:
     value = raw[key]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{key}: must be a number")
-    return float(value)
+    return _float(key, value)
+
+
+def _float(key: str, value: int | float) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer past float max
+        raise ConfigError(f"{key}: is an integer too large for a float") from None
 
 
 def _integer(raw: dict, key: str) -> int:

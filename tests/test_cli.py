@@ -15,8 +15,8 @@ from ttalab import (
     GaussianModel,
     Mode,
     build_benchmark_domains,
+    derive_stream_seed,
     gauss_upper_tail,
-    grid_search,
     make_loss,
     parse_config_file,
     render_figure_svg,
@@ -26,7 +26,7 @@ from ttalab import (
     step_size_sweep,
     zero_one_loss,
 )
-from ttalab import model, serialize
+from ttalab import dynamics, model, serialize
 from ttalab.cli import main
 from ttalab.serialize import TRAJECTORY_HEADER, config_flat, format_value, read_csv_with_meta
 
@@ -199,7 +199,7 @@ def test_every_zero_one_loss_goes_through_gauss_upper_tail(monkeypatch):
     assert calls == [1]
     points = run_population(base)
     assert calls == [1, 5] and not math.isnan(points[-1].loss01)
-    step_size_sweep(replace(base, mode=Mode.STOCHASTIC), [0.1, 0.5], [0, 1])
+    step_size_sweep(replace(base, mode=Mode.STOCHASTIC), [0.1, 0.5], 2)
     assert calls == [1, 5, 5 * 2 * 2]  # one call on all 5 points x 2 seeds x 2 step sizes
 
 
@@ -211,15 +211,15 @@ class TestGridSearch:
             horizon=horizon, seed=5, w_init=np.array([0.5, 1.0]), batch_size=4)
 
     def test_single_element_grid(self):
-        best, rows = grid_search(self.base(), [0.25])
-        assert best == 0.25
+        best, rows = step_size_sweep(self.base(), [0.25], 1)
+        assert best.eta == 0.25
         assert len(rows) == 1
 
     def test_overflowing_step_ranks_last(self):
         # eta = 100 on the conjugate square loss diverges; eta = 0.01 does not
         for grid, best_eta in (([100.0, 0.01], 0.01), ([100.0], 100.0)):
-            best, rows = grid_search(self.base(horizon=400), grid)
-            assert best == best_eta
+            best, rows = step_size_sweep(self.base(horizon=400), grid, 1)
+            assert best.eta == best_eta
             by_eta = {r.eta: r for r in rows}
             assert by_eta[100.0].overflow and by_eta[100.0].mean_final_loss01 == math.inf
             assert all(not r.overflow for r in rows if r.eta != 100.0)
@@ -230,8 +230,8 @@ class TestGridSearch:
                                 loss=make_loss("conj", "exp"), eta=1.0,
                                 mode=Mode.STOCHASTIC, horizon=30, seed=5,
                                 w_init=base.w_init, batch_size=4)
-        _, alone = grid_search(base, [0.5])
-        _, among = grid_search(base, [0.05, 0.5, 1.0])
+        _, alone = step_size_sweep(base, [0.5], 1)
+        _, among = step_size_sweep(base, [0.05, 0.5, 1.0], 1)
         assert alone[0] == next(r for r in among if r.eta == 0.5)
         np.testing.assert_array_equal(alone[0].curve, among[1].curve)
 
@@ -239,7 +239,7 @@ class TestGridSearch:
         # a population run reads no seed: three streams give three copies of it
         base = replace(self.base(horizon=200), mode=Mode.POPULATION,
                        model=GaussianModel(mu=np.array([1.0, 0.0]), sigma=0.6))
-        best, rows = step_size_sweep(base, [0.05, 100.0], [0, 1, 2])
+        best, rows = step_size_sweep(base, [0.05, 100.0], 3)
         assert best.eta == 0.05 and [r.n_overflow for r in rows] == [0, 3]
         lone = run_population(replace(base, eta=0.05))
         finals = [lone[-1].loss01] * 3
@@ -249,10 +249,44 @@ class TestGridSearch:
                                       np.mean([[p.loss01 for p in lone]] * 3, axis=0))
         assert rows[1].mean_final_loss01 == math.inf and np.isnan(rows[1].curve).all()
 
+    @pytest.mark.parametrize("streams", [1, 3])
+    def test_stream_k_is_seeded_with_derive_stream_seed_k(self, streams):
+        base = replace(self.base(horizon=40),
+                       model=GaussianModel(mu=np.array([1.0, 0.0]), sigma=0.8))
+        etas = [0.05, 0.5, 1e4]
+        _, rows = step_size_sweep(base, etas, streams)
+        seeds = [derive_stream_seed(base.seed, k) for k in range(streams)]
+        ab, stopped = dynamics.stochastic_sweep(base, etas, seeds)
+        loss01 = model.ab_metrics(ab[..., 0], ab[..., 1], base.model)[2]
+        for k, row in enumerate(rows):
+            kept = [loss01[:, s, k] for s in range(streams) if not stopped[s, k]]
+            finals = [curve[-1] for curve in kept]
+            if len(kept) == streams:
+                expected = [float(np.mean(finals)),
+                            float(np.std(finals, ddof=1)) if streams > 1 else math.nan, 0]
+            else:
+                expected = [math.inf, math.nan, streams - len(kept)]
+            curve = np.mean(kept, axis=0) if kept else np.full(base.horizon + 1, math.nan)
+            np.testing.assert_array_equal(
+                [row.mean_final_loss01, row.std_final_loss01, row.n_overflow], expected)
+            np.testing.assert_array_equal(row.curve, curve)
+        assert rows[-1].n_overflow == streams  # eta = 1e4 overflows on every stream
+
+    def test_grid_command_rows_are_the_one_stream_sweep(self, tmp_path, capsys):
+        path = write_config(tmp_path / "g.json", **{"run.horizon": 30})
+        etas = [0.05, 0.5, 100.0]
+        assert main(["grid", str(path), "--etas", ",".join(map(str, etas)),
+                     "--out", str(tmp_path)]) == 0
+        best, rows = step_size_sweep(parse_config_file(path), etas, 1)
+        _, csv_rows, _ = read_csv_with_meta(tmp_path / "g.grid.csv")
+        assert csv_rows == [[p.eta, p.mean_final_loss01, format_value(p.overflow)]
+                            for p in rows]
+        assert capsys.readouterr().out.splitlines()[-1] == f"best_eta = {best.eta}"
+
     def test_grid_order_does_not_matter(self):
-        best_a, rows_a = grid_search(self.base(), [0.5, 0.05, 1.0])
-        best_b, rows_b = grid_search(self.base(), [1.0, 0.5, 0.05])
-        assert best_a == best_b
+        best_a, rows_a = step_size_sweep(self.base(), [0.5, 0.05, 1.0], 1)
+        best_b, rows_b = step_size_sweep(self.base(), [1.0, 0.5, 0.05], 1)
+        assert best_a.eta == best_b.eta
         assert rows_a == rows_b
 
 
@@ -441,6 +475,14 @@ class TestCliExitCodes:
         assert {row[2] for row in rows} == {"false"}
         assert meta["run.seed"] == 7 and meta["loss.family"] == "exp"
         assert meta["prng"] == "numpy-pcg64-seedsequence"
+
+    @pytest.mark.parametrize("command", [["run"], ["grid", "--etas", "0.1"]],
+                             ids=["run", "grid"])
+    def test_integer_too_large_for_a_float_is_one(self, tmp_path, capsys, command):
+        path = write_config(tmp_path / "huge.json", **{"model.sigma": 10**400})
+        assert main([command[0], str(path), *command[1:], "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: model.sigma: is an integer too large for a float\n")
 
     def test_grid_command_names_a_bad_eta(self, tmp_path, capsys):
         path = write_config(tmp_path / "g.json", **{"run.horizon": 30})

@@ -6,6 +6,7 @@ also check that the message starts with the key it names.
 
 import json
 import math
+import reprlib
 
 import numpy as np
 import pytest
@@ -118,10 +119,10 @@ REJECTIONS = [
     pytest.param(lambda: decompose(np.ones(3), MODEL),
                  "w has length 3 but the model dimension is 2", id="decompose-length"),
     # harness
-    pytest.param(lambda: step_size_sweep(config(), [], [0]), "eta grid must be non-empty",
+    pytest.param(lambda: step_size_sweep(config(), [], 1), "eta grid must be non-empty",
                  id="sweep-no-eta"),
-    pytest.param(lambda: step_size_sweep(config(), [0.1], []),
-                 "at least one seed stream is needed", id="sweep-no-stream"),
+    pytest.param(lambda: step_size_sweep(config(), [0.1], 0),
+                 "streams must be >= 1", id="sweep-no-stream"),
     # losses and presets
     pytest.param(lambda: parse_loss_id("hard"), "loss id must look like 'rule:family'",
                  id="loss-id"),
@@ -284,11 +285,15 @@ CONFIG_REJECTIONS = [
     ("model.dim", True, "model.dim", "must be an integer"),
     ("model.mu", [1e160, 0.0], "model.mu", "mu is too large: ||mu||**2 overflows"),
     ("model.sigma", 1e160, "model.sigma", "sigma = 1e+160 is too large: sigma**2 overflows"),
+    ("model.sigma", 10**400, "model.sigma", "is an integer too large for a float"),
+    ("model.mu", [10**400, 0], "model.mu", "is an integer too large for a float"),
+    ("run.eta", 10**400, "run.eta", "is an integer too large for a float"),
+    ("init.w", [10**400, 0], "init.w", "is an integer too large for a float"),
 ]
 
 
 @pytest.mark.parametrize("key,value,named,message", CONFIG_REJECTIONS,
-                         ids=[f"{row[0]}={row[1]!r}" for row in CONFIG_REJECTIONS])
+                         ids=[f"{row[0]}={reprlib.repr(row[1])}" for row in CONFIG_REJECTIONS])
 def test_config_file_names_the_bad_key(tmp_path, key, value, named, message):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({**VALID_CONFIG, key: value}))
