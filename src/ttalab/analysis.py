@@ -54,7 +54,6 @@ __all__ = [
     "recursion_bound_run",
     "log_rate_check",
     "stein_identity_check",
-    "nu_star",
     "nu_star_upper",
     "record_text",
 ]
@@ -234,37 +233,21 @@ def tail_rate_curve(loss: SelfTrainingLoss, z_grid: np.ndarray) -> TailRateCurve
     )
 
 
-def nu_star(L: float) -> float | None:
-    """Smaller fixed point of nu = exp(L nu), or None when none exists.
-
-    A fixed point exists iff L <= 1/e; bisection on (0, 1/L] to 1e-12.
-    """
-    L = check_positive("L", L)
-    if L * math.e >= 1.0:
-        return None
-    return _bisect_fixed_point(L, 0.0, 1.0 / L)
-
-
 def nu_star_upper(L: float) -> float | None:
-    """Larger fixed point nu2 of nu = exp(L nu), or None when none exists.
+    """Larger fixed point nu2 of nu = exp(L nu), or None when L >= 1/e (at
+    L = 1/e the two fixed points meet at e).
 
-    Same input rules as nu_star; bisection on [1/L, v] to 1e-12, with v the
-    first of 2/L, 4/L, ... that satisfies v < exp(L v) (inf when nu2
-    exceeds the float range).
+    L must be finite and > 0.  Bisection between v and 1/L to 1e-12 or float
+    resolution, whichever is coarser, with v the first of 2/L, 4/L, ... that
+    satisfies v < exp(L v) (inf when nu2 exceeds the float range).  Compared
+    as log(nu) vs L nu, so exp never overflows.
     """
     L = check_positive("L", L)
     if L * math.e >= 1.0:
         return None
-    below = 2.0 / L
+    below, above = 2.0 / L, 1.0 / L
     while math.isfinite(below) and math.log(below) >= L * below:
         below *= 2.0
-    return _bisect_fixed_point(L, below, 1.0 / L)
-
-
-def _bisect_fixed_point(L: float, below: float, above: float) -> float:
-    """Root of nu = exp(L nu) between `below` (nu < exp(L nu)) and `above`
-    (nu > exp(L nu)), to 1e-12 or float resolution, whichever is coarser.
-    Compared as log(nu) vs L nu, so exp never overflows."""
     while abs(above - below) > 1e-12:
         mid = 0.5 * (below + above)
         if mid == below or mid == above:

@@ -9,8 +9,9 @@ Everything downstream reasons about w through its decomposition into the
 component a = <w, mu> along mu and the size b of the orthogonal remainder.
 split_ab computes (a, b) for a predictor or a stack; ab_metrics is the one
 place that turns (a, b) into the ratio r, the cosine and the 0-1 loss,
-elementwise over arrays, the loss by one gauss_upper_tail call.  decompose,
-zero_one_loss and both runners use both.
+elementwise over arrays, the loss by one gauss_upper_tail call.
+zero_one_loss and both runners use both, and is_epsilon_optimal, the one
+eps-optimality rule, reads its cosine from ab_metrics.
 """
 
 from __future__ import annotations
@@ -23,12 +24,10 @@ import numpy as np
 
 __all__ = [
     "GaussianModel",
-    "PredictorDecomposition",
     "sample_batch",
     "derive_stream_seed",
     "gauss_upper_tail",
     "zero_one_loss",
-    "decompose",
     "is_epsilon_optimal",
 ]
 
@@ -70,24 +69,6 @@ class GaussianModel:
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "d", int(mu.size))
         object.__setattr__(self, "mu_norm", norm)
-
-
-@dataclass(frozen=True)
-class PredictorDecomposition:
-    """Split of a predictor w relative to the class mean mu.
-
-    a     = <w, mu>                  (component along mu, scaled by ||mu||)
-    a_bar = <w, mu/||mu||>           (so a = a_bar * ||mu||)
-    b     = || w - proj_mu(w) ||     (size of the orthogonal component)
-    r     = a / b                    (signed infinity when b = 0)
-    cos   = <w, mu> / (||w|| ||mu||)
-    """
-
-    a: float
-    a_bar: float
-    b: float
-    r: float
-    cos: float
 
 
 def sample_batch(model: GaussianModel, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -179,25 +160,19 @@ def zero_one_loss(model: GaussianModel, w: np.ndarray) -> float:
     return float(ab_metrics(a, b, model)[2])
 
 
-def decompose(w: np.ndarray, model: GaussianModel) -> PredictorDecomposition:
-    """Decompose w into its along-mu and orthogonal parts (split_ab, ab_metrics)."""
-    a, b = split_ab(check_predictor(w, model), model)
-    r, cos, _ = ab_metrics(a, b, model)
-    return PredictorDecomposition(a=a, a_bar=a / model.mu_norm, b=b, r=float(r),
-                                  cos=float(cos))
-
-
-def is_epsilon_optimal(w: np.ndarray, model: GaussianModel, eps: float) -> bool:
-    """Positive correlation with mu and squared cosine alignment >= 1 - eps.
+def is_epsilon_optimal(a, b, model: GaussianModel, eps: float) -> np.ndarray:
+    """The eps-optimality rule for the predictors with components (a, b),
+    elementwise: a > 0 and cos**2 >= 1 - eps, with cos from ab_metrics.
 
     Both conditions are required; a mirror-image predictor with near-perfect
-    |cos| still fails.
+    |cos| still fails.  The zero predictor and non-finite components fail
+    too, as their cos is NaN.
     """
     eps = float(eps)
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
-    dec = decompose(w, model)
-    return dec.a > 0.0 and dec.cos**2 >= 1.0 - eps
+    cos = ab_metrics(a, b, model)[1]
+    return (np.asarray(a) > 0.0) & (cos**2 >= 1.0 - eps)
 
 
 def check_predictor(w, model: GaussianModel) -> np.ndarray:

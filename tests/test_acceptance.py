@@ -19,6 +19,7 @@ from ttalab import (
     epsilon_iteration_bound,
     expectation_terms,
     gauss_upper_tail,
+    is_epsilon_optimal,
     recursion_bound_run,
     make_loss,
     log_rate_check,
@@ -82,10 +83,12 @@ def test_criterion_02_iteration_bound():
         bounds = {eps: epsilon_iteration_bound(eps, r1, eta, mu_norm, sigma)
                   for eps in epsilons}
         horizon = max(bounds.values()) + 2
-        points = run_population(
-            population_config(r1, 1.0, mu_norm, sigma, loss, eta, horizon))
+        config = population_config(r1, 1.0, mu_norm, sigma, loss, eta, horizon)
+        points = run_population(config)
+        a, b = np.array([(p.a, p.b) for p in points]).T
         for eps, bound in bounds.items():
-            first = next(p.t for p in points if p.a > 0 and p.cos**2 >= 1 - eps)
+            optimal = is_epsilon_optimal(a, b, config.model, eps)
+            first = next(p.t for p, ok in zip(points, optimal) if ok)
             ok = ok and first <= bound + 1
             worst_gap = max(worst_gap, first - (bound + 1))
     check(2, "simulation reaches eps-optimality within the bound + 1",
@@ -109,8 +112,8 @@ def test_criterion_03_hard_square_small_step_plateau():
         cos2_limit = (1 / mu_norm**2) / (1 / mu_norm**2 + 1.0)
         cos2_err = abs(points[-1].cos**2 - cos2_limit)
         gap = 1.0 - cos2_limit
-        never_optimal = not any(p.a > 0 and p.cos**2 >= 1 - 0.5 * gap
-                                for p in points)
+        a, b = np.array([(p.a, p.b) for p in points]).T
+        never_optimal = not is_epsilon_optimal(a, b, config.model, 0.5 * gap).any()
         ok = ok and a_bar_err <= 1e-6 and cos2_err <= 1e-9 and never_optimal
         details.append(f"mu={mu_norm}: a_bar err {a_bar_err:.1e}, cos2 err {cos2_err:.1e}")
     check(3, "hard-square small-step run plateaus below optimality",

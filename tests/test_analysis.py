@@ -11,7 +11,6 @@ from ttalab import (
     UnsupportedLossError,
     recursion_bound_run,
     make_loss,
-    nu_star,
     nu_star_upper,
     log_rate_check,
     record_text,
@@ -386,16 +385,17 @@ class TestTailRateCurve:
 class TestNuStar:
     def test_no_fixed_point_at_or_above_one_over_e(self):
         for L in (1 / math.e, 0.5, 1.0, 2.0):
-            assert nu_star(L) is None
+            assert nu_star_upper(L) is None
 
     def test_small_exponent_fixed_point(self):
-        nu = nu_star(0.2)
+        """The smaller root nu1, from the oracle: the burn-in constant of the
+        counterexample below, and distinct from nu_star_upper's root."""
+        nu = _fixed_point(0.2, 0.0, 1.0 / 0.2)
         assert nu == pytest.approx(1.2958555, abs=1e-6)
         assert abs(nu - math.exp(0.2 * nu)) <= 1e-10
+        assert nu < 1.0 / 0.2 < nu_star_upper(0.2)
 
     def test_larger_fixed_point(self):
-        for L in (1 / math.e, 0.5, 1.0, 2.0):
-            assert nu_star_upper(L) is None
         nu2 = nu_star_upper(0.2)
         assert nu2 == pytest.approx(_larger_fixed_point(0.2), abs=1e-10)
         assert abs(nu2 - math.exp(0.2 * nu2)) <= 1e-9
@@ -406,7 +406,7 @@ class TestNuStar:
         # nu2 ~ 1.2e5 here, where float spacing exceeds the 1e-12 tolerance
         nu2 = nu_star_upper(1e-4)
         assert nu2 == pytest.approx(_larger_fixed_point(1e-4), rel=1e-12)
-        assert nu_star(1e-4) < math.e < nu2
+        assert _fixed_point(1e-4, 0.0, 1.0 / 1e-4) < math.e < nu2
         # nu2 ~ 7e302 at L = 1e-300 (exp(L v) overflows on the way) and
         # beyond the float range at L = 1e-310
         assert nu_star_upper(1e-300) == pytest.approx(6.9732e302, rel=1e-4)

@@ -22,6 +22,7 @@ from ttalab import (
     epsilon_iteration_bound,
     expectation_terms,
     gd_step,
+    is_epsilon_optimal,
     log_rate_check,
     make_loss,
     population_step,
@@ -828,8 +829,9 @@ class TestClosedFormAndBound:
                                         make_loss("conj", "square"), 0.5,
                                         Mode.POPULATION, horizon=bound + 2)
                 points = run_population(config)
-                first = next(p.t for p in points
-                             if p.a > 0 and p.cos**2 >= 1 - eps)
+                a, b = np.array([(p.a, p.b) for p in points]).T
+                optimal = is_epsilon_optimal(a, b, config.model, eps)
+                first = next(p.t for p, ok in zip(points, optimal) if ok)
                 assert first <= bound + 1
 
 

@@ -1,4 +1,4 @@
-"""Gaussian model: sampling, tail function, 0-1 loss, decomposition."""
+"""Gaussian model: sampling, tail function, 0-1 loss, decomposition, eps rule."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 
 from ttalab import (
     GaussianModel,
-    decompose,
     gauss_upper_tail,
     is_epsilon_optimal,
     sample_batch,
@@ -138,53 +137,58 @@ class TestSampleBatch:
 
 
 class TestDecompose:
+    """w split into (a, b) by split_ab and read by ab_metrics."""
+
     def test_plain_arithmetic_case(self):
         model = GaussianModel(mu=np.array([2.0, 0.0]), sigma=1.0)
-        dec = decompose(np.array([3.0, 4.0]), model)
-        assert dec.a == 6.0
-        assert dec.a_bar == 3.0
-        assert dec.b == 4.0
-        assert dec.r == 1.5
-        assert dec.cos == pytest.approx(0.6, abs=1e-15)
+        a, b = split_ab(np.array([3.0, 4.0]), model)
+        r, cos, _ = ab_metrics(a, b, model)
+        assert a == 6.0
+        assert a / model.mu_norm == 3.0
+        assert b == 4.0
+        assert r == 1.5
+        assert cos == pytest.approx(0.6, abs=1e-15)
 
     def test_aligned_predictor(self):
         model = GaussianModel(mu=np.array([0.3, -1.2, 0.5]), sigma=1.0)
-        dec = decompose(2.5 * model.mu, model)
-        assert dec.b == pytest.approx(0.0, abs=1e-15)
-        assert dec.r == math.inf
-        assert dec.cos == pytest.approx(1.0, abs=1e-12)
+        a, b = split_ab(2.5 * model.mu, model)
+        r, cos, _ = ab_metrics(a, b, model)
+        assert b == pytest.approx(0.0, abs=1e-15)
+        assert r == math.inf
+        assert cos == pytest.approx(1.0, abs=1e-12)
 
     def test_antialigned_gets_negative_infinity(self):
         model = GaussianModel(mu=np.array([1.0, 1.0]), sigma=1.0)
-        dec = decompose(-model.mu, model)
-        assert dec.r == -math.inf
-        assert dec.cos == pytest.approx(-1.0, abs=1e-12)
+        r, cos, _ = ab_metrics(*split_ab(-model.mu, model), model)
+        assert r == -math.inf
+        assert cos == pytest.approx(-1.0, abs=1e-12)
 
     def test_cosine_ratio_identity_random_directions(self):
         """cos = sign(r) / sqrt(1 + ||mu||^2 / r^2) whenever b > 0."""
         rng = np.random.default_rng(17)
         for _ in range(200):
             model = GaussianModel(mu=rng.standard_normal(7), sigma=1.0)
-            dec = decompose(rng.standard_normal(7), model)
-            implied = math.copysign(1, dec.r) / math.sqrt(1 + model.mu_norm**2 / dec.r**2)
-            assert abs(dec.cos - implied) <= 1e-12
+            r, cos, _ = ab_metrics(*split_ab(rng.standard_normal(7), model), model)
+            implied = math.copysign(1, r) / math.sqrt(1 + model.mu_norm**2 / r**2)
+            assert abs(cos - implied) <= 1e-12
 
     def test_norm_splits_into_components(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
             model = GaussianModel(mu=rng.standard_normal(4), sigma=0.5)
             w = rng.standard_normal(4)
-            dec = decompose(w, model)
+            a, b = split_ab(w, model)
+            a_bar = a / model.mu_norm
             norm2 = float(w @ w)
-            assert abs(dec.a_bar**2 + dec.b**2 - norm2) <= 1e-12 * norm2
+            assert abs(a_bar**2 + b**2 - norm2) <= 1e-12 * norm2
 
     def test_axis_aligned_mean_is_exact(self):
         model = GaussianModel(mu=3.0 * unit(5), sigma=1.0)
         rng = np.random.default_rng(8)
         for _ in range(50):
             w = rng.standard_normal(5)
-            dec = decompose(w, model)
-            assert abs(dec.b - float(np.linalg.norm(w[1:]))) <= 1e-14
+            _, b = split_ab(w, model)
+            assert abs(b - float(np.linalg.norm(w[1:]))) <= 1e-14
 
 
 class TestAbMetrics:
@@ -202,7 +206,7 @@ class TestAbMetrics:
         np.testing.assert_array_equal(ab_metrics(a, b, noiseless)[2],
                                       [0.0, 0.0, 1.0, 0.5, math.nan])
 
-    def test_matches_decompose_and_zero_one_loss(self):
+    def test_stack_matches_single_predictors_and_zero_one_loss(self):
         rng = np.random.default_rng(5)
         model = GaussianModel(mu=rng.standard_normal(4), sigma=0.8)
         ws = rng.standard_normal((20, 4))
@@ -212,28 +216,38 @@ class TestAbMetrics:
             np.testing.assert_array_equal(stacked, lone.reshape(5, 4))
         r, cos, loss01 = ab_metrics(a, b, model)
         for w, row in zip(ws, zip(r, cos, loss01)):
-            dec = decompose(w, model)
-            assert row == (dec.r, dec.cos, zero_one_loss(model, w))
+            lone_r, lone_cos, _ = ab_metrics(*split_ab(w, model), model)
+            assert row == (lone_r, lone_cos, zero_one_loss(model, w))
 
 
 class TestEpsilonOptimal:
     def test_exact_alignment_always_passes(self):
         model = GaussianModel(mu=np.array([1.0, 2.0]), sigma=1.0)
         for eps in (1e-6, 0.5, 0.999):
-            assert is_epsilon_optimal(model.mu, model, eps)
+            assert is_epsilon_optimal(*split_ab(model.mu, model), model, eps)
 
     def test_threshold_arithmetic(self):
         # construct w with cos^2 exactly 0.95
         model = GaussianModel(mu=unit(3), sigma=1.0)
         w = math.sqrt(0.95) * unit(3) + math.sqrt(0.05) * unit(3, 1)
-        assert is_epsilon_optimal(w, model, 0.1)
-        assert not is_epsilon_optimal(w, model, 0.01)
+        assert is_epsilon_optimal(*split_ab(w, model), model, 0.1)
+        assert not is_epsilon_optimal(*split_ab(w, model), model, 0.01)
 
     def test_positive_correlation_is_required(self):
         model = GaussianModel(mu=unit(3), sigma=1.0)
         w = -(math.sqrt(0.999) * unit(3) + math.sqrt(0.001) * unit(3, 2))
         assert w @ model.mu < 0 and (w @ model.mu) ** 2 / (w @ w) >= 0.999
-        assert not is_epsilon_optimal(w, model, 0.01)
+        assert not is_epsilon_optimal(*split_ab(w, model), model, 0.01)
+
+    def test_elementwise_over_a_stack(self):
+        """Normal, mirror-image, zero, inf and NaN rows: only the first passes."""
+        model = GaussianModel(mu=unit(3), sigma=1.0)
+        w = math.sqrt(0.95) * unit(3) + math.sqrt(0.05) * unit(3, 1)
+        ws = np.array([w, -w, np.zeros(3), [math.inf, 0.0, 0.0], [math.nan, 1.0, 0.0]])
+        with np.errstate(invalid="ignore"):
+            a, b = split_ab(ws, model)
+        np.testing.assert_array_equal(is_epsilon_optimal(a, b, model, 0.1),
+                                      [True, False, False, False, False])
 
     def test_loss_of_epsilon_optimal_predictor(self):
         """Loss equals Phi((||mu||/sigma) cos) and is at most the eps envelope."""
@@ -242,12 +256,12 @@ class TestEpsilonOptimal:
         eps = 0.2
         for _ in range(50):
             w = rng.standard_normal(6)
-            if not is_epsilon_optimal(w, model, eps):
+            if not is_epsilon_optimal(*split_ab(w, model), model, eps):
                 continue
-            dec = decompose(w, model)
+            cos = ab_metrics(*split_ab(w, model), model)[1]
             loss = zero_one_loss(model, w)
             assert loss == pytest.approx(
-                gauss_upper_tail(model.mu_norm / model.sigma * dec.cos), abs=1e-14)
+                gauss_upper_tail(model.mu_norm / model.sigma * cos), abs=1e-14)
             assert loss <= gauss_upper_tail(
                 model.mu_norm / model.sigma * math.sqrt(1 - eps)) + 1e-14
 
@@ -255,7 +269,7 @@ class TestEpsilonOptimal:
         model = GaussianModel(mu=unit(2), sigma=1.0)
         for eps in (0.0, 1.0, -0.1, 2.0):
             with pytest.raises(ValueError):
-                is_epsilon_optimal(model.mu, model, eps)
+                is_epsilon_optimal(*split_ab(model.mu, model), model, eps)
 
 
 class TestModelValidation:
@@ -267,11 +281,7 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             GaussianModel(mu=np.ones(2), sigma=-0.1)
 
-    @pytest.mark.parametrize("check", [
-        lambda model, w: decompose(w, model),
-        zero_one_loss,
-        lambda model, w: is_epsilon_optimal(w, model, 0.1),
-    ], ids=["decompose", "zero_one_loss", "is_epsilon_optimal"])
+    @pytest.mark.parametrize("check", [zero_one_loss], ids=["zero_one_loss"])
     @pytest.mark.parametrize("w", [[math.inf, 0.0], [math.nan, 1.0]], ids=["inf", "nan"])
     def test_rejects_non_finite_predictor(self, check, w):
         model = GaussianModel(mu=unit(2), sigma=1.0)

@@ -1,6 +1,9 @@
 """The package surface: ttalab re-exports the modules' __all__ lists."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import ttalab
 
@@ -25,3 +28,13 @@ def test_star_import_binds_exactly_the_public_names():
     exec("from ttalab import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(ttalab.__all__)
     assert "main" not in namespace  # the cli module is not re-exported
+
+
+def test_importing_the_package_loads_no_test_dependency():
+    """scipy, hypothesis and pytest may be used only inside tests."""
+    code = ("import sys, ttalab, ttalab.cli; "
+            "print(' '.join(m for m in ('scipy', 'hypothesis', 'pytest') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ttalab.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == ""

@@ -16,7 +16,6 @@ from ttalab import (
     GaussianModel,
     Mode,
     all_losses,
-    decompose,
     expectation_terms,
     parse_config_file,
     run_population,
@@ -24,6 +23,7 @@ from ttalab import (
     zero_one_loss,
 )
 from ttalab.dynamics import OVERFLOW_LIMIT, _stopped
+from ttalab.model import ab_metrics, split_ab
 from ttalab.serialize import config_flat
 
 LOSSES = all_losses()
@@ -47,10 +47,10 @@ def model_and_w(draw):
 @given(model_and_w())
 def test_decomposition_splits_the_norm(case):
     model, w = case
-    dec = decompose(w, model)
+    a, b = split_ab(w, model)
     norm2 = float(w @ w)
-    assert dec.b >= 0.0
-    assert dec.a**2 / model.mu_norm**2 + dec.b**2 == pytest.approx(norm2, rel=1e-12)
+    assert b >= 0.0
+    assert a**2 / model.mu_norm**2 + b**2 == pytest.approx(norm2, rel=1e-12)
 
 
 @given(model_and_w(), st.integers(min_value=-20, max_value=20))
@@ -73,10 +73,11 @@ def test_first_point_is_the_initial_predictor(case, loss, mode):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         first = (run_population if mode is Mode.POPULATION else run_stochastic)(config)[0]
-    dec = decompose(w, model)
+    a, b = split_ab(w, model)
+    r, cos, _ = ab_metrics(a, b, model)
     assert first.t == 1 and not first.overflow
     # one path from (a, b) to the metrics: equal, not merely close
-    assert (first.a, first.b, first.r, first.cos) == (dec.a, dec.b, dec.r, dec.cos)
+    assert (first.a, first.b, first.r, first.cos) == (a, b, r, cos)
     assert first.loss01 == zero_one_loss(model, w)
 
 

@@ -18,12 +18,11 @@ from ttalab import (
     Mode,
     build_benchmark_domains,
     conj_square_ratio_closed_form,
-    decompose,
     epsilon_iteration_bound,
     expectation_terms,
     log_rate_check,
     make_loss,
-    nu_star,
+    nu_star_upper,
     parse_config_file,
     parse_loss_id,
     recursion_bound_run,
@@ -33,6 +32,7 @@ from ttalab import (
     step_size_sweep,
     tail_rate_curve,
     verify_club,
+    zero_one_loss,
 )
 from ttalab.serialize import read_csv_with_meta, svg_line_chart
 
@@ -71,7 +71,7 @@ REJECTIONS = [
                  "z grid must be strictly positive", id="tail_rate-nan-z"),
     pytest.param(lambda: tail_rate_curve(CONJ_EXP, np.array([math.inf, 1.0])),
                  "z grid must be finite", id="tail_rate-inf-z"),
-    pytest.param(lambda: nu_star(0.0), "L must be positive", id="nu_star-L"),
+    pytest.param(lambda: nu_star_upper(0.0), "L must be positive", id="nu_star_upper-L"),
     pytest.param(lambda: recursion_bound_run(1.0, 1.0, 0.0, 10), "L must be positive",
                  id="recursion-L"),
     pytest.param(lambda: recursion_bound_run(1.0, 1.0, 1.0, 0), "T must be >= 1",
@@ -116,8 +116,8 @@ REJECTIONS = [
                  "mu is too large: ||mu||**2 overflows", id="model-huge-mu"),
     pytest.param(lambda: GaussianModel(mu=np.array([1.0, 0.0]), sigma=1e160),
                  "sigma = 1e+160 is too large: sigma**2 overflows", id="model-huge-sigma"),
-    pytest.param(lambda: decompose(np.ones(3), MODEL),
-                 "w has length 3 but the model dimension is 2", id="decompose-length"),
+    pytest.param(lambda: zero_one_loss(MODEL, np.ones(3)),
+                 "w has length 3 but the model dimension is 2", id="zero_one_loss-length"),
     # harness
     pytest.param(lambda: step_size_sweep(config(), [], 1), "eta grid must be non-empty",
                  id="sweep-no-eta"),
@@ -156,7 +156,8 @@ REJECTIONS = [
                  id="recursion-nan-T"),
     pytest.param(lambda: recursion_bound_run(1.0, 1.0, 1.0, math.inf), "T must be >= 1",
                  id="recursion-inf-T"),
-    pytest.param(lambda: nu_star(math.inf), "L must be positive", id="nu_star-inf-L"),
+    pytest.param(lambda: nu_star_upper(math.inf), "L must be positive",
+                 id="nu_star_upper-inf-L"),
     pytest.param(lambda: config(horizon=2.7), "horizon must be >= 1",
                  id="config-fractional-horizon"),
     pytest.param(lambda: config(seed=1.5), "seed must be a non-negative integer",
