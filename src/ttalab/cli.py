@@ -110,7 +110,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         except ValueError as exc:  # float names the entry, not the option
             raise ValueError(f"--etas: {exc}") from None
         base = parse_config_file(args.config)
-        best, rows = step_size_sweep(base, etas, 1)
+        [(best, rows)] = step_size_sweep(base, [base.loss], etas, 1)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         summary_path = out / f"{Path(args.config).stem}.grid.csv"

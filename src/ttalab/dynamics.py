@@ -25,7 +25,8 @@ update, so point t always describes w_t, plus one final point at T+1.  They
 collect (a, b) per iterate and derive r, cos and the 0-1 loss for the whole
 trajectory in one model.ab_metrics call.  An iterate that overflows or
 becomes exactly 0 ends either run with a flagged record.  stochastic_sweep
-steps S seed streams x K step sizes as one array; run_stochastic is S = K = 1.
+steps R losses x S seed streams x K step sizes as one array, drawing each
+step's S batches once for all R losses; run_stochastic is R = S = K = 1.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .losses import LossFamily, SelfTrainingLoss
-from .model import (GaussianModel, ab_metrics, check_count, check_finite, check_non_negative,
-                    check_positive, check_predictor, sample_batch, split_ab)
+from .model import (GaussianModel, ab_metrics, check_count, check_finite, check_non_empty,
+                    check_non_negative, check_positive, check_predictor, sample_batch,
+                    split_ab)
 
 __all__ = [
     "Mode",
@@ -146,45 +148,59 @@ def run_stochastic(config: ExperimentConfig,
     by the figure presets) and receives (t, rng).  Deterministic given the
     seed.  If an iterate overflows or becomes exactly 0, the run stops early
     and its last record has overflow=True; direction-based metrics stay valid
-    up to the stop.  It is stochastic_sweep on one stream and one step size.
+    up to the stop.  It is stochastic_sweep on one loss, one stream and one
+    step size.
     """
-    ab, stopped = stochastic_sweep(config, [config.eta], [config.seed], sampler)
-    return trajectory(ab[:, 0, 0], config.model, stopped=bool(stopped[0, 0]))
+    ab, stopped = stochastic_sweep(config, [config.loss], [config.eta], [config.seed], sampler)
+    return trajectory(ab[:, 0, 0, 0], config.model, stop=int(stopped[0, 0, 0]))
 
 
-def stochastic_sweep(base: ExperimentConfig, etas, seeds, sampler: Sampler | None = None
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Run base at every step size in etas on every seed stream at once.
+def stochastic_sweep(base: ExperimentConfig, losses, etas, seeds,
+                     sampler: Sampler | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Run base with every loss in losses at every step size in etas on every
+    seed stream in seeds at once.
 
-    The iterates are one (S, K, d) array.  Each step, stream s draws one
-    batch as a lone run on seeds[s] would and its K columns step on it, so
-    column (s, k) is run_stochastic(replace(base, eta=etas[k], seed=seeds[s]))
-    bit for bit.  Every step's iterates are kept and split into (a, b) once,
-    after the last step.  A column stops when its largest |component| is NaN,
-    past OVERFLOW_LIMIT or 0.0 (one reduction per step); it is then frozen at
-    NaN, which every later operation passes on without a warning.  Returns
-    (ab, stopped): ab[t, s, k] is the (a, b) of point t + 1 of column (s, k),
-    NaN after its stop, up to the last step run; stopped flags the columns that
-    stopped early.
+    The iterates are one (R, S, K, d) array.  Each step, stream s draws one
+    batch as a lone run on seeds[s] would, and each loss steps its (S, K, d)
+    block on those S batches, so every batch is drawn once for all R losses
+    and column (r, s, k) is run_stochastic(replace(base, loss=losses[r],
+    eta=etas[k], seed=seeds[s])) bit for bit.  Every step's iterates are
+    written in place into one preallocated (T+1, R, S, K, d) buffer, which is
+    split into (a, b) after the last step, one loss block at a time.  A column
+    stops when its largest |component| is NaN, past OVERFLOW_LIMIT or 0.0 (one
+    reduction per step); it is then frozen at NaN, which every later operation
+    passes on without a warning.  Returns (ab, stopped): ab[t, r, s, k] is the
+    (a, b) of point t + 1 of column (r, s, k), NaN after its stop, up to the
+    last step run; stopped[r, s, k] is the step at which the column stopped,
+    0 for a column that ran all base.horizon steps.
     """
     if base.mode is not Mode.STOCHASTIC:
         raise ValueError(f"config.mode is {base.mode.value}, expected stochastic")
-    etas = np.array([check_positive("eta", eta) for eta in etas])
+    losses = check_non_empty("loss list", losses)
+    etas = np.array([check_positive("eta", eta) for eta in check_non_empty("eta grid", etas)])
     rngs = [np.random.default_rng(np.random.SeedSequence(check_count("seed", seed, 0)))
-            for seed in seeds]
+            for seed in check_non_empty("seed list", seeds)]
     draw = sampler or (lambda t, rng: sample_batch(base.model, rng, base.batch_size))
-    w = np.tile(base.w_init, (len(rngs), etas.size, 1))
-    ws = [w]
+    ws = np.empty((base.horizon + 1, len(losses), len(rngs), etas.size, base.model.d))
+    ws[0] = base.w_init
+    w = ws[0]
+    stopped = np.zeros(ws.shape[1:-1], dtype=int)
     for t in range(1, base.horizon + 1):
-        xs = np.array([draw(t, rng) for rng in rngs])  # as np.stack, at a quarter of its cost
-        w = gd_step(w, xs[:, None], base.loss, etas[:, None])
-        ws.append(w)
-        stopped = _stopped(w)  # NaN, past OVERFLOW_LIMIT or all 0: one reduction
-        if stopped.any():
-            if stopped.all():
+        # as np.stack, at a quarter of its cost; (S, 1, n, d) meets each (S, K, d) block
+        xs = np.array([draw(t, rng) for rng in rngs])[:, None]
+        for r, loss in enumerate(losses):
+            ws[t, r] = gd_step(w[r], xs, loss, etas[:, None])
+        w = ws[t]
+        halted = _stopped(w)  # NaN, past OVERFLOW_LIMIT or all 0: one reduction
+        if halted.any():
+            stopped[halted & (stopped == 0)] = t
+            if halted.all():
                 break
-            w = np.where(stopped[..., None], np.nan, w)
-    return np.stack(split_ab(np.stack(ws), base.model), axis=-1), stopped
+            w = np.where(halted[..., None], np.nan, w)
+    ab = np.empty((t + 1, *stopped.shape, 2))
+    for r in range(len(losses)):
+        ab[:, r, ..., 0], ab[:, r, ..., 1] = split_ab(ws[:t + 1, r], base.model)
+    return ab, stopped
 
 
 def _stopped(w: np.ndarray) -> np.ndarray:
@@ -333,7 +349,7 @@ def run_population(config: ExperimentConfig) -> list[TrajectoryPoint]:
         warnings.warn(f"reduced quadrature precision in a {config.loss.name} population run: "
                       f"refinement fired on {len(moves)} steps, first at t={moves[0][0]}, "
                       f"largest move {max(m for _, m in moves):.3e}", RuntimeWarning, stacklevel=2)
-    return trajectory(ab, model, stopped=stopped)
+    return trajectory(ab, model, stop=t if stopped else 0)
 
 
 # --- closed forms --------------------------------------------------------------
@@ -393,12 +409,12 @@ def _increment(eta: float, mu_norm: float, sigma: float) -> float:
 # --- helpers -------------------------------------------------------------------
 
 
-def trajectory(ab: list[tuple[float, float]], model: GaussianModel,
-               stopped: bool) -> list[TrajectoryPoint]:
-    """Points t = 1, 2, ... for the iterates' (a, b); `stopped` flags the last."""
-    a, b = np.array(ab, dtype=float).T
+def trajectory(ab, model: GaussianModel, stop: int = 0) -> list[TrajectoryPoint]:
+    """Points t = 1, 2, ... for the iterates' (a, b) pairs: all of them when
+    stop is 0, else those up to step `stop`, the last one flagged."""
+    a, b = np.array(ab[:stop + 1] if stop else ab, dtype=float).T
     columns = (a.tolist(), b.tolist(), *(m.tolist() for m in ab_metrics(a, b, model)))
     points = [TrajectoryPoint(t, *row) for t, row in enumerate(zip(*columns), start=1)]
-    if stopped:
+    if stop:
         points[-1] = points[-1]._replace(overflow=True)
     return points

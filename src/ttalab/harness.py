@@ -6,13 +6,15 @@ seed and output paths (relative to the manifest's directory).  Rerunning the
 same config produces byte-identical CSV output (the manifest differs only in
 its wall-clock stamp), wherever out_dir points.
 
-step_size_sweep runs a base config at every step size on `streams` seed
-streams, stream k seeded with derive_stream_seed(base.seed, k) (a stochastic
-base as one dynamics.stochastic_sweep).  Every step size reads the same
-streams (common random numbers), so a step size's row does not depend on the
-rest of the grid.  Overflowing step sizes rank last, then the lowest mean
-final expected 0-1 loss wins, ties going to the smaller step.  `ttalab grid`
-runs the sweep on one stream; the fig4 presets run it on ten.
+step_size_sweep runs a base config with every loss at every step size on
+`streams` seed streams, stream k seeded with derive_stream_seed(base.seed, k)
+(a stochastic base as one dynamics.stochastic_sweep, which draws each batch
+once for all the losses).  Every loss and step size reads the same streams
+(common random numbers), so a loss's rows do not depend on the other losses,
+nor a row on the rest of the grid.  Per loss, overflowing step sizes rank
+last, then the lowest mean final expected 0-1 loss wins, ties going to the
+smaller step.  `ttalab grid` runs the base config's own loss on one stream;
+the fig4 presets run hard and conjugate labels on ten.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ExperimentConfig, Mode, run_population, run_stochastic, stochastic_sweep
-from .model import ab_metrics, check_count, derive_stream_seed
+from .model import ab_metrics, check_count, check_non_empty, derive_stream_seed
 from .serialize import RunManifest, config_flat, parse_config_file, trajectory_csv_text, write_manifest
 
 __all__ = ["GridPoint", "run_experiment", "step_size_sweep"]
@@ -68,41 +70,49 @@ def run_experiment(config_path: str | Path, out_dir: str | Path = ".") -> RunMan
                                  "overflow": points[-1].overflow})
 
 
-def step_size_sweep(base: ExperimentConfig, eta_grid,
-                    streams: int) -> tuple[GridPoint, list[GridPoint]]:
-    """Run base at every step size on each of `streams` seed streams, stream k
-    seeded with derive_stream_seed(base.seed, k); return (best, rows).
+def step_size_sweep(base: ExperimentConfig, losses, eta_grid,
+                    streams: int) -> list[tuple[GridPoint, list[GridPoint]]]:
+    """Run base with every loss in losses at every step size on each of
+    `streams` seed streams, stream k seeded with derive_stream_seed(base.seed, k);
+    return one (best, rows) per loss, in the order of losses.
 
     Rows come in ascending step-size order, duplicates merged.  Only the
     final losses and one mean curve per step size are kept, not the
     trajectories.
     """
-    etas = sorted(set(float(e) for e in eta_grid))
-    if not etas:
-        raise ValueError("eta grid must be non-empty")
+    losses = check_non_empty("loss list", losses)
+    etas = sorted(set(float(e) for e in check_non_empty("eta grid", eta_grid)))
     seeds = [derive_stream_seed(base.seed, k)
              for k in range(check_count("streams", streams, 1))]
     if base.mode is Mode.STOCHASTIC:
-        ab, stopped = stochastic_sweep(base, etas, seeds)
-        loss01 = ab_metrics(ab[..., 0], ab[..., 1], base.model)[2]
-    rows: list[GridPoint] = []
-    for k, eta in enumerate(etas):
+        ab, stopped = stochastic_sweep(base, losses, etas, seeds)
+    sweeps = []
+    for r, loss in enumerate(losses):
         if base.mode is Mode.STOCHASTIC:
-            curves = [loss01[:, s, k] for s in range(len(seeds)) if not stopped[s, k]]
-        else:
-            # a population run reads no seed: one run stands for every stream
-            points = run_population(replace(base, eta=eta))
-            curves = [] if points[-1].overflow else [[p.loss01 for p in points]] * len(seeds)
-        finals = [curve[-1] for curve in curves]
-        n_overflow = len(seeds) - len(finals)
-        if n_overflow == 0:
-            mean = float(np.mean(finals))
-            std = float(np.std(finals, ddof=1)) if len(finals) > 1 else math.nan
-        else:
-            mean, std = math.inf, math.nan
-        curve = (np.mean(np.asarray(curves), axis=0) if curves
-                 else np.full(base.horizon + 1, math.nan))
-        rows.append(GridPoint(eta=eta, mean_final_loss01=mean, std_final_loss01=std,
-                              n_overflow=n_overflow, curve=curve))
-    best = min(rows, key=lambda p: (p.overflow, p.mean_final_loss01, p.eta))
-    return best, rows
+            loss01 = ab_metrics(ab[:, r, ..., 0], ab[:, r, ..., 1], base.model)[2]
+        rows: list[GridPoint] = []
+        for k, eta in enumerate(etas):
+            if base.mode is Mode.STOCHASTIC:
+                curves = [loss01[:, s, k] for s in range(len(seeds)) if not stopped[r, s, k]]
+            else:
+                # a population run reads no seed: one run stands for every stream
+                points = run_population(replace(base, loss=loss, eta=eta))
+                curves = [] if points[-1].overflow else [[p.loss01 for p in points]] * len(seeds)
+            rows.append(_grid_point(eta, curves, len(seeds), base.horizon))
+        sweeps.append((min(rows, key=lambda p: (p.overflow, p.mean_final_loss01, p.eta)), rows))
+    return sweeps
+
+
+def _grid_point(eta: float, curves, streams: int, horizon: int) -> GridPoint:
+    """The row of one step size from the 0-1 loss curves of its runs that did
+    not overflow, out of `streams` runs."""
+    finals = [curve[-1] for curve in curves]
+    n_overflow = streams - len(finals)
+    if n_overflow == 0:
+        mean = float(np.mean(finals))
+        std = float(np.std(finals, ddof=1)) if len(finals) > 1 else math.nan
+    else:
+        mean, std = math.inf, math.nan
+    curve = np.mean(np.asarray(curves), axis=0) if curves else np.full(horizon + 1, math.nan)
+    return GridPoint(eta=eta, mean_final_loss01=mean, std_final_loss01=std,
+                     n_overflow=n_overflow, curve=curve)

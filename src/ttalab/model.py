@@ -222,6 +222,14 @@ def check_non_negative(name: str, x) -> float:
     return float(x)
 
 
+def check_non_empty(name: str, values) -> list:
+    """values as a list, once it holds at least one item."""
+    values = list(values)
+    if not values:
+        raise ValueError(f"{name} must be non-empty")
+    return values
+
+
 def check_count(name: str, n, low: int) -> int:
     """n as an int, once it is a whole number >= low (NaN, inf and 2.5 are not)."""
     if not (low <= n < math.inf and n % 1 == 0):

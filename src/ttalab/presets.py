@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import tail_rate_curve
-from .dynamics import ExperimentConfig, Mode, run_stochastic, trajectory
+from .dynamics import ExperimentConfig, Mode, stochastic_sweep, trajectory
 from .harness import step_size_sweep
 from .losses import make_loss, parse_loss_id
 from .model import GaussianModel, check_count, gauss_upper_tail, split_ab
@@ -169,10 +169,12 @@ def _emit_fig1(fig_id, out, seed, d, batch, horizon, *, eta):
     first = configs[0]
     csv_paths = []
     summary: dict = {"best_error": best_achievable_error(first.model)}
-    sampler = alternating_pm_mu_sampler(first.model)
-    for config in configs:
+    # both rules step on one alternating stream, as two lone runs would
+    ab, stopped = stochastic_sweep(first, [config.loss for config in configs], [first.eta],
+                                   [first.seed], alternating_pm_mu_sampler(first.model))
+    for r, config in enumerate(configs):
         name = config.loss.name
-        points = run_stochastic(config, sampler=sampler)
+        points = trajectory(ab[:, r, 0, 0], config.model, stop=int(stopped[r, 0, 0]))
         path = out / f"{fig_id}_{name.replace('+', '_')}.csv"
         meta = {**config_flat(config), "stream": "alternating-pm-mu"}
         path.write_text(trajectory_csv_text(points, meta), encoding="utf-8")
@@ -181,7 +183,7 @@ def _emit_fig1(fig_id, out, seed, d, batch, horizon, *, eta):
                          "overflow": points[-1].overflow}
 
     baseline = trajectory([split_ab(first.w_init, first.model)] * (first.horizon + 1),
-                          first.model, stopped=False)
+                          first.model)
     base_path = out / f"{fig_id}_no_adaptation.csv"
     meta = {**config_flat(first), "stream": "alternating-pm-mu"}
     meta.pop("loss.rule")
@@ -233,8 +235,9 @@ def _emit_fig4(fig_id, out, seed, d, batch, horizon, *, family):
     grid_rows = []
     curves = []
     summary: dict = {"best_error": best_achievable_error(base.model)}
-    for config in configs:
-        best, rows = step_size_sweep(config, ETA_GRID, _FIG4_SEED_COUNT)
+    sweeps = step_size_sweep(base, [config.loss for config in configs], ETA_GRID,
+                             _FIG4_SEED_COUNT)
+    for config, (best, rows) in zip(configs, sweeps):
         grid_rows += [[config.loss.rule.value, p.eta, p.mean_final_loss01,
                        p.std_final_loss01, p.n_overflow] for p in rows]
         curves.append(best.curve)

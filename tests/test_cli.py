@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ttalab import (
+    ETA_GRID,
     FIGURE_IDS,
     ConfigError,
     ExperimentConfig,
@@ -199,7 +200,7 @@ def test_every_zero_one_loss_goes_through_gauss_upper_tail(monkeypatch):
     assert calls == [1]
     points = run_population(base)
     assert calls == [1, 5] and not math.isnan(points[-1].loss01)
-    step_size_sweep(replace(base, mode=Mode.STOCHASTIC), [0.1, 0.5], 2)
+    step_size_sweep(replace(base, mode=Mode.STOCHASTIC), [base.loss], [0.1, 0.5], 2)
     assert calls == [1, 5, 5 * 2 * 2]  # one call on all 5 points x 2 seeds x 2 step sizes
 
 
@@ -211,14 +212,15 @@ class TestGridSearch:
             horizon=horizon, seed=5, w_init=np.array([0.5, 1.0]), batch_size=4)
 
     def test_single_element_grid(self):
-        best, rows = step_size_sweep(self.base(), [0.25], 1)
+        [(best, rows)] = step_size_sweep(self.base(), [self.base().loss], [0.25], 1)
         assert best.eta == 0.25
         assert len(rows) == 1
 
     def test_overflowing_step_ranks_last(self):
         # eta = 100 on the conjugate square loss diverges; eta = 0.01 does not
         for grid, best_eta in (([100.0, 0.01], 0.01), ([100.0], 100.0)):
-            best, rows = step_size_sweep(self.base(horizon=400), grid, 1)
+            base = self.base(horizon=400)
+            [(best, rows)] = step_size_sweep(base, [base.loss], grid, 1)
             assert best.eta == best_eta
             by_eta = {r.eta: r for r in rows}
             assert by_eta[100.0].overflow and by_eta[100.0].mean_final_loss01 == math.inf
@@ -230,8 +232,8 @@ class TestGridSearch:
                                 loss=make_loss("conj", "exp"), eta=1.0,
                                 mode=Mode.STOCHASTIC, horizon=30, seed=5,
                                 w_init=base.w_init, batch_size=4)
-        _, alone = step_size_sweep(base, [0.5], 1)
-        _, among = step_size_sweep(base, [0.05, 0.5, 1.0], 1)
+        [(_, alone)] = step_size_sweep(base, [base.loss], [0.5], 1)
+        [(_, among)] = step_size_sweep(base, [base.loss], [0.05, 0.5, 1.0], 1)
         assert alone[0] == next(r for r in among if r.eta == 0.5)
         np.testing.assert_array_equal(alone[0].curve, among[1].curve)
 
@@ -239,7 +241,7 @@ class TestGridSearch:
         # a population run reads no seed: three streams give three copies of it
         base = replace(self.base(horizon=200), mode=Mode.POPULATION,
                        model=GaussianModel(mu=np.array([1.0, 0.0]), sigma=0.6))
-        best, rows = step_size_sweep(base, [0.05, 100.0], 3)
+        [(best, rows)] = step_size_sweep(base, [base.loss], [0.05, 100.0], 3)
         assert best.eta == 0.05 and [r.n_overflow for r in rows] == [0, 3]
         lone = run_population(replace(base, eta=0.05))
         finals = [lone[-1].loss01] * 3
@@ -254,12 +256,12 @@ class TestGridSearch:
         base = replace(self.base(horizon=40),
                        model=GaussianModel(mu=np.array([1.0, 0.0]), sigma=0.8))
         etas = [0.05, 0.5, 1e4]
-        _, rows = step_size_sweep(base, etas, streams)
+        [(_, rows)] = step_size_sweep(base, [base.loss], etas, streams)
         seeds = [derive_stream_seed(base.seed, k) for k in range(streams)]
-        ab, stopped = dynamics.stochastic_sweep(base, etas, seeds)
-        loss01 = model.ab_metrics(ab[..., 0], ab[..., 1], base.model)[2]
+        ab, stopped = dynamics.stochastic_sweep(base, [base.loss], etas, seeds)
+        loss01 = model.ab_metrics(ab[:, 0, ..., 0], ab[:, 0, ..., 1], base.model)[2]
         for k, row in enumerate(rows):
-            kept = [loss01[:, s, k] for s in range(streams) if not stopped[s, k]]
+            kept = [loss01[:, s, k] for s in range(streams) if not stopped[0, s, k]]
             finals = [curve[-1] for curve in kept]
             if len(kept) == streams:
                 expected = [float(np.mean(finals)),
@@ -277,15 +279,17 @@ class TestGridSearch:
         etas = [0.05, 0.5, 100.0]
         assert main(["grid", str(path), "--etas", ",".join(map(str, etas)),
                      "--out", str(tmp_path)]) == 0
-        best, rows = step_size_sweep(parse_config_file(path), etas, 1)
+        base = parse_config_file(path)
+        [(best, rows)] = step_size_sweep(base, [base.loss], etas, 1)
         _, csv_rows, _ = read_csv_with_meta(tmp_path / "g.grid.csv")
         assert csv_rows == [[p.eta, p.mean_final_loss01, format_value(p.overflow)]
                             for p in rows]
         assert capsys.readouterr().out.splitlines()[-1] == f"best_eta = {best.eta}"
 
     def test_grid_order_does_not_matter(self):
-        best_a, rows_a = step_size_sweep(self.base(), [0.5, 0.05, 1.0], 1)
-        best_b, rows_b = step_size_sweep(self.base(), [1.0, 0.5, 0.05], 1)
+        base = self.base()
+        [(best_a, rows_a)] = step_size_sweep(base, [base.loss], [0.5, 0.05, 1.0], 1)
+        [(best_b, rows_b)] = step_size_sweep(base, [base.loss], [1.0, 0.5, 0.05], 1)
         assert best_a.eta == best_b.eta
         assert rows_a == rows_b
 
@@ -365,6 +369,34 @@ class TestFigurePresets:
         curve_cols, curve_rows, meta = read_csv_with_meta(result.csv_paths[1])
         assert curve_cols[0] == "t"
         assert len(curve_rows) == 4  # horizon + 1
+
+    def test_fig4_rules_are_two_single_loss_sweeps(self, tmp_path):
+        # the preset sweeps [hard, conj] at once; each rule's summary entry, grid
+        # rows and curve must be that rule's own sweep, so a swap cannot pass
+        seed, d, batch, horizon = 2, 4, 8, 20
+        result = reproduce_figure("fig4-exp", seed=seed, d=d, batch=batch, horizon=horizon,
+                                  out_dir=tmp_path)
+        _, mu, sigma, w_init = build_benchmark_domains(d, seed)
+        base = ExperimentConfig(model=GaussianModel(mu=mu, sigma=sigma),
+                                loss=make_loss("hard", "exp"), eta=1.0, mode=Mode.STOCHASTIC,
+                                horizon=horizon, seed=seed, w_init=w_init, batch_size=batch)
+        cols, grid_rows, _ = read_csv_with_meta(tmp_path / "fig4-exp_grid.csv")
+        curve_cols, curve_rows, _ = read_csv_with_meta(tmp_path / "fig4-exp_curves.csv")
+        curves = dict(zip(curve_cols, np.array(curve_rows, dtype=float).T))
+        expected_rows = []
+        for rule in ("hard", "conj"):
+            loss = make_loss(rule, "exp")
+            [(best, rows)] = step_size_sweep(base, [loss], ETA_GRID, 10)
+            np.testing.assert_array_equal(
+                [result.summary[loss.name][key]
+                 for key in ("best_eta", "mean_final_loss01", "std_final_loss01")],
+                [best.eta, best.mean_final_loss01, best.std_final_loss01])
+            np.testing.assert_array_equal(curves[f"{rule}_exp_mean_loss01"], best.curve)
+            expected_rows += [[rule, p.eta, p.mean_final_loss01, p.std_final_loss01,
+                               p.n_overflow] for p in rows]
+        assert [row[0] for row in grid_rows] == [row[0] for row in expected_rows]
+        np.testing.assert_array_equal([row[1:] for row in grid_rows],
+                                      [row[1:] for row in expected_rows])
 
     def test_unknown_figure_id(self, tmp_path):
         with pytest.raises(ValueError, match="unknown figure id"):

@@ -216,33 +216,44 @@ def fig4_base(rule, family="exp", horizon=60):
                             horizon=horizon, seed=0, w_init=w_init, batch_size=32)
 
 
-def assert_columns_are_lone_runs(base, etas, seeds):
-    """Each (stream, eta) column of a sweep equals its lone run_stochastic
-    run, point for point, and is NaN after the run's last point."""
-    ab, stopped = stochastic_sweep(base, etas, seeds)
-    loss01 = ab_metrics(ab[..., 0], ab[..., 1], base.model)[2]
+def assert_columns_are_lone_runs(base, losses, etas, seeds):
+    """Each (loss, stream, eta) column of a sweep equals its lone run_stochastic
+    run, point for point, is NaN after the run's last point, and records the
+    step the lone run stopped at (0 when it ran to the horizon)."""
+    ab, stopped = stochastic_sweep(base, losses, etas, seeds)
+    assert ab.shape[1:] == (len(losses), len(seeds), len(etas), 2)
+    assert stopped.shape == (len(losses), len(seeds), len(etas))
     lengths = {}
-    for s, seed in enumerate(seeds):
-        for k, eta in enumerate(etas):
-            points = run_stochastic(replace(base, eta=eta, seed=seed))
-            n = lengths[s, k] = len(points)
-            np.testing.assert_array_equal(loss01[:n, s, k], [p.loss01 for p in points])
-            np.testing.assert_array_equal(ab[:n, s, k], [(p.a, p.b) for p in points])
-            assert np.isnan(ab[n:, s, k]).all()
-            assert stopped[s, k] == points[-1].overflow
+    for r, loss in enumerate(losses):
+        loss01 = ab_metrics(ab[:, r, ..., 0], ab[:, r, ..., 1], base.model)[2]
+        for s, seed in enumerate(seeds):
+            for k, eta in enumerate(etas):
+                points = run_stochastic(replace(base, loss=loss, eta=eta, seed=seed))
+                n = lengths[r, s, k] = len(points)
+                np.testing.assert_array_equal(loss01[:n, s, k], [p.loss01 for p in points])
+                np.testing.assert_array_equal(ab[:n, r, s, k], [(p.a, p.b) for p in points])
+                assert np.isnan(ab[n:, r, s, k]).all()
+                assert stopped[r, s, k] == (n - 1 if points[-1].overflow else 0)
     return lengths, stopped
 
 
 class TestStochasticSweep:
-    @pytest.mark.parametrize("rule", ["hard", "conj"])
-    def test_every_column_is_its_lone_run(self, rule):
-        assert_columns_are_lone_runs(fig4_base(rule), ETA_GRID, [11, 12, 13])
+    @pytest.mark.parametrize("rules", [["hard"], ["conj"], ["hard", "conj"]],
+                             ids=["hard", "conj", "hard+conj"])
+    def test_every_column_is_its_lone_run(self, rules):
+        losses = [make_loss(rule, "exp") for rule in rules]
+        assert_columns_are_lone_runs(fig4_base("hard"), losses, ETA_GRID, [11, 12, 13])
 
     def test_overflowing_column_stops_where_the_lone_run_does(self):
         base = fig4_base("conj", "square", horizon=200)
-        lengths, stopped = assert_columns_are_lone_runs(base, [0.01, 100.0], [0, 1, 2])
-        assert stopped[:, 1].all() and all(lengths[s, 1] < 201 for s in range(3))
-        assert not stopped[:, 0].any() and all(lengths[s, 0] == 201 for s in range(3))
+        losses = [make_loss("hard", "square"), make_loss("conj", "square")]
+        lengths, stopped = assert_columns_are_lone_runs(base, losses, [0.01, 100.0], [0, 1, 2])
+        assert stopped[..., 1].all() and all(lengths[r, s, 1] < 201
+                                             for r in range(2) for s in range(3))
+        assert not stopped[..., 0].any() and all(lengths[r, s, 0] == 201
+                                                 for r in range(2) for s in range(3))
+        # at eta = 100 one rule's column stops while the other rule's goes on
+        assert stopped[0, :, 1].tolist() != stopped[1, :, 1].tolist()
 
     def test_a_stopped_column_adds_no_warnings(self):
         # eta = 1e308 overflows to inf on the first step, with warnings
@@ -252,16 +263,25 @@ class TestStochasticSweep:
             run_stochastic(replace(base, eta=1e308))
         with warnings.catch_warnings(record=True) as swept:
             warnings.simplefilter("always")
-            ab, stopped = stochastic_sweep(base, [0.01, 1e308], [0, 1, 2])
-        assert stopped[:, 1].all() and np.isnan(ab[2:, :, 1]).all() and not stopped[:, 0].any()
+            ab, stopped = stochastic_sweep(base, [base.loss], [0.01, 1e308], [0, 1, 2])
+        assert (stopped[0, :, 1] == 1).all() and np.isnan(ab[2:, 0, :, 1]).all()
+        assert not stopped[0, :, 0].any()
         assert len(swept) == len(lone) > 0
 
     def test_a_stream_does_not_depend_on_the_others(self):
         base = fig4_base("conj", "logistic")
-        ab, stopped = stochastic_sweep(base, ETA_GRID, [12])
-        ab3, stopped3 = stochastic_sweep(base, ETA_GRID, [11, 12, 13])
-        np.testing.assert_array_equal(ab[:, 0], ab3[:, 1])
-        np.testing.assert_array_equal(stopped[0], stopped3[1])
+        ab, stopped = stochastic_sweep(base, [base.loss], ETA_GRID, [12])
+        ab3, stopped3 = stochastic_sweep(base, [base.loss], ETA_GRID, [11, 12, 13])
+        np.testing.assert_array_equal(ab[:, :, 0], ab3[:, :, 1])
+        np.testing.assert_array_equal(stopped[:, 0], stopped3[:, 1])
+
+    def test_a_loss_block_does_not_depend_on_the_others(self):
+        base = fig4_base("conj", "logistic")
+        hard = make_loss("hard", "logistic")
+        ab, stopped = stochastic_sweep(base, [base.loss], ETA_GRID, [11, 12, 13])
+        ab2, stopped2 = stochastic_sweep(base, [hard, base.loss], ETA_GRID, [11, 12, 13])
+        np.testing.assert_array_equal(ab[:, 0], ab2[:, 1])
+        np.testing.assert_array_equal(stopped[0], stopped2[1])
 
 
 class TestExpectationTerms:

@@ -161,7 +161,7 @@ iterates = hnp.arrays(np.float64, hnp.array_shapes(min_dims=3, max_dims=3, max_s
 @given(iterates)
 @example(np.array([[[0.0, -0.0], [5e-324, -0.0]], [[math.nan, 0.0], [-math.inf, 1.0]]]))
 def test_one_reduction_stop_rule_is_the_two_reduction_rule(w):
-    """stochastic_sweep's stop rule on an (S, K, d) stack of iterates: one
+    """stochastic_sweep's stop rule on a (..., d) stack of iterates: one
     max-reduction gives the mask of max|w| <= limit and w.any()."""
     got = _stopped(w)
     assert got.shape == w.shape[:2] and got.dtype == bool

@@ -34,6 +34,7 @@ from ttalab import (
     verify_club,
     zero_one_loss,
 )
+from ttalab.dynamics import stochastic_sweep
 from ttalab.serialize import read_csv_with_meta, svg_line_chart
 
 MODEL = GaussianModel(mu=np.array([1.0, 0.0]), sigma=0.5)
@@ -119,10 +120,20 @@ REJECTIONS = [
     pytest.param(lambda: zero_one_loss(MODEL, np.ones(3)),
                  "w has length 3 but the model dimension is 2", id="zero_one_loss-length"),
     # harness
-    pytest.param(lambda: step_size_sweep(config(), [], 1), "eta grid must be non-empty",
-                 id="sweep-no-eta"),
-    pytest.param(lambda: step_size_sweep(config(), [0.1], 0),
+    pytest.param(lambda: step_size_sweep(config(), [CONJ_EXP], [], 1),
+                 "eta grid must be non-empty", id="sweep-no-eta"),
+    pytest.param(lambda: step_size_sweep(config(), [CONJ_EXP], [0.1], 0),
                  "streams must be >= 1", id="sweep-no-stream"),
+    pytest.param(lambda: step_size_sweep(config(), [], [0.1], 1),
+                 "loss list must be non-empty", id="sweep-no-loss"),
+    pytest.param(lambda: step_size_sweep(config(mode=Mode.POPULATION), [], [0.1], 1),
+                 "loss list must be non-empty", id="sweep-population-no-loss"),
+    pytest.param(lambda: stochastic_sweep(config(), [], [0.1], [0]),
+                 "loss list must be non-empty", id="stochastic_sweep-no-loss"),
+    pytest.param(lambda: stochastic_sweep(config(), [CONJ_EXP], [], [0]),
+                 "eta grid must be non-empty", id="stochastic_sweep-no-eta"),
+    pytest.param(lambda: stochastic_sweep(config(), [CONJ_EXP], [0.1], []),
+                 "seed list must be non-empty", id="stochastic_sweep-no-seed"),
     # losses and presets
     pytest.param(lambda: parse_loss_id("hard"), "loss id must look like 'rule:family'",
                  id="loss-id"),
