@@ -32,6 +32,7 @@ step's S batches once for all R losses; run_stochastic is R = S = K = 1.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -127,6 +128,7 @@ def gd_step(w: np.ndarray, xs: np.ndarray, loss: SelfTrainingLoss,
     w - eta * mean_i psi'(w^T x_i) x_i.  Averaging (rather than summing) keeps
     eta comparable across batch sizes.  Stacks broadcast (w (..., d) against
     xs (..., n, d)), one BLAS gemv per item, so each keeps its 1-D bits.
+    The transpose is the ndarray method's view (np.swapaxes wraps it).
     """
     w = np.asarray(w, dtype=float)
     xs = np.asarray(xs, dtype=float)
@@ -135,7 +137,7 @@ def gd_step(w: np.ndarray, xs: np.ndarray, loss: SelfTrainingLoss,
     if xs.shape[-1] != w.shape[-1]:
         raise ValueError(f"dimension mismatch: len(w)={w.shape[-1]}, samples have d={xs.shape[-1]}")
     coeff = np.asarray(loss.dpsi(np.matmul(xs, w[..., None])[..., 0]), dtype=float)
-    grad = np.matmul(np.swapaxes(xs, -1, -2), coeff[..., None])[..., 0] / xs.shape[-2]
+    grad = np.matmul(xs.swapaxes(-1, -2), coeff[..., None])[..., 0] / xs.shape[-2]
     return w - eta * grad
 
 
@@ -167,9 +169,12 @@ def stochastic_sweep(base: ExperimentConfig, losses, etas, seeds,
     eta=etas[k], seed=seeds[s])) bit for bit.  Every step's iterates are
     written in place into one preallocated (T+1, R, S, K, d) buffer, which is
     split into (a, b) after the last step, one loss block at a time.  A column
-    stops when its largest |component| is NaN, past OVERFLOW_LIMIT or 0.0 (one
-    reduction per step); it is then frozen at NaN, which every later operation
-    passes on without a warning.  Returns (ab, stopped): ab[t, r, s, k] is the
+    stops when its largest |component| is NaN, past OVERFLOW_LIMIT or 0.0.
+    Each step first screens the whole array (_none_stopped): if its smallest
+    |component| is above 0.0 and its largest within OVERFLOW_LIMIT, no column
+    has stopped; only otherwise does _stopped's one reduction per column
+    decide.  A stopped column is then frozen at NaN, which every later
+    operation passes on without a warning.  Returns (ab, stopped): ab[t, r, s, k] is the
     (a, b) of point t + 1 of column (r, s, k), NaN after its stop, up to the
     last step run; stopped[r, s, k] is the step at which the column stopped,
     0 for a column that ran all base.horizon steps.
@@ -191,6 +196,8 @@ def stochastic_sweep(base: ExperimentConfig, losses, etas, seeds,
         for r, loss in enumerate(losses):
             ws[t, r] = gd_step(w[r], xs, loss, etas[:, None])
         w = ws[t]
+        if _none_stopped(w):
+            continue
         halted = _stopped(w)  # NaN, past OVERFLOW_LIMIT or all 0: one reduction
         if halted.any():
             stopped[halted & (stopped == 0)] = t
@@ -203,8 +210,18 @@ def stochastic_sweep(base: ExperimentConfig, losses, etas, seeds,
     return ab, stopped
 
 
+def _none_stopped(w: np.ndarray) -> bool:
+    """The sweep's screen on a whole (..., d) stack: true when every |w_i| is
+    above 0.0 and within OVERFLOW_LIMIT (NaN fails both), so that no column has
+    stopped.  False decides nothing: _stopped does."""
+    size = np.abs(w)
+    return size.min() > 0.0 and size.max() <= OVERFLOW_LIMIT
+
+
 def _stopped(w: np.ndarray) -> np.ndarray:
-    """Stop rule, one reduction: peak |w_i| NaN fails both tests, inf the first, 0.0 the second."""
+    """Stop rule, one reduction: peak |w_i| NaN fails both tests, inf the first, 0.0 the second.
+
+    stochastic_sweep calls it only on a stack that fails _none_stopped."""
     peak = np.abs(w).max(axis=-1)
     return ~((peak <= OVERFLOW_LIMIT) & (peak > 0.0))
 
@@ -414,7 +431,7 @@ def trajectory(ab, model: GaussianModel, stop: int = 0) -> list[TrajectoryPoint]
     stop is 0, else those up to step `stop`, the last one flagged."""
     a, b = np.array(ab[:stop + 1] if stop else ab, dtype=float).T
     columns = (a.tolist(), b.tolist(), *(m.tolist() for m in ab_metrics(a, b, model)))
-    points = [TrajectoryPoint(t, *row) for t, row in enumerate(zip(*columns), start=1)]
+    points = list(map(TrajectoryPoint, itertools.count(1), *columns))
     if stop:
         points[-1] = points[-1]._replace(overflow=True)
     return points

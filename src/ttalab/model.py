@@ -75,13 +75,17 @@ def sample_batch(model: GaussianModel, rng: np.random.Generator, n: int) -> np.n
     """Draw n i.i.d. samples x = y (mu + sigma xi) as the rows of an (n, d) array.
 
     Labels are drawn first, then the n x d noise block, so a given generator
-    state always yields the same batch.  The labels are not returned:
-    adaptation only ever reads x.
+    state always yields the same batch.  The batch is built in the noise
+    buffer: scaled by sigma, shifted by mu, and negated in the rows whose label
+    is y = -1, which is y's product bit for bit (-0.0 included).  The labels
+    are not returned: adaptation only ever reads x.
     """
     n = check_count("n", n, 1)
-    y = rng.integers(0, 2, size=n) * 2 - 1
-    xi = rng.standard_normal((n, model.d))
-    return y[:, None] * (model.mu[None, :] + model.sigma * xi)
+    labels = rng.integers(0, 2, size=n)
+    x = rng.standard_normal((n, model.d))
+    x *= model.sigma
+    x += model.mu
+    return np.negative(x, out=x, where=(labels == 0)[:, None])
 
 
 def derive_stream_seed(root_seed: int, index: int) -> int:

@@ -174,24 +174,40 @@ def config_flat(config: ExperimentConfig) -> dict:
     }
 
 
+# the types format_value writes as true/false; neither can be subclassed
+_BOOL_TYPES = (bool, np.bool_)
+
+
 def format_value(value) -> str:
     """A CSV cell: true/false for a bool (NumPy's too), else str, which for a
     float (NumPy's too) is its shortest round-trip repr, inf, -inf or nan."""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, _BOOL_TYPES):
         return "true" if value else "false"
     return str(value)
 
 
 def csv_with_meta_text(header: str, rows, meta: dict) -> str:
     """CSV layout shared by all emitters: header, `#` metadata block, rows
-    (any iterable of cell sequences)."""
+    (any iterable of cell sequences, each as wide as the header).
+
+    The cells are formatted a column at a time: by format_value in a column
+    that holds a bool (NumPy's too), else by str, which format_value is for
+    every other cell, so each cell's text is format_value's.  A row whose
+    cell count is not the header's raises ValueError.
+    """
+    rows = list(rows)
+    width = header.count(",") + 1
+    if set(map(len, rows)) - {width}:
+        i = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise ValueError(f"row {i} has {len(rows[i])} cells, the header has {width}")
+    columns = [map(str if set(map(type, column)).isdisjoint(_BOOL_TYPES) else format_value, column)
+               for column in zip(*rows)]
     lines = [header]
     for key, value in meta.items():
         lines.append(f"# {key} = {json.dumps(value)}")
     lines.append(f"# prng = {json.dumps(PRNG_ID)}")
     lines.append(f"# code_version = {json.dumps(__version__)}")
-    for row in rows:
-        lines.append(",".join(map(format_value, row)))
+    lines += map(",".join, zip(*columns))
     return "\n".join(lines) + "\n"
 
 
@@ -206,7 +222,9 @@ def read_csv_with_meta(path: str | Path) -> tuple[list[str], list[list], dict]:
     """Read back a CSV with a leading header and one `#` metadata block.
 
     Returns (column names, rows, metadata dict); numeric cells come back as
-    floats, anything else as the raw string.
+    floats, anything else as the raw string.  A data line is parsed as floats
+    in one pass and cell by cell (_cell) only when one of its cells is not a
+    number.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
@@ -219,7 +237,11 @@ def read_csv_with_meta(path: str | Path) -> tuple[list[str], list[list], dict]:
             key, _, value = line[1:].partition("=")
             meta[key.strip()] = json.loads(value.strip())
         elif line:
-            rows.append([_cell(cell) for cell in line.split(",")])
+            cells = line.split(",")
+            try:  # an all-number line, the common one, in one call
+                rows.append(list(map(float, cells)))
+            except ValueError:
+                rows.append(list(map(_cell, cells)))
     return columns, rows, meta
 
 

@@ -135,6 +135,21 @@ class TestSampleBatch:
         with pytest.raises(ValueError):
             sample_batch(model, np.random.default_rng(0), 0)
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.7])
+    @pytest.mark.parametrize("n", [1, 3, 32, 33])
+    def test_batch_is_the_label_times_mean_plus_noise_formula_bit_for_bit(self, n, sigma):
+        """x = y (mu + sigma xi), the labels drawn before the noise, on five
+        draws in a row from one generator, against the formula on a twin
+        generator.  An odd n leaves half of a 64-bit word for the next label
+        draw, and mu's 0.0 coordinate turns into -0.0 where y = -1."""
+        model = GaussianModel(mu=np.array([0.6567, 0.0, -1.25]), sigma=sigma)
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(5):
+            y = twin.integers(0, 2, size=n) * 2 - 1
+            xi = twin.standard_normal((n, model.d))
+            want = y[:, None] * (model.mu[None, :] + model.sigma * xi)
+            assert sample_batch(model, rng, n).tobytes() == want.tobytes()
+
 
 class TestDecompose:
     """w split into (a, b) by split_ab and read by ab_metrics."""

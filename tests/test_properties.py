@@ -22,9 +22,9 @@ from ttalab import (
     run_stochastic,
     zero_one_loss,
 )
-from ttalab.dynamics import OVERFLOW_LIMIT, _stopped
+from ttalab.dynamics import OVERFLOW_LIMIT, _none_stopped, _stopped
 from ttalab.model import ab_metrics, split_ab
-from ttalab.serialize import config_flat
+from ttalab.serialize import _cell, config_flat, csv_with_meta_text, format_value, read_csv_with_meta
 
 LOSSES = all_losses()
 SMOOTH_LOSSES = [loss for loss in LOSSES if loss.smooth_second_derivative]
@@ -166,3 +166,65 @@ def test_one_reduction_stop_rule_is_the_two_reduction_rule(w):
     got = _stopped(w)
     assert got.shape == w.shape[:2] and got.dtype == bool
     np.testing.assert_array_equal(got, two_reduction_stopped(w))
+
+
+@settings(max_examples=300)
+@given(iterates)
+@example(np.array([[[1.0, -2.0], [5e-324, 3.0]], [[OVERFLOW_LIMIT, -1.0], [0.5, 0.25]]]))
+def test_a_stack_that_passes_the_screen_has_no_stopped_column(w):
+    """stochastic_sweep skips _stopped on a stack that passes _none_stopped,
+    so the screen may pass only where _stopped finds no column to stop."""
+    if _none_stopped(w):
+        assert not _stopped(w).any()
+
+
+# CSV cells of every kind the emitters write: ints, floats with their edge
+# values, NumPy floats, both bool types and strings, one that reads "True"
+_FLOAT_EDGES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e16)
+cells = st.one_of(
+    st.integers(min_value=-10**20, max_value=10**20),
+    st.sampled_from(_FLOAT_EDGES), st.floats(),
+    st.floats().map(np.float64),
+    st.booleans(), st.booleans().map(np.bool_),
+    st.sampled_from(("True", "conj+exp", "hard", "")),
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, rows): 1-4 columns, 0-6 rows, each column of one or mixed kinds."""
+    width = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width), max_size=6))
+    return ",".join(f"c{i}" for i in range(width)), rows
+
+
+@given(csv_tables())
+@example(("c0", []))
+@example(("c0", [[True], [1.0], ["True"], [np.False_]]))
+def test_csv_text_is_format_value_row_by_row(table):
+    """csv_with_meta_text formats by column; its data lines are the per-row
+    join of format_value over each row's cells."""
+    header, rows = table
+    text = csv_with_meta_text(header, rows, {"k": 1})
+    lines = text.split("\n")
+    assert lines[-1] == "" and lines[0] == header
+    body = [line for line in lines[1:-1] if not line.startswith("#")]
+    assert body == [",".join(map(format_value, row)) for row in rows]
+
+
+# CSV data lines: numbers mixed with the text cells the emitters write
+line_cells = st.one_of(st.floats().map(repr), st.integers().map(str),
+                       st.sampled_from(("true", "false", "hard", "conj+exp", "nan", "-inf",
+                                        "inf", "1e-320", "-0.0", "")))
+
+
+@given(st.lists(st.lists(line_cells, min_size=3, max_size=3), max_size=6))
+@example([["1.0", "true", "2"], ["nan", "-inf", "1e-320"], ["", "hard", "0.5"]])
+def test_csv_read_back_is_cell_by_cell(tmp_path_factory, lines):
+    """read_csv_with_meta parses a line as floats at once, and falls back to
+    _cell per cell: the rows are _cell's on every cell."""
+    path = tmp_path_factory.getbasetemp() / "read_back.csv"
+    path.write_text("a,b,c\n# k = 1\n" + "".join(",".join(line) + "\n" for line in lines))
+    _, rows, _ = read_csv_with_meta(path)
+    assert [list(map(repr, row)) for row in rows] == [[repr(_cell(c)) for c in line]
+                                                       for line in lines]

@@ -35,7 +35,7 @@ from ttalab import (
     zero_one_loss,
 )
 from ttalab.dynamics import stochastic_sweep
-from ttalab.serialize import read_csv_with_meta, svg_line_chart
+from ttalab.serialize import csv_with_meta_text, read_csv_with_meta, svg_line_chart
 
 MODEL = GaussianModel(mu=np.array([1.0, 0.0]), sigma=0.5)
 CONJ_EXP = make_loss("conj", "exp")
@@ -277,6 +277,17 @@ def test_rejects_empty_csv(tmp_path):
     with pytest.raises(ValueError) as err:
         read_csv_with_meta(path)
     assert str(err.value) == f"{path}: empty file"
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([[1.0, 2.0]], "row 0 has 2 cells, the header has 3"),
+    ([[1.0, 2.0, 3.0, 4.0]], "row 0 has 4 cells, the header has 3"),
+    ([[1.0, 2.0, 3.0], (4.0, 5.0, 6.0), [7.0, 8.0]], "row 2 has 2 cells, the header has 3"),
+], ids=["short-row", "long-row", "bad-row-after-good-ones"])
+def test_rejects_ragged_csv_rows(rows, message):
+    with pytest.raises(ValueError) as err:
+        csv_with_meta_text("a,b,c", rows, {})
+    assert str(err.value) == message
 
 
 VALID_CONFIG = {
