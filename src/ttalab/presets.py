@@ -7,11 +7,11 @@ initial expected 0-1 loss at Phi(0.8416) = 0.2 and the best achievable error
 at Phi(0.8416 / 0.6567) = 0.1.  The remaining mean coordinates are random, so
 nothing downstream may assume the mean is axis-aligned.
 
-Each figure is one entry of the table _FIGURES = {fig_id: (emit, render, reads)}:
-emit(fig_id, out, seed, d, batch, horizon) builds its configs, runs them,
-writes its CSVs and returns (csv_paths, summary); render(fig_id, out) returns
-the SVG text built from those CSVs alone, never from values held only in
-memory; reads names the inputs besides seed that emit uses, and
+Each figure is one entry of the table _FIGURES = {fig_id: (emit, render)}:
+emit(fig_id, out, **inputs) builds its configs, runs them, writes its CSVs and
+returns (csv_paths, summary); render(fig_id, out) returns the SVG text built
+from those CSVs alone, never from values held only in memory.  A figure's
+inputs are emit's parameters among seed, d, batch and horizon, and
 reproduce_figure rejects any other one given a non-default value.  The entries:
 
     fig1a / fig1b   square-family losses on the deterministic alternating
@@ -118,15 +118,19 @@ def reproduce_figure(fig_id: str, seed: int = 0, d: int = 10, batch: int = 32,
                      out_dir: str | Path = "figures") -> FigureResult:
     """Run one figure preset and write its CSV(s) and SVG to out_dir.
 
-    d, batch and horizon keep their defaults unless the figure reads them."""
-    emit, _, reads = _figure(fig_id)
+    d, batch and horizon keep their defaults unless the figure reads them;
+    horizon=None is the figure's own default horizon."""
+    emit, _ = _figure(fig_id)
+    reads = inspect.signature(emit).parameters
     defaults = inspect.signature(reproduce_figure).parameters
-    for name, value in (("d", d), ("batch", batch), ("horizon", horizon)):
-        if name not in reads and value != defaults[name].default:
+    given = {"seed": seed, "d": d, "batch": batch, "horizon": horizon}
+    for name, value in given.items():
+        if name != "seed" and name not in reads and value != defaults[name].default:
             raise ValueError(f"{name} = {value!r} is not an input of {fig_id}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_paths, summary = emit(fig_id, out, seed, d, batch, horizon)
+    csv_paths, summary = emit(fig_id, out, **{name: value for name, value in given.items()
+                                              if name in reads and value is not None})
     svg_path = render_figure_svg(fig_id, out)
     return FigureResult(id=fig_id, csv_paths=tuple(csv_paths), svg_path=svg_path,
                         summary=summary)
@@ -134,7 +138,7 @@ def reproduce_figure(fig_id: str, seed: int = 0, d: int = 10, batch: int = 32,
 
 def render_figure_svg(fig_id: str, out_dir: str | Path) -> Path:
     """Build the figure's SVG from its CSV file(s) alone."""
-    _, render, _ = _figure(fig_id)
+    _, render = _figure(fig_id)
     out = Path(out_dir)
     svg_path = out / f"{fig_id}.svg"
     svg_path.write_text(render(fig_id, out), encoding="utf-8")
@@ -163,9 +167,8 @@ def _benchmark_configs(family: str, eta: float, seed: int, d: int, batch: int,
             for rule in ("hard", "conj")]
 
 
-def _emit_fig1(fig_id, out, seed, d, batch, horizon, *, eta):
-    configs = _benchmark_configs("square", eta, seed, d, 1,
-                                 200 if horizon is None else horizon)
+def _emit_fig1(fig_id, out, *, seed, d, horizon=200, eta):
+    configs = _benchmark_configs("square", eta, seed, d, 1, horizon)
     first = configs[0]
     csv_paths = []
     summary: dict = {"best_error": best_achievable_error(first.model)}
@@ -198,36 +201,25 @@ def _emit_fig1(fig_id, out, seed, d, batch, horizon, *, eta):
 _FIG2_LOSSES = ("hard+exp", "conj+exp", "hard+logistic", "conj+logistic")
 
 
-def _emit_fig2(fig_id, out, seed, d, batch, horizon):
-    u = np.round(np.arange(-600, 601) * 0.01, 2)
-    rows = zip(u.tolist(), *(parse_loss_id(name).psi(u).tolist() for name in _FIG2_LOSSES))
-    header = "u," + ",".join(name.replace("+", "_") for name in _FIG2_LOSSES)
-    path = out / "fig2.csv"
-    path.write_text(csv_with_meta_text(header, rows, {"content": "loss values psi(u)"}),
-                    encoding="utf-8")
+def _emit_loss_columns(fig_id, out, *, x, grid, column, content):
+    """One column per _FIG2_LOSSES loss, column(loss, grid), beside the grid."""
+    header = f"{x}," + ",".join(name.replace("+", "_") for name in _FIG2_LOSSES)
+    rows = zip(grid.tolist(),
+               *(column(parse_loss_id(name), grid).tolist() for name in _FIG2_LOSSES))
+    path = out / f"{fig_id}.csv"
+    path.write_text(csv_with_meta_text(header, rows, {"content": content}), encoding="utf-8")
     return [path], {"losses": list(_FIG2_LOSSES)}
 
 
-def _emit_fig3(fig_id, out, seed, d, batch, horizon):
-    z = np.round(np.arange(1, 201) * 0.05, 2)
-    header = "z," + ",".join(name.replace("+", "_") for name in _FIG2_LOSSES)
-    columns = {}
-    for name in _FIG2_LOSSES:
-        curve = tail_rate_curve(parse_loss_id(name), z)
-        if curve.skipped.size:
-            raise RuntimeError(f"unexpected skipped tail points for {name}")
-        columns[name] = curve.rate
-    rows = zip(z.tolist(), *(columns[name].tolist() for name in _FIG2_LOSSES))
-    path = out / "fig3.csv"
-    path.write_text(csv_with_meta_text(header, rows,
-                                       {"content": "tail exponent -log(-psi'(z))/z"}),
-                    encoding="utf-8")
-    return [path], {"losses": list(_FIG2_LOSSES)}
+def _tail_rate(loss, z):
+    curve = tail_rate_curve(loss, z)
+    if curve.skipped.size:
+        raise RuntimeError(f"unexpected skipped tail points for {loss.name}")
+    return curve.rate
 
 
-def _emit_fig4(fig_id, out, seed, d, batch, horizon, *, family):
-    configs = _benchmark_configs(family, 1.0, seed, d, batch,
-                                 500 if horizon is None else horizon)
+def _emit_fig4(fig_id, out, *, seed, d, batch, horizon=500, family):
+    configs = _benchmark_configs(family, 1.0, seed, d, batch, horizon)
     base = configs[0]
     # the base config minus the two fields the rows vary
     meta = config_flat(base)
@@ -277,36 +269,36 @@ def _render_fig1(fig_id, out):
                           xlabel="iteration t", ylabel="expected 0-1 loss")
 
 
-def _render_loss_columns(fig_id, out, *, title, xlabel, ylabel):
-    cols, rows, _ = read_csv_with_meta(out / f"{fig_id}.csv")
-    xs, *columns = zip(*rows)
-    series = [(name.replace("_", "+"), xs, ys) for name, ys in zip(cols[1:], columns)]
-    return svg_line_chart(series, title=title, xlabel=xlabel, ylabel=ylabel)
-
-
-def _render_fig4(fig_id, out):
-    cols, rows, meta = read_csv_with_meta(out / f"{fig_id}_curves.csv")
+def _render_columns(fig_id, out, *, stem="", title, xlabel, ylabel):
+    """The first column of <fig_id><stem>.csv against each other one, plus the
+    dashed best-achievable line when its `#` block has best_error."""
+    cols, rows, meta = read_csv_with_meta(out / f"{fig_id}{stem}.csv")
     xs, *columns = zip(*rows)
     series = [(name.removesuffix("_mean_loss01").replace("_", "+"), xs, ys)
               for name, ys in zip(cols[1:], columns)]
-    hlines = [("best achievable", float(meta["best_error"]))]
-    return svg_line_chart(series, title=f"{fig_id}: mean 0-1 loss at best step size",
-                          xlabel="iteration t", ylabel="expected 0-1 loss",
-                          hlines=hlines)
+    hlines = [("best achievable", float(meta["best_error"]))] if "best_error" in meta else []
+    return svg_line_chart(series, title=title.format(fig_id=fig_id), xlabel=xlabel,
+                          ylabel=ylabel, hlines=hlines)
 
 
-# figure id -> (emit, render, the inputs besides seed that emit reads); the one
-# place a figure id is given its meaning.
+_render_fig4 = partial(_render_columns, stem="_curves",
+                       title="{fig_id}: mean 0-1 loss at best step size",
+                       xlabel="iteration t", ylabel="expected 0-1 loss")
+
+# figure id -> (emit, render); the one place a figure id is given its meaning
 _FIGURES = {
-    "fig1a": (partial(_emit_fig1, eta=1.0), _render_fig1, ("d", "horizon")),
-    "fig1b": (partial(_emit_fig1, eta=100.0), _render_fig1, ("d", "horizon")),
-    "fig2": (_emit_fig2, partial(_render_loss_columns, title="self-training losses psi(u)",
-                                 xlabel="margin u", ylabel="psi(u)"), ()),
-    "fig3": (_emit_fig3, partial(_render_loss_columns, title="tail exponent of -psi'",
-                                 xlabel="z", ylabel="-log(-psi'(z)) / z"), ()),
-    "fig4-exp": (partial(_emit_fig4, family="exp"), _render_fig4, ("d", "batch", "horizon")),
-    "fig4-logistic": (partial(_emit_fig4, family="logistic"), _render_fig4,
-                      ("d", "batch", "horizon")),
+    "fig1a": (partial(_emit_fig1, eta=1.0), _render_fig1),
+    "fig1b": (partial(_emit_fig1, eta=100.0), _render_fig1),
+    "fig2": (partial(_emit_loss_columns, x="u", grid=np.round(np.arange(-600, 601) * 0.01, 2),
+                     column=lambda loss, u: loss.psi(u), content="loss values psi(u)"),
+             partial(_render_columns, title="self-training losses psi(u)",
+                     xlabel="margin u", ylabel="psi(u)")),
+    "fig3": (partial(_emit_loss_columns, x="z", grid=np.round(np.arange(1, 201) * 0.05, 2),
+                     column=_tail_rate, content="tail exponent -log(-psi'(z))/z"),
+             partial(_render_columns, title="tail exponent of -psi'",
+                     xlabel="z", ylabel="-log(-psi'(z)) / z")),
+    "fig4-exp": (partial(_emit_fig4, family="exp"), _render_fig4),
+    "fig4-logistic": (partial(_emit_fig4, family="logistic"), _render_fig4),
 }
 
 FIGURE_IDS = tuple(_FIGURES)
