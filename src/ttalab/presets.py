@@ -261,10 +261,11 @@ def _emit_fig4(fig_id, out, *, seed, d, batch, horizon=500, family):
 
 def _render_fig1(fig_id, out):
     series = []
-    for stem in ("hard_square", "conj_square", "no_adaptation"):
+    for name in ("hard+square", "conj+square", "no-adaptation"):  # fig1's summary keys
+        stem = name.replace("+", "_").replace("-", "_")
         cols, rows, _ = read_csv_with_meta(out / f"{fig_id}_{stem}.csv")
         columns = dict(zip(cols, zip(*rows)))
-        series.append((stem.replace("_", "+"), columns["t"], columns["loss01"]))
+        series.append((name, columns["t"], columns["loss01"]))
     return svg_line_chart(series, title=f"{fig_id}: expected 0-1 loss vs iteration",
                           xlabel="iteration t", ylabel="expected 0-1 loss")
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
 
@@ -442,9 +443,28 @@ class TestFigurePresets:
                                   out_dir=tmp_path)
         assert result.svg_path.exists()
 
-    def test_svg_is_wellformed_xml(self, tmp_path):
-        import xml.etree.ElementTree as ET
+    def test_fig1_legend_labels_are_its_summary_keys(self, tmp_path):
+        result = reproduce_figure("fig1a", d=4, horizon=3, out_dir=tmp_path)
+        # legend labels are the chart's only 12-px text
+        legend = [el.text for el in ET.parse(result.svg_path).getroot()
+                  if el.tag.endswith("text") and el.get("font-size") == "12"]
+        assert legend == ["hard+square", "conj+square", "no-adaptation"]
+        assert set(legend) == set(result.summary) - {"best_error"}
 
+    @pytest.mark.parametrize("fig_id", FIGURE_IDS)
+    def test_best_achievable_line_iff_a_csv_has_best_error(self, tmp_path, fig_id):
+        small = {"d": 4, "batch": 4, "horizon": 3}
+        inputs = {k: small[k] for k in FIGURE_INPUTS[fig_id]}
+        result = reproduce_figure(fig_id, **inputs, out_dir=tmp_path)
+        has_best = any("best_error" in read_csv_with_meta(p)[2] for p in result.csv_paths)
+        children = list(ET.parse(result.svg_path).getroot())
+        # each dashed line is followed by the text that labels it
+        dashed = [label.text for line, label in zip(children, children[1:])
+                  if line.get("stroke-dasharray")]
+        assert dashed == (["best achievable"] if fig_id.startswith("fig4") else [])
+        assert bool(dashed) == has_best
+
+    def test_svg_is_wellformed_xml(self, tmp_path):
         result = reproduce_figure("fig2", out_dir=tmp_path)
         root = ET.fromstring(result.svg_path.read_text())
         assert root.tag.endswith("svg")
