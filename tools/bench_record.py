@@ -25,6 +25,11 @@ median is better by more than the spread between the quartiles of the base's
 runs.  The newest earlier BENCH_<n>.json (n < PR) is printed beside them as
 context only, never flagged: it was measured at another time.  Standard library
 only.
+
+A BETTER flag on a workload that runs none of the changed code is drift, not a
+gain: BENCH_23.json flagged certify wall_s x0.962 (9 of 10 pairs) for a change
+that touched nothing certify runs.  Read a claimed gain against the workloads
+the change does not touch.
 """
 
 from __future__ import annotations
