@@ -13,6 +13,9 @@ tests/golden/figures.sha256 holds the SHA-256 of figure outputs written at
 seed 0, one `<hex>  <file>` line each: fig2.csv and fig3.csv without their `#`
 lines (psi and the tail exponent on a grid, no sum involved, so every value
 keeps its bits) and the fig1a, fig2 and fig3 SVGs (coordinates at 2 decimals).
+CHART_CALLS below holds the SHA-256 of the full text of svg_line_chart calls
+that none of those figures makes: a dashed reference line with its label,
+text to escape, and a single point, whose flat x and y ranges are widened.
 
 Regenerate deliberately, never to make a failing comparison pass:
 
@@ -37,7 +40,7 @@ from ttalab import (
     run_stochastic,
 )
 from ttalab.dynamics import _HALF_WIDTH, _MARGIN_CUT
-from ttalab.serialize import config_flat, csv_with_meta_text
+from ttalab.serialize import config_flat, csv_with_meta_text, svg_line_chart
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 HEADER = "loss,t,a,b,r,cos,loss01,overflow"
@@ -209,6 +212,31 @@ def test_figures_match_golden_bytes(tmp_path):
     assert sorted(fresh) == sorted(stored)
     differ = [name for name in fresh if fresh[name] != stored[name]]
     assert not differ, f"figure output differs from tests/golden/figures.sha256: {differ}"
+
+
+# name -> (svg_line_chart arguments, SHA-256 of the SVG text it returns)
+CHART_CALLS = {
+    # two series (one with a NaN point), a dashed reference line and its label,
+    # and text that has to be escaped
+    "two_series_and_hline": (
+        dict(series=[("hard <rule>", [0.0, 1.0, 2.0, 3.0], [0.5, 0.3, 0.2, 0.15]),
+                     ("conj & rule", [0.0, 1.0, 2.0, 3.0], [0.45, float("nan"), 0.1, 0.05])],
+             title="0-1 loss < 0.5 & falling", xlabel="step t", ylabel="loss <0-1> & more",
+             hlines=[("best & achievable", 0.08)]),
+        "c02bd374091f5ddf28b550ce978da18ece0b31d1cd486eeb1274ba2d37e05ed5"),
+    # one point: both flat ranges are widened by 1.0
+    "one_point": (
+        dict(series=[("only", [2.0], [3.0])], title="t", xlabel="x", ylabel="y"),
+        "51419811479fc8ce7ee4048dde769c4aa198fb026f377c4d38fd44e406995114"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHART_CALLS))
+def test_chart_text_matches_golden_bytes(name):
+    """The full text of svg_line_chart on calls that no figure in figures.sha256
+    makes: a reference line with its label, escaped text, and one point."""
+    kwargs, digest = CHART_CALLS[name]
+    assert hashlib.sha256(svg_line_chart(**kwargs).encode("utf-8")).hexdigest() == digest
 
 
 if __name__ == "__main__":
