@@ -300,7 +300,10 @@ def svg_line_chart(series: list[tuple[str, list[float], list[float]]],
 
     series is a list of (label, xs, ys).  hlines draws dashed horizontal
     reference lines at finite heights.  Non-finite points are dropped from the
-    polylines.  Bounds and pixel coordinates are computed on arrays.
+    polylines.  Bounds and pixel coordinates are computed on arrays; a flat x
+    or y range (one point, or a constant series) is widened to lo + 1.0 before
+    the y range is padded by 5 %.  Every <text> element is written by _text and
+    every <line> element by _line; each caller formats its own coordinates.
     """
     hlines = hlines or []
     for label, y in hlines:
@@ -327,6 +330,7 @@ def svg_line_chart(series: list[tuple[str, list[float], list[float]]],
 
     plot_w = _CANVAS_W - _MARGIN_L - _MARGIN_R
     plot_h = _CANVAS_H - _MARGIN_T - _MARGIN_B
+    bottom = _MARGIN_T + plot_h
 
     def px(x: float) -> float:
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -338,47 +342,28 @@ def svg_line_chart(series: list[tuple[str, list[float], list[float]]],
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CANVAS_W}" '
         f'height="{_CANVAS_H}" viewBox="0 0 {_CANVAS_W} {_CANVAS_H}">',
         f'<rect width="{_CANVAS_W}" height="{_CANVAS_H}" fill="white"/>',
-        f'<text x="{_CANVAS_W / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{_esc(title)}</text>',
-    ]
-
-    # axes box and ticks
-    parts.append(
+        _text(f"{_CANVAS_W / 2:.1f}", 24, 15, title, "middle"),
+        # axes box and ticks
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
-        'fill="none" stroke="#333" stroke-width="1"/>'
-    )
+        'fill="none" stroke="#333" stroke-width="1"/>',
+    ]
     for i in range(5):
         fx = x_lo + (x_hi - x_lo) * i / 4
         fy = y_lo + (y_hi - y_lo) * i / 4
-        parts.append(
-            f'<line x1="{px(fx):.1f}" y1="{_MARGIN_T + plot_h}" x2="{px(fx):.1f}" '
-            f'y2="{_MARGIN_T + plot_h + 5}" stroke="#333"/>'
-            f'<text x="{px(fx):.1f}" y="{_MARGIN_T + plot_h + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{fx:.4g}</text>'
-        )
-        parts.append(
-            f'<line x1="{_MARGIN_L - 5}" y1="{py(fy):.1f}" x2="{_MARGIN_L}" '
-            f'y2="{py(fy):.1f}" stroke="#333"/>'
-            f'<text x="{_MARGIN_L - 8}" y="{py(fy) + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{fy:.4g}</text>'
-        )
-    parts.append(
-        f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_CANVAS_H - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{_esc(xlabel)}</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {_MARGIN_T + plot_h / 2:.1f})">{_esc(ylabel)}</text>'
-    )
+        x, y = f"{px(fx):.1f}", f"{py(fy):.1f}"
+        parts.append(_line(x, bottom, x, bottom + 5, "#333")
+                     + _text(x, bottom + 20, 11, f"{fx:.4g}", "middle"))
+        parts.append(_line(_MARGIN_L - 5, y, _MARGIN_L, y, "#333")
+                     + _text(_MARGIN_L - 8, f"{py(fy) + 4:.1f}", 11, f"{fy:.4g}", "end"))
+    mid_y = f"{_MARGIN_T + plot_h / 2:.1f}"
+    parts.append(_text(f"{_MARGIN_L + plot_w / 2:.1f}", _CANVAS_H - 14, 13, xlabel, "middle"))
+    parts.append(_text(18, mid_y, 13, ylabel, "middle", f' transform="rotate(-90 18 {mid_y})"'))
 
     for label, y in hlines:
-        parts.append(
-            f'<line x1="{_MARGIN_L}" y1="{py(y):.1f}" x2="{_MARGIN_L + plot_w}" '
-            f'y2="{py(y):.1f}" stroke="#777" stroke-dasharray="6,4"/>'
-            f'<text x="{_MARGIN_L + plot_w - 4}" y="{py(y) - 5:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="#555">{_esc(label)}</text>'
-        )
+        hy = f"{py(y):.1f}"
+        parts.append(_line(_MARGIN_L, hy, _MARGIN_L + plot_w, hy, "#777", ' stroke-dasharray="6,4"')
+                     + _text(_MARGIN_L + plot_w - 4, f"{py(y) - 5:.1f}", 11, label, "end",
+                             ' fill="#555"'))
 
     for k, ((label, _, _), (xs, ys)) in enumerate(zip(series, points)):
         color = _PALETTE[k % len(_PALETTE)]
@@ -387,15 +372,24 @@ def svg_line_chart(series: list[tuple[str, list[float], list[float]]],
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.6"/>'
         )
         ly = _MARGIN_T + 16 + 16 * k
-        parts.append(
-            f'<line x1="{_MARGIN_L + 10}" y1="{ly - 4}" x2="{_MARGIN_L + 34}" '
-            f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'
-            f'<text x="{_MARGIN_L + 40}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{_esc(label)}</text>'
-        )
+        parts.append(_line(_MARGIN_L + 10, ly - 4, _MARGIN_L + 34, ly - 4, color, ' stroke-width="2"')
+                     + _text(_MARGIN_L + 40, ly, 12, label))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def _text(x, y, size, body, anchor: str = "", extra: str = "") -> str:
+    """One <text> element: body escaped, text-anchor only when anchor is given,
+    extra attributes after the font size."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{_esc(body)}</text>')
+
+
+def _line(x1, y1, x2, y2, stroke: str, extra: str = "") -> str:
+    """One <line> element, extra attributes after the stroke."""
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}"{extra}/>'
 
 
 def _esc(text: str) -> str:
