@@ -169,11 +169,9 @@ def stochastic_sweep(base: ExperimentConfig, losses, etas, seeds,
     eta=etas[k], seed=seeds[s])) bit for bit.  Every step's iterates are
     written in place into one preallocated (T+1, R, S, K, d) buffer, which is
     split into (a, b) after the last step, one loss block at a time.  A column
-    stops when its largest |component| is NaN, past OVERFLOW_LIMIT or 0.0.
-    Each step first screens the whole array (_none_stopped): if its smallest
-    |component| is above 0.0 and its largest within OVERFLOW_LIMIT, no column
-    has stopped; only otherwise does _stopped's one reduction per column
-    decide.  A stopped column is then frozen at NaN, which every later
+    stops when its largest |component| is NaN, past OVERFLOW_LIMIT or 0.0
+    (_stopped, which first screens the whole array and reduces per column only
+    when some |component| is outside (0.0, OVERFLOW_LIMIT]).  A stopped column is then frozen at NaN, which every later
     operation passes on without a warning.  Returns (ab, stopped): ab[t, r, s, k] is the
     (a, b) of point t + 1 of column (r, s, k), NaN after its stop, up to the
     last step run; stopped[r, s, k] is the step at which the column stopped,
@@ -196,10 +194,8 @@ def stochastic_sweep(base: ExperimentConfig, losses, etas, seeds,
         for r, loss in enumerate(losses):
             ws[t, r] = gd_step(w[r], xs, loss, etas[:, None])
         w = ws[t]
-        if _none_stopped(w):
-            continue
-        halted = _stopped(w)  # NaN, past OVERFLOW_LIMIT or all 0: one reduction
-        if halted.any():
+        halted = _stopped(w)
+        if halted is not None and halted.any():
             stopped[halted & (stopped == 0)] = t
             if halted.all():
                 break
@@ -210,19 +206,15 @@ def stochastic_sweep(base: ExperimentConfig, losses, etas, seeds,
     return ab, stopped
 
 
-def _none_stopped(w: np.ndarray) -> bool:
-    """The sweep's screen on a whole (..., d) stack: true when every |w_i| is
-    above 0.0 and within OVERFLOW_LIMIT (NaN fails both), so that no column has
-    stopped.  False decides nothing: _stopped does."""
+def _stopped(w: np.ndarray) -> np.ndarray | None:
+    """Stop rule on a (..., d) stack: None when every |w_i| is above 0.0 and
+    within OVERFLOW_LIMIT (NaN fails both), so that no column has stopped;
+    otherwise the mask of columns whose peak |w_i| is NaN (fails both tests),
+    inf (fails the first) or 0.0 (fails the second), from the same |w|."""
     size = np.abs(w)
-    return size.min() > 0.0 and size.max() <= OVERFLOW_LIMIT
-
-
-def _stopped(w: np.ndarray) -> np.ndarray:
-    """Stop rule, one reduction: peak |w_i| NaN fails both tests, inf the first, 0.0 the second.
-
-    stochastic_sweep calls it only on a stack that fails _none_stopped."""
-    peak = np.abs(w).max(axis=-1)
+    if size.min() > 0.0 and size.max() <= OVERFLOW_LIMIT:
+        return None
+    peak = size.max(axis=-1)
     return ~((peak <= OVERFLOW_LIMIT) & (peak > 0.0))
 
 

@@ -22,7 +22,7 @@ from ttalab import (
     run_stochastic,
     zero_one_loss,
 )
-from ttalab.dynamics import OVERFLOW_LIMIT, _none_stopped, _stopped
+from ttalab.dynamics import OVERFLOW_LIMIT, _stopped
 from ttalab.model import ab_metrics, split_ab
 from ttalab.serialize import _cell, config_flat, csv_with_meta_text, format_value, read_csv_with_meta
 
@@ -161,21 +161,23 @@ iterates = hnp.arrays(np.float64, hnp.array_shapes(min_dims=3, max_dims=3, max_s
 @given(iterates)
 @example(np.array([[[0.0, -0.0], [5e-324, -0.0]], [[math.nan, 0.0], [-math.inf, 1.0]]]))
 def test_one_reduction_stop_rule_is_the_two_reduction_rule(w):
-    """stochastic_sweep's stop rule on a (..., d) stack of iterates: one
-    max-reduction gives the mask of max|w| <= limit and w.any()."""
+    """stochastic_sweep's stop rule on a (..., d) stack of iterates: where it
+    gives a mask, its one max-reduction is the mask of max|w| <= limit and w.any()."""
     got = _stopped(w)
-    assert got.shape == w.shape[:2] and got.dtype == bool
-    np.testing.assert_array_equal(got, two_reduction_stopped(w))
+    if got is not None:
+        assert got.shape == w.shape[:2] and got.dtype == bool
+        np.testing.assert_array_equal(got, two_reduction_stopped(w))
 
 
 @settings(max_examples=300)
 @given(iterates)
 @example(np.array([[[1.0, -2.0], [5e-324, 3.0]], [[OVERFLOW_LIMIT, -1.0], [0.5, 0.25]]]))
 def test_a_stack_that_passes_the_screen_has_no_stopped_column(w):
-    """stochastic_sweep skips _stopped on a stack that passes _none_stopped,
-    so the screen may pass only where _stopped finds no column to stop."""
-    if _none_stopped(w):
-        assert not _stopped(w).any()
+    """_stopped returns None, and stochastic_sweep stops nothing, on a stack that
+    passes its whole-stack screen, so the screen may pass only where the
+    two-reduction rule finds no column to stop."""
+    if _stopped(w) is None:
+        assert not two_reduction_stopped(w).any()
 
 
 # CSV cells of every kind the emitters write: ints, floats with their edge
