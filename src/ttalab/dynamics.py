@@ -171,11 +171,11 @@ def stochastic_sweep(base: ExperimentConfig, losses, etas, seeds,
     split into (a, b) after the last step, one loss block at a time.  A column
     stops when its largest |component| is NaN, past OVERFLOW_LIMIT or 0.0
     (_stopped, which first screens the whole array and reduces per column only
-    when some |component| is outside (0.0, OVERFLOW_LIMIT]).  A stopped column is then frozen at NaN, which every later
-    operation passes on without a warning.  Returns (ab, stopped): ab[t, r, s, k] is the
-    (a, b) of point t + 1 of column (r, s, k), NaN after its stop, up to the
-    last step run; stopped[r, s, k] is the step at which the column stopped,
-    0 for a column that ran all base.horizon steps.
+    when some |component| is outside (0.0, OVERFLOW_LIMIT]).  A stopped column is
+    then frozen at NaN, which every later operation passes on without a warning.
+    Returns (ab, stopped): ab[t, r, s, k] is the (a, b) of point t + 1 of column
+    (r, s, k), NaN after its stop, up to the last step run; stopped[r, s, k] is
+    the step at which the column stopped, 0 for one that ran all base.horizon steps.
     """
     if base.mode is not Mode.STOCHASTIC:
         raise ValueError(f"config.mode is {base.mode.value}, expected stochastic")

@@ -361,7 +361,8 @@ def svg_line_chart(series: list[tuple[str, list[float], list[float]]],
 
     for label, y in hlines:
         hy = f"{py(y):.1f}"
-        parts.append(_line(_MARGIN_L, hy, _MARGIN_L + plot_w, hy, "#777", ' stroke-dasharray="6,4"')
+        parts.append(_line(_MARGIN_L, hy, _MARGIN_L + plot_w, hy, "#777",
+                           ' stroke-dasharray="6,4"')
                      + _text(_MARGIN_L + plot_w - 4, f"{py(y) - 5:.1f}", 11, label, "end",
                              ' fill="#555"'))
 
@@ -372,7 +373,8 @@ def svg_line_chart(series: list[tuple[str, list[float], list[float]]],
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.6"/>'
         )
         ly = _MARGIN_T + 16 + 16 * k
-        parts.append(_line(_MARGIN_L + 10, ly - 4, _MARGIN_L + 34, ly - 4, color, ' stroke-width="2"')
+        parts.append(_line(_MARGIN_L + 10, ly - 4, _MARGIN_L + 34, ly - 4, color,
+                           ' stroke-width="2"')
                      + _text(_MARGIN_L + 40, ly, 12, label))
 
     parts.append("</svg>")
