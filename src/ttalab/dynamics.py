@@ -26,7 +26,7 @@ collect (a, b) per iterate and derive r, cos and the 0-1 loss for the whole
 trajectory in one model.ab_metrics call.  An iterate that overflows or
 becomes exactly 0 ends either run with a flagged record.  stochastic_sweep
 steps R losses x S seed streams x K step sizes as one array, drawing each
-step's S batches once for all R losses; run_stochastic is R = S = K = 1.
+step's S batches in one call for all R losses; run_stochastic is R = S = K = 1.
 """
 
 from __future__ import annotations
@@ -166,7 +166,9 @@ def stochastic_sweep(base: ExperimentConfig, losses, etas, seeds,
     batch as a lone run on seeds[s] would, and each loss steps its (S, K, d)
     block on those S batches, so every batch is drawn once for all R losses
     and column (r, s, k) is run_stochastic(replace(base, loss=losses[r],
-    eta=etas[k], seed=seeds[s])) bit for bit.  Every step's iterates are
+    eta=etas[k], seed=seeds[s])) bit for bit.  Without a sampler the S batches
+    come from one sample_batch call on the S generators, stream s's batch in
+    row block s; a sampler is called once per stream.  Every step's iterates are
     written in place into one preallocated (T+1, R, S, K, d) buffer, which is
     split into (a, b) after the last step, one loss block at a time.  A column
     stops when its largest |component| is NaN, past OVERFLOW_LIMIT or 0.0
@@ -183,14 +185,17 @@ def stochastic_sweep(base: ExperimentConfig, losses, etas, seeds,
     etas = np.array([check_positive("eta", eta) for eta in check_non_empty("eta grid", etas)])
     rngs = [np.random.default_rng(np.random.SeedSequence(check_count("seed", seed, 0)))
             for seed in check_non_empty("seed list", seeds)]
-    draw = sampler or (lambda t, rng: sample_batch(base.model, rng, base.batch_size))
     ws = np.empty((base.horizon + 1, len(losses), len(rngs), etas.size, base.model.d))
     ws[0] = base.w_init
     w = ws[0]
     stopped = np.zeros(ws.shape[1:-1], dtype=int)
     for t in range(1, base.horizon + 1):
-        # as np.stack, at a quarter of its cost; (S, 1, n, d) meets each (S, K, d) block
-        xs = np.array([draw(t, rng) for rng in rngs])[:, None]
+        # (S, 1, n, d) meets each (S, K, d) block
+        if sampler is None:  # stream s is row block s of one draw
+            xs = sample_batch(base.model, rngs, base.batch_size).reshape(
+                len(rngs), 1, base.batch_size, base.model.d)
+        else:  # as np.stack, at a quarter of its cost
+            xs = np.array([sampler(t, rng) for rng in rngs])[:, None]
         for r, loss in enumerate(losses):
             ws[t, r] = gd_step(w[r], xs, loss, etas[:, None])
         w = ws[t]
@@ -229,15 +234,17 @@ def _stopped(w: np.ndarray) -> np.ndarray | None:
 # 1e-15 + 1e-12 |E| for s in [1e-3, 1e6] and |m| <= 3 max(s, 1), the halved grid
 # (even nodes) inside the refinement tolerance.  conj+square is exact.  An s
 # too small for m +- 14 s to differ from m gives the s -> 0 point evaluation.
-# One kernel per step: the rows are psi' and psi'' as a (2, 1, 641) block with
-# the end columns halved (exact, as every end weight is >= exp(-98)), and its
-# even columns.  The weights are built in one buffer; one stacked matmul gives
-# the trapezoid sums, a second over the even columns the halved-grid sums of
-# the refinement check.  Each item of a stacked matmul is one BLAS dot, so the
-# sums keep the bits of `d @ w` and of the strided `d[::2] @ w[::2]`.  psi' and
-# psi'' are the loss's own dpsi and ddpsi, the formulas the sampled engine uses.
-# _window memoizes offsets and rows by (loss, lo, hi): a window cut on both sides
-# is [-36, 36] on every step, so it is built once per loss object.
+# One kernel per step: the rows are psi' and psi'' with the end columns halved
+# (exact, as every end weight is >= exp(-98)), then the same two rows with their
+# odd columns zeroed, as one (4, 1, 641) block.  The weights are built in one
+# buffer, and one stacked matmul gives the two trapezoid sums and the two
+# halved-grid sums of the refinement check.  Each item of a stacked matmul is
+# one contiguous 641-long BLAS dot, so the trapezoid sums keep the bits of
+# `d @ w`, and the halved-grid sums are `(d * even) @ w` (they feed only the
+# check).  psi' and psi'' are the loss's own dpsi and ddpsi, the formulas the
+# sampled engine uses.  _window memoizes offsets and block by (loss, lo, hi): a
+# window cut on both sides is [-36, 36] on every step, so it is built once per
+# loss object.
 _HALF_WIDTH, _MARGIN_CUT, _NODES = 14.0, 36.0, 641
 _UNIT = np.linspace(-1.0, 1.0, _NODES)
 _REFINE_ATOL, _REFINE_RTOL = 1e-12, 1e-9
@@ -248,16 +255,18 @@ _WINDOW_CACHE_SIZE = 16
 
 @functools.lru_cache(maxsize=_WINDOW_CACHE_SIZE)
 def _window(loss: SelfTrainingLoss, lo: float, hi: float
-            ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """(mid, offsets, rows, even) of the window [lo, hi], arrays read-only: rows
-    is psi' and psi'' on the nodes mid + offsets as a (2, 1, 641) block with its
-    end columns halved, and even is that block's even columns."""
+            ) -> tuple[float, np.ndarray, np.ndarray]:
+    """(mid, offsets, block) of the window [lo, hi], arrays read-only: block
+    holds psi' and psi'' on the nodes mid + offsets with the end columns
+    halved, then both rows with their odd columns zeroed, as a (4, 1, 641) block."""
     mid, offset = 0.5 * (lo + hi), (0.5 * (hi - lo)) * _UNIT
     rows = np.array((loss.dpsi(u := mid + offset), loss.ddpsi(u)))[:, None]
     rows[..., ::_NODES - 1] *= 0.5
+    block = np.concatenate((rows, rows))
+    block[2:, :, 1::2] = 0.0
     offset.setflags(write=False)
-    rows.setflags(write=False)
-    return mid, offset, rows, rows[..., ::2]
+    block.setflags(write=False)
+    return mid, offset, block
 
 
 def _gaussian_expectations(loss: SelfTrainingLoss, m: float, s: float
@@ -273,17 +282,16 @@ def _gaussian_expectations(loss: SelfTrainingLoss, m: float, s: float
     if cut_lo < cut_hi:  # not wholly past the cut
         lo, hi = cut_lo, cut_hi
     # u and z from the offsets to the window's middle: neither inherits the other's rounding
-    mid, offset, rows, even = _window(loss, lo, hi)
+    mid, offset, block = _window(loss, lo, hi)
     w = offset + (mid - m)  # z, then the node weights over h / (s sqrt(2 pi))
     w *= math.sqrt(0.5) / s
     np.square(w, out=w)
     np.negative(w, out=w)
     w = np.exp(w, out=w)[:, None]
     scale = (hi - lo) / ((_NODES - 1) * s * math.sqrt(2.0 * math.pi))
-    e1, e2 = (rows @ w).ravel().tolist()
-    coarse = (even @ w[::2]).ravel().tolist()
+    e1, e2, c1, c2 = (block @ w).ravel().tolist()
     e1, e2, moved = e1 * scale, e2 * scale, 0.0
-    for e, c in zip((e1, e2), coarse):
+    for e, c in ((e1, c1), (e2, c2)):
         move = abs(e - 2.0 * scale * c)
         if move > _REFINE_ATOL + _REFINE_RTOL * abs(e):
             moved = max(moved, move)
@@ -423,7 +431,10 @@ def trajectory(ab, model: GaussianModel, stop: int = 0) -> list[TrajectoryPoint]
     stop is 0, else those up to step `stop`, the last one flagged."""
     a, b = np.array(ab[:stop + 1] if stop else ab, dtype=float).T
     columns = (a.tolist(), b.tolist(), *(m.tolist() for m in ab_metrics(a, b, model)))
-    points = list(map(TrajectoryPoint, itertools.count(1), *columns))
+    # tuple.__new__ skips the namedtuple's Python __new__ and its field count:
+    # each row is t, one value per column and overflow=False, all seven fields
+    points = list(map(tuple.__new__, itertools.repeat(TrajectoryPoint),
+                      zip(itertools.count(1), *columns, itertools.repeat(False))))
     if stop:
         points[-1] = points[-1]._replace(overflow=True)
     return points

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,21 +72,30 @@ class GaussianModel:
         object.__setattr__(self, "mu_norm", norm)
 
 
-def sample_batch(model: GaussianModel, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n i.i.d. samples x = y (mu + sigma xi) as the rows of an (n, d) array.
+def sample_batch(model: GaussianModel, rng: np.random.Generator | Sequence[np.random.Generator],
+                 n: int) -> np.ndarray:
+    """Draw n i.i.d. samples x = y (mu + sigma xi) as the rows of an (n, d) array;
+    from a sequence of S generators, n from each as the (S n, d) rows of one
+    array, generator s in the row block [s n, (s + 1) n).
 
-    Labels are drawn first, then the n x d noise block, so a given generator
-    state always yields the same batch.  The batch is built in the noise
-    buffer: scaled by sigma, shifted by mu, and negated in the rows whose label
-    is y = -1, which is y's product bit for bit (-0.0 included).  The labels
-    are not returned: adaptation only ever reads x.
+    Each generator draws its n labels first, then its n x d noise block into
+    its own rows, so a given generator state always yields the same batch,
+    alone or in a sequence.  The batch is built in the noise buffer, once over
+    all the rows: scaled by sigma, shifted by mu, and negated in the rows whose
+    label is y = -1, which is y's product bit for bit (-0.0 included).  The
+    labels are not returned: adaptation only ever reads x.
     """
     n = check_count("n", n, 1)
-    labels = rng.integers(0, 2, size=n)
-    x = rng.standard_normal((n, model.d))
+    rngs = [rng] if isinstance(rng, np.random.Generator) else check_non_empty("rng list", rng)
+    x = np.empty((len(rngs), n, model.d))
+    labels = []
+    for block, gen in zip(x, rngs):
+        labels.append(gen.integers(0, 2, size=n))
+        gen.standard_normal(out=block)
+    x = x.reshape(-1, model.d)
     x *= model.sigma
     x += model.mu
-    return np.negative(x, out=x, where=(labels == 0)[:, None])
+    return np.negative(x, out=x, where=(np.concatenate(labels) == 0)[:, None])
 
 
 def derive_stream_seed(root_seed: int, index: int) -> int:

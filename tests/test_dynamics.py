@@ -14,6 +14,7 @@ from ttalab import (
     ExperimentConfig,
     GaussianModel,
     Mode,
+    TrajectoryPoint,
     UnsupportedLossError,
     all_losses,
     alternating_pm_mu_sampler,
@@ -207,6 +208,30 @@ class TestRunStochastic:
         assert last.a == 0.0 and last.b == 0.0
         assert math.isnan(last.r) and math.isnan(last.cos) and math.isnan(last.loss01)
 
+    @pytest.mark.parametrize("source", ["population", "stochastic", "trajectory"])
+    @pytest.mark.parametrize("stops", [False, True])
+    def test_every_row_is_a_whole_trajectory_point(self, source, stops):
+        """trajectory builds its rows with tuple.__new__, which skips the
+        namedtuple's length check: each row must still be a seven-field
+        TrajectoryPoint equal to one built from its fields, flagged on the
+        last row only, and there only when the run stopped."""
+        model = axis_model(1.0, 1.0)
+        if source == "trajectory":
+            ab = [(1.0 + t, 0.5) for t in range(6)]
+            points = dynamics.trajectory(ab, model, stop=3 if stops else 0)
+            assert len(points) == (4 if stops else 6)
+        else:
+            # conj+square at eta = 100 about doubles a every step and overflows
+            loss = make_loss("conj", "square" if stops else "exp")
+            config = config_from_ab(1.0, 1.0, model, loss, 100.0 if stops else 0.5,
+                                    Mode(source), horizon=1000 if stops else 20, seed=3)
+            points = (run_population if source == "population" else run_stochastic)(config)
+        assert [p.t for p in points] == list(range(1, len(points) + 1))
+        for p in points:
+            assert type(p) is TrajectoryPoint and len(p) == len(TrajectoryPoint._fields)
+            assert p == TrajectoryPoint(*p)
+            assert p.overflow is (stops and p is points[-1])
+
 
 def fig4_base(rule, family="exp", horizon=60):
     """The fig4 shape: d = 10, batch 32, the benchmark target domain."""
@@ -349,17 +374,22 @@ def quad_oracle(family, m, s):
                 for g in ORACLE_DERIVATIVES[family]]
 
 
+EVEN_MASK = (np.arange(641) % 2 == 0).astype(float)
+
+
 def table_block(loss, u):
-    """psi' and psi'' of the loss table on the 641 nodes u as a (2, 1, 641)
-    block with halved end columns, and its even columns: the kernel's rows."""
+    """psi' and psi'' of the loss table on the 641 nodes u with halved end
+    columns, then both rows with their odd columns zeroed: the kernel's
+    (4, 1, 641) block."""
     rows = np.array((loss.dpsi(u), loss.ddpsi(u)))[:, None]
     rows[..., ::640] *= 0.5
-    return rows, rows[..., ::2]
+    return np.concatenate((rows, np.where(EVEN_MASK, rows, 0.0)))
 
 
 def four_dot_expectations(loss, m, s):
-    """The quadrature as four dots on one weight vector with halved end weights
-    (the formulation before the row-block kernel), refinement move included."""
+    """The quadrature as four 641-long dots on one weight vector with halved end
+    weights (the formulation before the block kernel), refinement move included:
+    the halved-grid sums are the masked dots (d * even) @ w."""
     lo, hi = m - 14.0 * s, m + 14.0 * s
     if max(lo, -36.0) < min(hi, 36.0):
         lo, hi = max(lo, -36.0), min(hi, 36.0)
@@ -371,7 +401,7 @@ def four_dot_expectations(loss, m, s):
     fine, moved = [], 0.0
     for d in (loss.dpsi(mid + offset), loss.ddpsi(mid + offset)):
         fine.append(float(d @ w) * scale)
-        move = abs(fine[-1] - 2.0 * scale * float(d[::2] @ w[::2]))
+        move = abs(fine[-1] - 2.0 * scale * float((d * EVEN_MASK) @ w))
         if move > 1e-12 + 1e-9 * abs(fine[-1]):
             moved = max(moved, move)
     return fine[0], fine[1], moved
@@ -424,7 +454,8 @@ class TestQuadrature:
         loss = make_loss("conj", family)
         mid, *stored = _window(loss, -36.0, 36.0)
         assert mid == 0.0
-        fresh = (36.0 * _UNIT, *table_block(loss, 0.0 + 36.0 * _UNIT))
+        fresh = (36.0 * _UNIT, table_block(loss, 0.0 + 36.0 * _UNIT))
+        assert stored[1].shape == (4, 1, 641)
         for got, want in zip(stored, fresh, strict=True):
             assert got.tobytes() == want.tobytes()
             with pytest.raises(ValueError):

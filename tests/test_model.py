@@ -150,6 +150,29 @@ class TestSampleBatch:
             want = y[:, None] * (model.mu[None, :] + model.sigma * xi)
             assert sample_batch(model, rng, n).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("streams", [1, 3])
+    @pytest.mark.parametrize("sigma", [0.0, 0.7])
+    def test_stacked_draw_is_each_generator_s_lone_draw(self, streams, sigma):
+        """Row block s of a draw from a list of generators is generator s's
+        lone draw bit for bit (mu's 0.0 coordinate gives -0.0 where y = -1),
+        and each generator's next draw is its lone twin's next draw."""
+        model = GaussianModel(mu=np.array([0.6567, 0.0, -1.25]), sigma=sigma)
+        n, seeds = 33, range(7, 7 + streams)
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        twins = [np.random.default_rng(seed) for seed in seeds]
+        xs = sample_batch(model, rngs, n)
+        assert xs.shape == (streams * n, model.d)
+        for s, twin in enumerate(twins):
+            assert xs[s * n:(s + 1) * n].tobytes() == sample_batch(model, twin, n).tobytes()
+        for rng, twin in zip(rngs, twins):
+            assert sample_batch(model, rng, n).tobytes() == sample_batch(model, twin, n).tobytes()
+        assert sample_batch(model, rngs[0], n).shape == (n, model.d)
+
+    def test_rejects_an_empty_generator_list(self):
+        model = GaussianModel(mu=unit(2), sigma=1.0)
+        with pytest.raises(ValueError, match="^rng list must be non-empty$"):
+            sample_batch(model, [], 4)
+
 
 class TestDecompose:
     """w split into (a, b) by split_ab and read by ab_metrics."""
