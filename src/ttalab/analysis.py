@@ -323,10 +323,14 @@ def _check_log_bound(seq: np.ndarray, c: float, L: float, tau: float,
         # c = 0: log 0 = -inf, a vacuous bound; tau + 1 >= T: no t to check
         return True, None, math.inf
     start = math.floor(tau + 1.0) + 1
+    # log(c (t-1)) as log c + log(t-1) when c (T-1) is past the float range, where
+    # the product's inf would make the slack -inf (a false violation)
+    log_c = math.log(c) if c * (T - 1) == math.inf else None
     first, low = None, math.inf
     for i, j in _blocks(start, T + 1):
         t = np.arange(i, j)
-        slack = seq[i - 1:j - 1] - np.log(c * (t - 1)) / (2.0 * L)
+        slack = seq[i - 1:j - 1] - (np.log(c * (t - 1)) if log_c is None
+                                    else log_c + np.log(t - 1)) / (2.0 * L)
         if first is None:
             violations = np.flatnonzero(slack < 0.0)
             if violations.size:

@@ -20,21 +20,24 @@ is the one copy of the update: run_population and log_rate_check call it once
 per step.  It returns the quadrature's refinement move with (a', b'), and its
 sigma^2 and ||mu||^2 are finite, as GaussianModel rejects any that overflow.
 
-Both runners record the trajectory point for iteration t *before* the t-th
-update, so point t always describes w_t, plus one final point at T+1.  They
-collect (a, b) per iterate and derive r, cos and the 0-1 loss for the whole
-trajectory in one model.ab_metrics call.  An iterate that overflows or
-becomes exactly 0 ends either run with a flagged record.  stochastic_sweep
-steps R losses x S seed streams x K step sizes as one array, drawing each
-step's S batches in one call for all R losses; run_stochastic is R = S = K = 1.
+Both runners return a Trajectory record whose point t describes w_t, the
+iterate *before* the t-th update, plus one final point at T+1.  They collect
+(a, b) per iterate and derive r, cos and the 0-1 loss for the whole trajectory
+in one model.ab_metrics call; the record keeps the five columns as read-only
+float64 arrays and reads as a sequence of TrajectoryPoint rows, each built
+when it is read.  An iterate that overflows or becomes exactly 0 ends either
+run: the record's stop is that step, and its last row is flagged.
+stochastic_sweep steps R losses x S seed streams x K step sizes as one array,
+drawing each step's S batches in one call for all R losses; run_stochastic is
+R = S = K = 1.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -51,6 +54,7 @@ __all__ = [
     "UnsupportedLossError",
     "ExperimentConfig",
     "TrajectoryPoint",
+    "Trajectory",
     "OVERFLOW_LIMIT",
     "gd_step",
     "run_stochastic",
@@ -102,7 +106,7 @@ class ExperimentConfig:
 class TrajectoryPoint(NamedTuple):
     """State of the run at iteration t (pre-update for t <= horizon).
 
-    overflow flags the last record of a run that stopped early: a component
+    overflow flags the last row of a run that stopped early: a component
     became non-finite or larger than OVERFLOW_LIMIT, or the iterate became
     exactly 0 (then a = b = 0, and r, cos and loss01 are NaN).
     """
@@ -114,6 +118,50 @@ class TrajectoryPoint(NamedTuple):
     cos: float
     loss01: float
     overflow: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory(Sequence):
+    """The points t = 1, ..., n of one run as read-only float64 columns, and
+    stop, the step at which the run stopped (then n = stop + 1), or 0 when it
+    ran to the horizon.
+
+    It reads as a read-only sequence of TrajectoryPoint rows, each built when
+    it is read: len, indexing, slices (a list of rows) and iteration.  A row's
+    t is an int, its values are floats, and its overflow is True only on the
+    last row of a stopped run.  Two records compare equal only if they are the
+    same object; compare the columns and stop instead.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    r: np.ndarray
+    cos: np.ndarray
+    loss01: np.ndarray
+    stop: int = 0
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """(a, b, r, cos, loss01), the order of a row's values."""
+        return self.a, self.b, self.r, self.cos, self.loss01
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self._rows(index))
+        i = range(len(self))[index]  # an int's bounds and sign, as a list's
+        return next(self._rows(slice(i, i + 1)))
+
+    def __iter__(self):
+        return self._rows(slice(None))
+
+    def _rows(self, index: slice):
+        flags = np.zeros(len(self), dtype=bool)
+        flags[-1] = self.stop > 0
+        return map(TrajectoryPoint, range(1, len(self) + 1)[index],
+                   *(c[index].tolist() for c in (*self.columns, flags)))
 
 
 # (t, rng) -> the step's batch as an (n, d) array, one sample per row
@@ -142,16 +190,17 @@ def gd_step(w: np.ndarray, xs: np.ndarray, loss: SelfTrainingLoss,
 
 
 def run_stochastic(config: ExperimentConfig,
-                   sampler: Sampler | None = None) -> list[TrajectoryPoint]:
-    """Run the sampled adaptation loop for config.horizon steps.
+                   sampler: Sampler | None = None) -> Trajectory:
+    """Run the sampled adaptation loop for config.horizon steps; return its
+    Trajectory.
 
     By default each step draws a fresh batch from the model; `sampler`
     overrides the stream (e.g. the deterministic alternating +-mu stream used
     by the figure presets) and receives (t, rng).  Deterministic given the
-    seed.  If an iterate overflows or becomes exactly 0, the run stops early
-    and its last record has overflow=True; direction-based metrics stay valid
-    up to the stop.  It is stochastic_sweep on one loss, one stream and one
-    step size.
+    seed.  If an iterate overflows or becomes exactly 0, the run stops early:
+    the record's stop is that step and its last row has overflow=True;
+    direction-based metrics stay valid up to the stop.  It is stochastic_sweep
+    on one loss, one stream and one step size.
     """
     ab, stopped = stochastic_sweep(config, [config.loss], [config.eta], [config.seed], sampler)
     return trajectory(ab[:, 0, 0, 0], config.model, stop=int(stopped[0, 0, 0]))
@@ -251,6 +300,8 @@ _REFINE_ATOL, _REFINE_RTOL = 1e-12, 1e-9
 # a ttabench population pass (12 runs, one loss object each) misses 770 times: 762
 # uncut windows seen once and one cut window per smooth run, which is never evicted
 _WINDOW_CACHE_SIZE = 16
+# a module global, read on every step: an Enum class attribute costs ~0.2 us
+_SQUARE = LossFamily.SQUARE
 
 
 @functools.lru_cache(maxsize=_WINDOW_CACHE_SIZE)
@@ -274,7 +325,7 @@ def _gaussian_expectations(loss: SelfTrainingLoss, m: float, s: float
     """(E[psi'], E[psi'']) at s > 0 (m +- 14 s distinct from m), and the largest
     move of the halved-grid estimate past the refinement tolerance (0.0 when
     neither moved past it)."""
-    if loss.family is LossFamily.SQUARE:
+    if loss.family is _SQUARE:
         return -m, -1.0, 0.0
     lo, hi = m - _HALF_WIDTH * s, m + _HALF_WIDTH * s
     cut_lo = lo if lo > -_MARGIN_CUT else -_MARGIN_CUT  # comparisons: max/min cost ~0.3 us
@@ -341,12 +392,14 @@ def population_step(a: float, b: float, loss: SelfTrainingLoss,
     return shrink * a - eta * e1 * model.mu_norm**2, abs(shrink) * float(b), moved
 
 
-def run_population(config: ExperimentConfig) -> list[TrajectoryPoint]:
-    """Iterate the population dynamic from split_ab(w_init).
+def run_population(config: ExperimentConfig) -> Trajectory:
+    """Iterate the population dynamic from split_ab(w_init); return its
+    Trajectory.
 
-    Overflow of (a, b), or a = b = 0, ends the run with a flagged record, as
-    in the stochastic runner.  One RuntimeWarning per run reports the steps on
-    which the quadrature's refinement check fired, if any.
+    Overflow of (a, b), or a = b = 0, ends the run at that step (the record's
+    stop, its last row flagged), as in the stochastic runner.  One
+    RuntimeWarning per run reports the steps on which the quadrature's
+    refinement check fired, if any.
     """
     if config.mode is not Mode.POPULATION:
         raise ValueError(f"config.mode is {config.mode.value}, expected population")
@@ -426,15 +479,11 @@ def _increment(eta: float, mu_norm: float, sigma: float) -> float:
 # --- helpers -------------------------------------------------------------------
 
 
-def trajectory(ab, model: GaussianModel, stop: int = 0) -> list[TrajectoryPoint]:
-    """Points t = 1, 2, ... for the iterates' (a, b) pairs: all of them when
-    stop is 0, else those up to step `stop`, the last one flagged."""
+def trajectory(ab, model: GaussianModel, stop: int = 0) -> Trajectory:
+    """The Trajectory of the iterates' (a, b) pairs, points t = 1, 2, ...: all
+    of them when stop is 0, else those up to step `stop`."""
     a, b = np.array(ab[:stop + 1] if stop else ab, dtype=float).T
-    columns = (a.tolist(), b.tolist(), *(m.tolist() for m in ab_metrics(a, b, model)))
-    # tuple.__new__ skips the namedtuple's Python __new__ and its field count:
-    # each row is t, one value per column and overflow=False, all seven fields
-    points = list(map(tuple.__new__, itertools.repeat(TrajectoryPoint),
-                      zip(itertools.count(1), *columns, itertools.repeat(False))))
-    if stop:
-        points[-1] = points[-1]._replace(overflow=True)
-    return points
+    columns = (a, b, *ab_metrics(a, b, model))
+    for column in columns:
+        column.setflags(write=False)
+    return Trajectory(*columns, stop=stop)

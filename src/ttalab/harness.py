@@ -57,17 +57,16 @@ def run_experiment(config_path: str | Path, out_dir: str | Path = ".") -> RunMan
     """Run the experiment described by a config file; write CSV + manifest."""
     config_path = Path(config_path)
     config = parse_config_file(config_path)
-    points = (run_stochastic if config.mode is Mode.STOCHASTIC else run_population)(config)
+    run = (run_stochastic if config.mode is Mode.STOCHASTIC else run_population)(config)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = config_path.stem
     csv_path = out / f"{stem}.trajectory.csv"
     manifest_path = out / f"{stem}.manifest.json"
-    csv_path.write_text(trajectory_csv_text(points, config_flat(config)), encoding="utf-8")
+    csv_path.write_text(trajectory_csv_text(run, config_flat(config)), encoding="utf-8")
     return write_manifest(manifest_path, config, outputs=[csv_path],
-                          notes={"points": len(points),
-                                 "overflow": points[-1].overflow})
+                          notes={"points": len(run), "overflow": bool(run.stop)})
 
 
 def step_size_sweep(base: ExperimentConfig, losses, eta_grid,
@@ -96,8 +95,8 @@ def step_size_sweep(base: ExperimentConfig, losses, eta_grid,
                 curves = [loss01[:, s, k] for s in range(len(seeds)) if not stopped[r, s, k]]
             else:
                 # a population run reads no seed: one run stands for every stream
-                points = run_population(replace(base, loss=loss, eta=eta))
-                curves = [] if points[-1].overflow else [[p.loss01 for p in points]] * len(seeds)
+                run = run_population(replace(base, loss=loss, eta=eta))
+                curves = [] if run.stop else [run.loss01] * len(seeds)
             rows.append(_grid_point(eta, curves, len(seeds), base.horizon))
         sweeps.append((min(rows, key=lambda p: (p.overflow, p.mean_final_loss01, p.eta)), rows))
     return sweeps

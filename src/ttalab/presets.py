@@ -177,13 +177,12 @@ def _emit_fig1(fig_id, out, *, seed, d, horizon=200, eta):
                                    [first.seed], alternating_pm_mu_sampler(first.model))
     for r, config in enumerate(configs):
         name = config.loss.name
-        points = trajectory(ab[:, r, 0, 0], config.model, stop=int(stopped[r, 0, 0]))
+        run = trajectory(ab[:, r, 0, 0], config.model, stop=int(stopped[r, 0, 0]))
         path = out / f"{fig_id}_{name.replace('+', '_')}.csv"
         meta = {**config_flat(config), "stream": "alternating-pm-mu"}
-        path.write_text(trajectory_csv_text(points, meta), encoding="utf-8")
+        path.write_text(trajectory_csv_text(run, meta), encoding="utf-8")
         csv_paths.append(path)
-        summary[name] = {"final_loss01": points[-1].loss01,
-                         "overflow": points[-1].overflow}
+        summary[name] = {"final_loss01": float(run.loss01[-1]), "overflow": bool(run.stop)}
 
     baseline = trajectory([split_ab(first.w_init, first.model)] * (first.horizon + 1),
                           first.model)
@@ -194,7 +193,7 @@ def _emit_fig1(fig_id, out, *, seed, d, horizon=200, eta):
     meta["run.mode"] = "none"
     base_path.write_text(trajectory_csv_text(baseline, meta), encoding="utf-8")
     csv_paths.append(base_path)
-    summary["no-adaptation"] = {"final_loss01": baseline[-1].loss01}
+    summary["no-adaptation"] = {"final_loss01": float(baseline.loss01[-1])}
     return csv_paths, summary
 
 

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import ExperimentConfig, Mode, TrajectoryPoint
+from .dynamics import ExperimentConfig, Mode, Trajectory
 from .losses import make_loss
 from .model import GaussianModel
 
@@ -211,11 +211,12 @@ def csv_with_meta_text(header: str, rows, meta: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trajectory_csv_text(points: list[TrajectoryPoint], meta: dict) -> str:
-    """Render a trajectory as CSV: header, `#` metadata block, data rows."""
-    meta = {**meta, "overflow": any(p.overflow for p in points)}
-    rows = [p[:6] for p in points]  # t, a, b, r, cos, loss01
-    return csv_with_meta_text(TRAJECTORY_HEADER, rows, meta)
+def trajectory_csv_text(run: Trajectory, meta: dict) -> str:
+    """Render a trajectory as CSV: header, `#` metadata block with overflow
+    (whether the run stopped), then one row per point, read from the columns."""
+    meta = {**meta, "overflow": bool(run.stop)}
+    columns = (range(1, len(run) + 1), *(column.tolist() for column in run.columns))
+    return csv_with_meta_text(TRAJECTORY_HEADER, zip(*columns), meta)
 
 
 def read_csv_with_meta(path: str | Path) -> tuple[list[str], list[list], dict]:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -522,6 +523,15 @@ class TestRecursionBound:
         _, report = recursion_bound_run(1.0, 1.0, 1.0, 10**4, equality=False)
         assert report.bound_holds
 
+    def test_a_product_c_t_past_the_float_range_is_no_violation(self):
+        # c (t - 1) overflows at t = 3, where the bound log(c (t-1)) / (2 L) is
+        # ~3.5e5 while r_3 ~ 1e308; the product's inf used to read as a violation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seq, report = recursion_bound_run(1.0, 1e308, 1e-3, 10)
+        assert seq[2] > 9.9e307
+        assert report.bound_holds and report.first_violation_t is None
+
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
             recursion_bound_run(0.0, 1.0, 1.0, 10)
@@ -554,6 +564,16 @@ class TestLogRateCheck:
         assert report.bound_holds
         assert report.first_violation_t is None
         assert report.min_slack >= 0.0
+
+    def test_a_product_c_t_past_the_float_range_is_no_violation(self):
+        # c = eta ||mu||^2 / b1 = 1e305: c (t - 1) overflows from t ~ 1800 on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = log_rate_check(make_loss("conj", "exp"), a1=1.0, b1=1e-5,
+                                    eta=1e300, mu_norm=1.0, T=10**4)
+        assert report.c == 1e305
+        assert report.bound_holds and report.first_violation_t is None
+        assert 0.0 <= report.min_slack < math.inf
 
     def test_start_below_threshold_rejected(self):
         with pytest.raises(ValueError):

@@ -510,6 +510,13 @@ class TestCliExitCodes:
         out = capsys.readouterr().out
         assert "bound_holds = True" in out
 
+    def test_recursion_command_past_the_float_range_of_c_t(self, capsys):
+        # c (t - 1) overflows at t = 3; the bound still holds there
+        assert main(["recursion", "--c", "1e308", "--L", "0.001", "--r1", "1",
+                     "--T", "10"]) == 0
+        out = capsys.readouterr().out
+        assert "bound_holds = True" in out and "first_violation_t = None" in out
+
     def test_stein_command(self, capsys):
         assert main(["stein", "--loss", "conj:exp", "--m", "1", "--s", "1",
                      "--n", "50000", "--seed", "3"]) == 0

@@ -1,6 +1,9 @@
 """Stochastic and population update rules, scalar dynamics, closed forms."""
 
+import dataclasses
+import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -35,6 +38,7 @@ from ttalab import (
 from ttalab import dynamics
 from ttalab.dynamics import _UNIT, _gaussian_expectations, _window, stochastic_sweep
 from ttalab.model import ab_metrics, sample_batch, split_ab
+from ttalab.serialize import TRAJECTORY_HEADER, config_flat, csv_with_meta_text, trajectory_csv_text
 
 
 def config_from_ab(a1, b1, model, loss, eta, mode, horizon, seed=0, batch_size=32):
@@ -132,7 +136,9 @@ class TestRunStochastic:
         config = config_from_ab(1.0, 0.5, axis_model(1.0, 1.0),
                                 make_loss("hard", "exp"), 0.2,
                                 Mode.STOCHASTIC, horizon=40, seed=123)
-        assert run_stochastic(config) == run_stochastic(config)
+        first, second = run_stochastic(config), run_stochastic(config)
+        assert first.stop == second.stop == 0
+        assert [c.tobytes() for c in first.columns] == [c.tobytes() for c in second.columns]
 
     def test_points_are_pre_update(self):
         config = config_from_ab(2.0, 1.0, axis_model(1.0, 0.5),
@@ -211,10 +217,9 @@ class TestRunStochastic:
     @pytest.mark.parametrize("source", ["population", "stochastic", "trajectory"])
     @pytest.mark.parametrize("stops", [False, True])
     def test_every_row_is_a_whole_trajectory_point(self, source, stops):
-        """trajectory builds its rows with tuple.__new__, which skips the
-        namedtuple's length check: each row must still be a seven-field
-        TrajectoryPoint equal to one built from its fields, flagged on the
-        last row only, and there only when the run stopped."""
+        """A record builds its rows when they are read: each row must be a
+        seven-field TrajectoryPoint equal to one built from its fields, flagged
+        on the last row only, and there only when the run stopped."""
         model = axis_model(1.0, 1.0)
         if source == "trajectory":
             ab = [(1.0 + t, 0.5) for t in range(6)]
@@ -227,10 +232,120 @@ class TestRunStochastic:
                                     Mode(source), horizon=1000 if stops else 20, seed=3)
             points = (run_population if source == "population" else run_stochastic)(config)
         assert [p.t for p in points] == list(range(1, len(points) + 1))
-        for p in points:
+        assert points.stop == (len(points) - 1 if stops else 0)
+        for i, p in enumerate(points):
             assert type(p) is TrajectoryPoint and len(p) == len(TrajectoryPoint._fields)
             assert p == TrajectoryPoint(*p)
-            assert p.overflow is (stops and p is points[-1])
+            assert p.overflow is (stops and i == len(points) - 1)
+
+
+def row_oracle(ab, model, stop=0):
+    """The rows a run returned as a list of TrajectoryPoint, as it was built
+    before runs returned column records: the oracle for a record's rows."""
+    a, b = np.array(ab[:stop + 1] if stop else ab, dtype=float).T
+    columns = (a.tolist(), b.tolist(), *(m.tolist() for m in ab_metrics(a, b, model)))
+    points = list(map(tuple.__new__, itertools.repeat(TrajectoryPoint),
+                      zip(itertools.count(1), *columns, itertools.repeat(False))))
+    if stop:
+        points[-1] = points[-1]._replace(overflow=True)
+    return points
+
+
+def row_csv_text(points, meta):
+    """trajectory_csv_text as it was written from such a row list."""
+    meta = {**meta, "overflow": any(p.overflow for p in points)}
+    return csv_with_meta_text(TRAJECTORY_HEADER, [p[:6] for p in points], meta)
+
+
+def population_ab(config):
+    """(the (a, b) of every point, stop) of a population run, one
+    population_step at a time under the runners' stop rule."""
+    a, b = split_ab(config.w_init, config.model)
+    ab = [(a, b)]
+    for t in range(1, config.horizon + 1):
+        a, b, _ = population_step(a, b, config.loss, config.model, config.eta)
+        ab.append((a, b))
+        if (not (math.isfinite(a) and math.isfinite(b))
+                or max(abs(a), b) > dynamics.OVERFLOW_LIMIT or a == b == 0.0):
+            return ab, t
+    return ab, 0
+
+
+def row_bits(p):
+    """A row's fields with every float as its .hex(), and their types."""
+    return ([v.hex() if isinstance(v, float) else v for v in p], [type(v) for v in p])
+
+
+class TestTrajectoryRecord:
+    """A run returns one record of columns that reads as the row list runs
+    used to return: same rows, same bits, same CSV text."""
+
+    @staticmethod
+    def run_and_oracle(mode, stops):
+        # conj+square at eta = 100 about doubles a every step and overflows
+        loss = make_loss("conj", "square" if stops else "exp")
+        config = config_from_ab(1.0, 1.0, axis_model(1.0, 1.0), loss, 100.0 if stops else 0.5,
+                                mode, horizon=1000 if stops else 30, seed=3)
+        if mode is Mode.POPULATION:
+            run = run_population(config)
+            ab, stop = population_ab(config)
+        else:
+            run = run_stochastic(config)
+            swept, stopped = stochastic_sweep(config, [loss], [config.eta], [config.seed])
+            ab, stop = swept[:, 0, 0, 0], int(stopped[0, 0, 0])
+        return config, run, row_oracle(ab, config.model, stop)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("stops", [False, True])
+    def test_rows_are_the_row_oracle_s_bit_for_bit(self, mode, stops):
+        config, run, rows = self.run_and_oracle(mode, stops)
+        assert (run.stop > 0) is stops and len(run) == len(rows)
+        assert [row_bits(p) for p in run] == [row_bits(q) for q in rows]
+        meta = config_flat(config)
+        assert trajectory_csv_text(run, meta) == row_csv_text(rows, meta)
+
+    @pytest.mark.parametrize("stops", [False, True])
+    def test_indexing_and_slices_read_as_the_list(self, stops):
+        _, run, rows = self.run_and_oracle(Mode.POPULATION, stops)
+        n = len(rows)
+        for i in (0, 1, n - 1, -1, -n):
+            assert row_bits(run[i]) == row_bits(rows[i])
+        for index in (slice(None), slice(1, 4), slice(-3, None), slice(None, None, -2),
+                      slice(n, None), slice(5, 2)):
+            got = run[index]
+            assert type(got) is list
+            assert [row_bits(p) for p in got] == [row_bits(q) for q in rows[index]]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                run[i]
+        with pytest.raises(TypeError):
+            run[1.0]
+        assert bool(run) and run.stop == (n - 1 if stops else 0)
+
+    def test_columns_are_read_only_float64(self):
+        _, run, _ = self.run_and_oracle(Mode.STOCHASTIC, False)
+        for column in run.columns:
+            assert column.dtype == np.float64 and column.shape == (len(run),)
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            run.stop = 3
+
+    def test_a_long_population_run_holds_its_columns_only(self):
+        # 10^4 points held about 2.9 MB as TrajectoryPoint rows; as five
+        # float64 columns 0.4 MB, plus the quadrature window cache
+        _, mu, sigma, w_init = build_benchmark_domains(10, 0)
+        config = ExperimentConfig(model=GaussianModel(mu=mu, sigma=sigma),
+                                  loss=make_loss("conj", "exp"), eta=0.5,
+                                  mode=Mode.POPULATION, horizon=10**4, seed=0, w_init=w_init)
+        tracemalloc.start()
+        try:
+            run = run_population(config)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(run) == 10**4 + 1 and run.stop == 0
+        assert held < 1.5 * 2**20
 
 
 def fig4_base(rule, family="exp", horizon=60):
