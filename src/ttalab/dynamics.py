@@ -23,13 +23,15 @@ sigma^2 and ||mu||^2 are finite, as GaussianModel rejects any that overflow.
 Both runners return a Trajectory record whose point t describes w_t, the
 iterate *before* the t-th update, plus one final point at T+1.  They collect
 (a, b) per iterate and derive r, cos and the 0-1 loss for the whole trajectory
-in one model.ab_metrics call; the record keeps the five columns as read-only
-float64 arrays and reads as a sequence of TrajectoryPoint rows, each built
-when it is read.  An iterate that overflows or becomes exactly 0 ends either
-run: the record's stop is that step, and its last row is flagged.
-stochastic_sweep steps R losses x S seed streams x K step sizes as one array,
-drawing each step's S batches in one call for all R losses; run_stochastic is
-R = S = K = 1.
+in one model.ab_metrics call; the record's read-only float64 columns a, b, r,
+cos and loss01 and its len are how the package and its tests read a run.  An
+iterate that overflows or becomes exactly 0 ends either run at that step, the
+record's stop.  The record also yields TrajectoryPoint rows, built when read
+(integer indexing and iteration), only for ttabench's two readers of rows
+until ttabench reads the columns.  stochastic_sweep steps R losses x S seed
+streams x K step sizes as one array, drawing each step's S batches in one
+call for all R losses, or from a sampler such as the alternating +-mu stream;
+run_stochastic is R = S = K = 1 on the model's own batches.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -121,16 +122,17 @@ class TrajectoryPoint(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory(Sequence):
+class Trajectory:
     """The points t = 1, ..., n of one run as read-only float64 columns, and
     stop, the step at which the run stopped (then n = stop + 1), or 0 when it
-    ran to the horizon.
+    ran to the horizon.  len(run) is n.
 
-    It reads as a read-only sequence of TrajectoryPoint rows, each built when
-    it is read: len, indexing, slices (a list of rows) and iteration.  A row's
-    t is an int, its values are floats, and its overflow is True only on the
-    last row of a stopped run.  Two records compare equal only if they are the
-    same object; compare the columns and stop instead.
+    run[i] (an int, negative from the end) and iteration give TrajectoryPoint
+    rows, built when read, with t an int, the values floats and overflow True
+    only on the last row of a stopped run.  They are kept for ttabench's two
+    readers of rows (workloads.Population.digest, tracing._count_overflow)
+    until it reads the columns; read the columns instead.  Two records compare
+    equal only if they are the same object; compare the columns and stop.
     """
 
     a: np.ndarray
@@ -148,9 +150,7 @@ class Trajectory(Sequence):
     def __len__(self) -> int:
         return len(self.a)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self._rows(index))
+    def __getitem__(self, index: int) -> TrajectoryPoint:
         i = range(len(self))[index]  # an int's bounds and sign, as a list's
         return next(self._rows(slice(i, i + 1)))
 
@@ -189,20 +189,17 @@ def gd_step(w: np.ndarray, xs: np.ndarray, loss: SelfTrainingLoss,
     return w - eta * grad
 
 
-def run_stochastic(config: ExperimentConfig,
-                   sampler: Sampler | None = None) -> Trajectory:
-    """Run the sampled adaptation loop for config.horizon steps; return its
-    Trajectory.
+def run_stochastic(config: ExperimentConfig) -> Trajectory:
+    """Run the sampled adaptation loop for config.horizon steps, each on a
+    fresh batch from the model; return its Trajectory.
 
-    By default each step draws a fresh batch from the model; `sampler`
-    overrides the stream (e.g. the deterministic alternating +-mu stream used
-    by the figure presets) and receives (t, rng).  Deterministic given the
-    seed.  If an iterate overflows or becomes exactly 0, the run stops early:
-    the record's stop is that step and its last row has overflow=True;
-    direction-based metrics stay valid up to the stop.  It is stochastic_sweep
-    on one loss, one stream and one step size.
+    Deterministic given the seed.  If an iterate overflows or becomes exactly
+    0, the run stops early at that step, the record's stop; direction-based
+    metrics stay valid up to the stop.  It is stochastic_sweep on one loss,
+    one stream and one step size; another stream (e.g. the alternating +-mu
+    stream of the figure presets) is stochastic_sweep's sampler.
     """
-    ab, stopped = stochastic_sweep(config, [config.loss], [config.eta], [config.seed], sampler)
+    ab, stopped = stochastic_sweep(config, [config.loss], [config.eta], [config.seed])
     return trajectory(ab[:, 0, 0, 0], config.model, stop=int(stopped[0, 0, 0]))
 
 
@@ -213,17 +210,19 @@ def stochastic_sweep(base: ExperimentConfig, losses, etas, seeds,
 
     The iterates are one (R, S, K, d) array.  Each step, stream s draws one
     batch as a lone run on seeds[s] would, and each loss steps its (S, K, d)
-    block on those S batches, so every batch is drawn once for all R losses
-    and column (r, s, k) is run_stochastic(replace(base, loss=losses[r],
-    eta=etas[k], seed=seeds[s])) bit for bit.  Without a sampler the S batches
-    come from one sample_batch call on the S generators, stream s's batch in
-    row block s; a sampler is called once per stream.  Every step's iterates are
-    written in place into one preallocated (T+1, R, S, K, d) buffer, which is
-    split into (a, b) after the last step, one loss block at a time.  A column
-    stops when its largest |component| is NaN, past OVERFLOW_LIMIT or 0.0
-    (_stopped, which first screens the whole array and reduces per column only
-    when some |component| is outside (0.0, OVERFLOW_LIMIT]).  A stopped column is
-    then frozen at NaN, which every later operation passes on without a warning.
+    block on those S batches, so every batch is drawn once for all R losses.
+    Without a sampler the S batches come from one sample_batch call on the S
+    generators, stream s's batch in row block s, and column (r, s, k) is
+    run_stochastic(replace(base, loss=losses[r], eta=etas[k], seed=seeds[s]))
+    bit for bit; a sampler, called once per stream with (t, rng), replaces the
+    model's batches (the figure presets' alternating +-mu stream is one).
+    Every step's iterates are written in place into one preallocated
+    (T+1, R, S, K, d) buffer, which is split into (a, b) after the last step,
+    one loss block at a time.  A column stops when its largest |component| is
+    NaN, past OVERFLOW_LIMIT or 0.0 (_stopped, which first screens the whole
+    array and reduces per column only when some |component| is outside
+    (0.0, OVERFLOW_LIMIT]).  A stopped column is then frozen at NaN, which
+    every later operation passes on without a warning.
     Returns (ab, stopped): ab[t, r, s, k] is the (a, b) of point t + 1 of column
     (r, s, k), NaN after its stop, up to the last step run; stopped[r, s, k] is
     the step at which the column stopped, 0 for one that ran all base.horizon steps.
@@ -397,9 +396,8 @@ def run_population(config: ExperimentConfig) -> Trajectory:
     Trajectory.
 
     Overflow of (a, b), or a = b = 0, ends the run at that step (the record's
-    stop, its last row flagged), as in the stochastic runner.  One
-    RuntimeWarning per run reports the steps on which the quadrature's
-    refinement check fired, if any.
+    stop), as in the stochastic runner.  One RuntimeWarning per run reports the
+    steps on which the quadrature's refinement check fired, if any.
     """
     if config.mode is not Mode.POPULATION:
         raise ValueError(f"config.mode is {config.mode.value}, expected population")

@@ -50,8 +50,6 @@ __all__ = [
     "all_losses",
     "club_losses",
     "parse_loss_id",
-    "pseudo_label",
-    "self_loss_gradient",
 ]
 
 _LN2 = math.log(2.0)
@@ -215,22 +213,3 @@ def parse_loss_id(text: str) -> SelfTrainingLoss:
             f"unknown loss {text!r}; rule is one of hard/conj, "
             "family one of square/logistic/exp"
         ) from None
-
-
-def pseudo_label(loss: SelfTrainingLoss, margin: float) -> float:
-    """Pseudo-label assigned to a sample with margin w^T x."""
-    margin = float(margin)
-    if loss.rule is LabelRule.HARD:
-        return float(np.sign(margin))
-    if loss.family is LossFamily.SQUARE:
-        return margin
-    return math.tanh(margin)
-
-
-def self_loss_gradient(loss: SelfTrainingLoss, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient of psi(w^T x) in w, i.e. psi'(w^T x) x."""
-    w = np.asarray(w, dtype=float).reshape(-1)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if w.size != x.size:
-        raise ValueError(f"dimension mismatch: len(w)={w.size}, len(x)={x.size}")
-    return float(loss.dpsi(float(w @ x))) * x

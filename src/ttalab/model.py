@@ -72,11 +72,11 @@ class GaussianModel:
         object.__setattr__(self, "mu_norm", norm)
 
 
-def sample_batch(model: GaussianModel, rng: np.random.Generator | Sequence[np.random.Generator],
+def sample_batch(model: GaussianModel, rngs: Sequence[np.random.Generator],
                  n: int) -> np.ndarray:
-    """Draw n i.i.d. samples x = y (mu + sigma xi) as the rows of an (n, d) array;
-    from a sequence of S generators, n from each as the (S n, d) rows of one
-    array, generator s in the row block [s n, (s + 1) n).
+    """Draw n i.i.d. samples x = y (mu + sigma xi) from each of the S
+    generators in rngs, as the (S n, d) rows of one array, generator s in the
+    row block [s n, (s + 1) n).
 
     Each generator draws its n labels first, then its n x d noise block into
     its own rows, so a given generator state always yields the same batch,
@@ -86,7 +86,7 @@ def sample_batch(model: GaussianModel, rng: np.random.Generator | Sequence[np.ra
     labels are not returned: adaptation only ever reads x.
     """
     n = check_count("n", n, 1)
-    rngs = [rng] if isinstance(rng, np.random.Generator) else check_non_empty("rng list", rng)
+    rngs = check_non_empty("rng list", rngs)
     x = np.empty((len(rngs), n, model.d))
     labels = []
     for block, gen in zip(x, rngs):

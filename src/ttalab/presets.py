@@ -119,11 +119,12 @@ def reproduce_figure(fig_id: str, seed: int = 0, d: int = 10, batch: int = 32,
     """Run one figure preset and write its CSV(s) and SVG to out_dir.
 
     d, batch and horizon keep their defaults unless the figure reads them;
-    horizon=None is the figure's own default horizon."""
+    horizon=None is the figure's own default horizon.  Every figure checks
+    seed, read or not, before out_dir is created."""
     emit, _ = _figure(fig_id)
     reads = inspect.signature(emit).parameters
     defaults = inspect.signature(reproduce_figure).parameters
-    given = {"seed": seed, "d": d, "batch": batch, "horizon": horizon}
+    given = {"seed": check_count("seed", seed, 0), "d": d, "batch": batch, "horizon": horizon}
     for name, value in given.items():
         if name != "seed" and name not in reads and value != defaults[name].default:
             raise ValueError(f"{name} = {value!r} is not an input of {fig_id}")

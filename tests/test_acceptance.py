@@ -62,10 +62,9 @@ def test_criterion_01_ratio_growth_exactness():
     worst = 0.0
     for eta, sigma, mu_norm, r1 in RATIO_GRID:
         config = population_config(r1, 1.0, mu_norm, sigma, loss, eta, horizon=60)
-        points = run_population(config)
-        for p in points:
-            expected = conj_square_ratio_closed_form(r1, eta, mu_norm, sigma, p.t - 1)
-            worst = max(worst, abs(p.r - expected) / abs(expected))
+        for t, r in enumerate(run_population(config).r.tolist()):
+            expected = conj_square_ratio_closed_form(r1, eta, mu_norm, sigma, t)
+            worst = max(worst, abs(r - expected) / abs(expected))
     elapsed = time.perf_counter() - start
     check(1, "conjugate-square ratio matches closed form (rel <= 1e-10, < 1 s)",
           worst <= 1e-10 and elapsed < 1.0,
@@ -84,11 +83,10 @@ def test_criterion_02_iteration_bound():
                   for eps in epsilons}
         horizon = max(bounds.values()) + 2
         config = population_config(r1, 1.0, mu_norm, sigma, loss, eta, horizon)
-        points = run_population(config)
-        a, b = np.array([(p.a, p.b) for p in points]).T
+        run = run_population(config)
         for eps, bound in bounds.items():
-            optimal = is_epsilon_optimal(a, b, config.model, eps)
-            first = next(p.t for p, ok in zip(points, optimal) if ok)
+            optimal = is_epsilon_optimal(run.a, run.b, config.model, eps)
+            first = np.flatnonzero(optimal)[0] + 1  # the first eps-optimal point's t
             ok = ok and first <= bound + 1
             worst_gap = max(worst_gap, first - (bound + 1))
     check(2, "simulation reaches eps-optimality within the bound + 1",
@@ -106,14 +104,12 @@ def test_criterion_03_hard_square_small_step_plateau():
     for mu_norm in (1.0, 1.7):
         config = population_config(0.3 * mu_norm, 1.0, mu_norm, 0.0, loss,
                                    eta=0.5 / mu_norm**2, horizon=100)
-        points = run_population(config)
-        by_t = {p.t: p for p in points}
-        a_bar_err = abs(by_t[100].a / mu_norm - 1.0 / mu_norm)
+        run = run_population(config)
+        a_bar_err = abs(run.a[99] / mu_norm - 1.0 / mu_norm)  # point t = 100
         cos2_limit = (1 / mu_norm**2) / (1 / mu_norm**2 + 1.0)
-        cos2_err = abs(points[-1].cos**2 - cos2_limit)
+        cos2_err = abs(run.cos[-1]**2 - cos2_limit)
         gap = 1.0 - cos2_limit
-        a, b = np.array([(p.a, p.b) for p in points]).T
-        never_optimal = not is_epsilon_optimal(a, b, config.model, 0.5 * gap).any()
+        never_optimal = not is_epsilon_optimal(run.a, run.b, config.model, 0.5 * gap).any()
         ok = ok and a_bar_err <= 1e-6 and cos2_err <= 1e-9 and never_optimal
         details.append(f"mu={mu_norm}: a_bar err {a_bar_err:.1e}, cos2 err {cos2_err:.1e}")
     check(3, "hard-square small-step run plateaus below optimality",

@@ -199,8 +199,8 @@ def test_every_zero_one_loss_goes_through_gauss_upper_tail(monkeypatch):
                             w_init=np.array([1.0, 0.0]), batch_size=8)
     assert 0.0 < zero_one_loss(noisy, [1.0, 0.0]) < 0.5
     assert calls == [1]
-    points = run_population(base)
-    assert calls == [1, 5] and not math.isnan(points[-1].loss01)
+    run = run_population(base)
+    assert calls == [1, 5] and not math.isnan(run.loss01[-1])
     step_size_sweep(replace(base, mode=Mode.STOCHASTIC), [base.loss], [0.1, 0.5], 2)
     assert calls == [1, 5, 5 * 2 * 2]  # one call on all 5 points x 2 seeds x 2 step sizes
 
@@ -245,11 +245,11 @@ class TestGridSearch:
         [(best, rows)] = step_size_sweep(base, [base.loss], [0.05, 100.0], 3)
         assert best.eta == 0.05 and [r.n_overflow for r in rows] == [0, 3]
         lone = run_population(replace(base, eta=0.05))
-        finals = [lone[-1].loss01] * 3
+        finals = [lone.loss01[-1]] * 3
         assert rows[0].mean_final_loss01 == float(np.mean(finals))
         assert rows[0].std_final_loss01 == float(np.std(finals, ddof=1))
         np.testing.assert_array_equal(rows[0].curve,
-                                      np.mean([[p.loss01 for p in lone]] * 3, axis=0))
+                                      np.mean([lone.loss01] * 3, axis=0))
         assert rows[1].mean_final_loss01 == math.inf and np.isnan(rows[1].curve).all()
 
     @pytest.mark.parametrize("streams", [1, 3])
@@ -572,6 +572,14 @@ class TestCliExitCodes:
         assert main(["figure", "fig1a", "--batch", "64", "--out", str(tmp_path)]) == 1
         assert "batch = 64 is not an input of fig1a" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("fig_id", ["fig1a", "fig2", "fig3"])
+    def test_figure_negative_seed_is_one_and_writes_nothing(self, tmp_path, capsys, fig_id):
+        # fig2 and fig3 read no seed, fig1a only after its output directory exists
+        out = tmp_path / "out"
+        assert main(["figure", fig_id, "--seed", "-1", "--out", str(out)]) == 1
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_figure_defaults_are_reproduce_figures(self, tmp_path, monkeypatch, capsys):
         written = {}

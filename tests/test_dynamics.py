@@ -32,13 +32,14 @@ from ttalab import (
     population_step,
     run_population,
     run_stochastic,
-    self_loss_gradient,
     stein_identity_check,
 )
 from ttalab import dynamics
 from ttalab.dynamics import _UNIT, _gaussian_expectations, _window, stochastic_sweep
 from ttalab.model import ab_metrics, sample_batch, split_ab
 from ttalab.serialize import TRAJECTORY_HEADER, config_flat, csv_with_meta_text, trajectory_csv_text
+
+from test_losses import self_loss_gradient
 
 
 def config_from_ab(a1, b1, model, loss, eta, mode, horizon, seed=0, batch_size=32):
@@ -56,6 +57,14 @@ def axis_model(mu_norm, sigma, d=3):
     mu = np.zeros(d)
     mu[0] = mu_norm
     return GaussianModel(mu=mu, sigma=sigma)
+
+
+def alternating_run(config):
+    """The sampled run of config on the alternating +-mu stream: the one
+    column of stochastic_sweep with alternating_pm_mu_sampler, as fig1 runs it."""
+    ab, stopped = stochastic_sweep(config, [config.loss], [config.eta], [config.seed],
+                                   alternating_pm_mu_sampler(config.model))
+    return dynamics.trajectory(ab[:, 0, 0, 0], config.model, stop=int(stopped[0, 0, 0]))
 
 
 class TestGdStep:
@@ -106,7 +115,8 @@ class TestGdStep:
     @pytest.mark.parametrize("loss", all_losses(), ids=lambda loss: loss.name)
     def test_one_row_step_is_the_self_loss_gradient_step(self, loss):
         """On a one-row batch gd_step is w - eta * self_loss_gradient(loss, w, x),
-        bit for bit: 200 seeded cases of dimension 1 to 6 and scales 1e-3 to 1e3."""
+        the oracle psi'(w^T x) x, bit for bit: 200 seeded cases of dimension 1
+        to 6 and scales 1e-3 to 1e3."""
         rng = np.random.default_rng(17)
         for _ in range(200):
             d = int(rng.integers(1, 7))
@@ -144,10 +154,9 @@ class TestRunStochastic:
         config = config_from_ab(2.0, 1.0, axis_model(1.0, 0.5),
                                 make_loss("conj", "logistic"), 0.1,
                                 Mode.STOCHASTIC, horizon=5)
-        points = run_stochastic(config)
-        assert points[0].t == 1
-        assert points[0].a == pytest.approx(2.0, rel=1e-14)
-        assert [p.t for p in points] == list(range(1, 7))
+        run = run_stochastic(config)
+        assert len(run) == 6  # w_1, ..., w_5 before their updates, then w_6
+        assert run.a[0] == pytest.approx(2.0, rel=1e-14)
 
     def test_conj_square_alternating_aligns(self):
         """On the noiseless alternating stream the conjugate square loss drives
@@ -155,14 +164,14 @@ class TestRunStochastic:
         model = axis_model(1.0, 0.0)
         config = config_from_ab(0.4, 1.0, model, make_loss("conj", "square"),
                                 1.0, Mode.STOCHASTIC, horizon=40, batch_size=1)
-        points = run_stochastic(config, sampler=alternating_pm_mu_sampler(model))
-        cosines = [p.cos for p in points]
+        run = alternating_run(config)
+        cosines = run.cos.tolist()
         # strictly increasing until it saturates at 1.0 in float
         assert all(c2 > c1 or c1 == c2 == 1.0
                    for c1, c2 in zip(cosines, cosines[1:]))
         assert sum(c2 > c1 for c1, c2 in zip(cosines, cosines[1:])) >= 25
         assert cosines[-1] > 0.999999
-        assert all(p.loss01 == 0.0 for p in points)
+        assert (run.loss01 == 0.0).all()
 
     def test_hard_square_alternating_plateaus_below_one(self):
         """The hard square loss freezes the orthogonal component, so cos
@@ -171,20 +180,19 @@ class TestRunStochastic:
         b1 = 0.8
         config = config_from_ab(0.4, b1, model, make_loss("hard", "square"),
                                 1.0, Mode.STOCHASTIC, horizon=60, batch_size=1)
-        points = run_stochastic(config, sampler=alternating_pm_mu_sampler(model))
-        assert all(p.b == pytest.approx(b1, rel=1e-14) for p in points)
+        run = alternating_run(config)
+        assert run.b == pytest.approx(b1, rel=1e-14)
         limit = 1.0 / math.sqrt(1.0 + b1**2)
-        assert points[-1].cos == pytest.approx(limit, abs=1e-9)
-        assert all(p.cos <= limit + 1e-12 for p in points)
+        assert run.cos[-1] == pytest.approx(limit, abs=1e-9)
+        assert (run.cos <= limit + 1e-12).all()
 
     def test_overflow_flags_and_stops(self):
         config = config_from_ab(1.0, 1.0, axis_model(1.0, 1.0),
                                 make_loss("conj", "square"), 100.0,
                                 Mode.STOCHASTIC, horizon=10_000, seed=3)
-        points = run_stochastic(config)
-        assert points[-1].overflow
-        assert len(points) < 10_001
-        assert abs(points[-1].cos) <= 1.0
+        run = run_stochastic(config)
+        assert 0 < run.stop == len(run) - 1 < 10_000
+        assert abs(run.cos[-1]) <= 1.0
 
     def test_zero_iterate_ends_with_a_flag(self):
         # hard square, eta = 2 on +mu from w = 2 mu: w - 2 (2 - 1) mu = 0
@@ -192,13 +200,10 @@ class TestRunStochastic:
         config = ExperimentConfig(model=model, loss=make_loss("hard", "square"),
                                   eta=2.0, mode=Mode.STOCHASTIC, horizon=5, seed=0,
                                   w_init=np.array([2.0, 0.0]), batch_size=1)
-        points = run_stochastic(config, sampler=alternating_pm_mu_sampler(model))
-        assert len(points) == 2
-        last = points[-1]
-        assert last.overflow and last.t == 2
-        assert last.a == 0.0 and last.b == 0.0
-        assert math.isnan(last.cos) and math.isnan(last.loss01)
-        assert not points[0].overflow
+        run = alternating_run(config)
+        assert len(run) == 2 and run.stop == 1
+        assert run.a[-1] == 0.0 and run.b[-1] == 0.0
+        assert math.isnan(run.cos[-1]) and math.isnan(run.loss01[-1])
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_zero_iterate_ends_with_a_flag_in_both_modes(self, mode):
@@ -207,12 +212,10 @@ class TestRunStochastic:
         config = ExperimentConfig(model=model, loss=make_loss("hard", "square"),
                                   eta=2.0, mode=mode, horizon=4, seed=0,
                                   w_init=np.array([2.0, 0.0]))
-        run = run_population if mode is Mode.POPULATION else run_stochastic
-        points = run(config)
-        assert [(p.t, p.overflow) for p in points] == [(1, False), (2, True)]
-        last = points[-1]
-        assert last.a == 0.0 and last.b == 0.0
-        assert math.isnan(last.r) and math.isnan(last.cos) and math.isnan(last.loss01)
+        run = (run_population if mode is Mode.POPULATION else run_stochastic)(config)
+        assert len(run) == 2 and run.stop == 1
+        assert run.a[-1] == 0.0 and run.b[-1] == 0.0
+        assert math.isnan(run.r[-1]) and math.isnan(run.cos[-1]) and math.isnan(run.loss01[-1])
 
     @pytest.mark.parametrize("source", ["population", "stochastic", "trajectory"])
     @pytest.mark.parametrize("stops", [False, True])
@@ -305,22 +308,23 @@ class TestTrajectoryRecord:
         assert trajectory_csv_text(run, meta) == row_csv_text(rows, meta)
 
     @pytest.mark.parametrize("stops", [False, True])
-    def test_indexing_and_slices_read_as_the_list(self, stops):
+    def test_indexing_and_iteration_read_as_the_list(self, stops):
+        """ttabench's reads of a run: len, run[0], run[-1] and iteration give the
+        row list's rows; past either end is an IndexError, and a slice or a float
+        index a TypeError."""
         _, run, rows = self.run_and_oracle(Mode.POPULATION, stops)
         n = len(rows)
+        assert len(run) == n and bool(run) and run.stop == (n - 1 if stops else 0)
         for i in (0, 1, n - 1, -1, -n):
             assert row_bits(run[i]) == row_bits(rows[i])
-        for index in (slice(None), slice(1, 4), slice(-3, None), slice(None, None, -2),
-                      slice(n, None), slice(5, 2)):
-            got = run[index]
-            assert type(got) is list
-            assert [row_bits(p) for p in got] == [row_bits(q) for q in rows[index]]
+        assert run[-1].overflow is stops and run[0].overflow is False
+        assert [row_bits(p) for p in run] == [row_bits(q) for q in rows]
         for i in (n, -n - 1):
             with pytest.raises(IndexError):
                 run[i]
-        with pytest.raises(TypeError):
-            run[1.0]
-        assert bool(run) and run.stop == (n - 1 if stops else 0)
+        for index in (slice(None), slice(1, 4), 1.0):
+            with pytest.raises(TypeError):
+                run[index]
 
     def test_columns_are_read_only_float64(self):
         _, run, _ = self.run_and_oracle(Mode.STOCHASTIC, False)
@@ -368,12 +372,12 @@ def assert_columns_are_lone_runs(base, losses, etas, seeds):
         loss01 = ab_metrics(ab[:, r, ..., 0], ab[:, r, ..., 1], base.model)[2]
         for s, seed in enumerate(seeds):
             for k, eta in enumerate(etas):
-                points = run_stochastic(replace(base, loss=loss, eta=eta, seed=seed))
-                n = lengths[r, s, k] = len(points)
-                np.testing.assert_array_equal(loss01[:n, s, k], [p.loss01 for p in points])
-                np.testing.assert_array_equal(ab[:n, r, s, k], [(p.a, p.b) for p in points])
+                run = run_stochastic(replace(base, loss=loss, eta=eta, seed=seed))
+                n = lengths[r, s, k] = len(run)
+                np.testing.assert_array_equal(loss01[:n, s, k], run.loss01)
+                np.testing.assert_array_equal(ab[:n, r, s, k], np.column_stack((run.a, run.b)))
                 assert np.isnan(ab[n:, r, s, k]).all()
-                assert stopped[r, s, k] == (n - 1 if points[-1].overflow else 0)
+                assert stopped[r, s, k] == run.stop == (n - 1 if run.stop else 0)
     return lengths, stopped
 
 
@@ -735,19 +739,17 @@ class TestRunPopulation:
         config = config_from_ab(1.0, 1.0, axis_model(mu_norm, sigma),
                                 make_loss("conj", "square"), eta,
                                 Mode.POPULATION, horizon=60)
-        points = run_population(config)
-        r1 = points[0].r
-        for p in points:
-            expected = conj_square_ratio_closed_form(r1, eta, mu_norm, sigma, p.t - 1)
-            assert abs(p.r - expected) <= 1e-10 * abs(expected)
+        ratios = run_population(config).r.tolist()
+        for t, r in enumerate(ratios):
+            expected = conj_square_ratio_closed_form(ratios[0], eta, mu_norm, sigma, t)
+            assert abs(r - expected) <= 1e-10 * abs(expected)
 
     def test_noiseless_orthogonal_component_is_frozen(self):
         for loss_id in (("conj", "exp"), ("hard", "logistic"), ("conj", "square")):
             config = config_from_ab(1.0, 0.7, axis_model(1.0, 0.0),
                                     make_loss(*loss_id), 0.5,
                                     Mode.POPULATION, horizon=50)
-            points = run_population(config)
-            assert all(p.b == pytest.approx(0.7, rel=1e-14) for p in points)
+            assert run_population(config).b == pytest.approx(0.7, rel=1e-14)
 
     def test_hard_loss_rejected_when_noisy(self):
         config = config_from_ab(1.0, 1.0, axis_model(1.0, 0.5),
@@ -763,13 +765,11 @@ class TestRunPopulation:
         loss = make_loss("conj", "square")
         pop = run_population(config_from_ab(0.5, 1.0, model, loss, 1.0,
                                             Mode.POPULATION, horizon=30))
-        sto = run_stochastic(
-            config_from_ab(0.5, 1.0, model, loss, 1.0, Mode.STOCHASTIC,
-                           horizon=30, batch_size=1),
-            sampler=alternating_pm_mu_sampler(model))
-        for p, s in zip(pop, sto):
-            assert abs(p.a - s.a) <= 1e-12 * max(1.0, abs(p.a))
-            assert abs(p.b - s.b) <= 1e-12 * max(1.0, abs(p.b))
+        sto = alternating_run(config_from_ab(0.5, 1.0, model, loss, 1.0, Mode.STOCHASTIC,
+                                             horizon=30, batch_size=1))
+        assert len(pop) == len(sto)
+        for p, s in ((pop.a, sto.a), (pop.b, sto.b)):
+            assert (abs(p - s) <= 1e-12 * np.maximum(1.0, abs(p))).all()
 
     def test_small_step_freezes_the_orthogonal_gap(self):
         """Hard square, sigma = 0, small step: a_bar -> 1/||mu||, b frozen, and
@@ -780,12 +780,11 @@ class TestRunPopulation:
                                 make_loss("hard", "square"),
                                 eta=0.5 / mu_norm**2, mode=Mode.POPULATION,
                                 horizon=200)
-        points = run_population(config)
-        final = points[-1]
-        assert final.a / mu_norm == pytest.approx(1.0 / mu_norm, abs=1e-9)
+        run = run_population(config)
+        assert run.a[-1] / mu_norm == pytest.approx(1.0 / mu_norm, abs=1e-9)
         expected_cos2 = (1 / mu_norm**2) / (1 / mu_norm**2 + b1**2)
-        assert final.cos**2 == pytest.approx(expected_cos2, abs=1e-9)
-        assert all(p.cos <= final.cos + 1e-12 for p in points)
+        assert run.cos[-1]**2 == pytest.approx(expected_cos2, abs=1e-9)
+        assert (run.cos <= run.cos[-1] + 1e-12).all()
 
     def test_one_refinement_warning_per_run(self, monkeypatch):
         # one _gaussian_expectations call per step; calls 3, 4 and 9 report a
@@ -804,8 +803,8 @@ class TestRunPopulation:
         config = config_from_ab(1.0, 1.0, model, loss, 0.5, Mode.POPULATION, horizon=20)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            points = run_population(config)
-        assert len(calls) == 20 and len(points) == 21 and set(real_moves) == {0.0}
+            run = run_population(config)
+        assert len(calls) == 20 and len(run) == 21 and set(real_moves) == {0.0}
         assert [w.category for w in caught] == [RuntimeWarning]
         assert str(caught[0].message) == (
             "reduced quadrature precision in a conj+logistic population run: refinement "
@@ -854,8 +853,8 @@ class TestRunPopulation:
             monkeypatch.setattr(dynamics, name, counted)
         config = config_from_ab(1.0, 1.0, axis_model(1.0, 0.8), make_loss("conj", "logistic"),
                                 0.5, Mode.POPULATION, horizon=25)
-        points = run_population(config)
-        assert len(points) == 26 and not points[-1].overflow
+        run = run_population(config)
+        assert len(run) == 26 and run.stop == 0
         assert calls == {"expectation_terms": 25, "population_step": 25}
         calls.update(expectation_terms=0, population_step=0)
         log_rate_check(make_loss("conj", "exp"), 1.0, 1.0, 0.5, 1.0, 40)
@@ -865,8 +864,8 @@ class TestRunPopulation:
         config = config_from_ab(1.0, 1.0, axis_model(1.0, 0.0),
                                 make_loss("conj", "square"), 100.0,
                                 Mode.POPULATION, horizon=1000)
-        points = run_population(config)
-        assert points[-1].overflow and len(points) < 1001
+        run = run_population(config)
+        assert 0 < run.stop == len(run) - 1 < 1000
 
 
 class TestCrossModeWhenNoisy:
@@ -876,7 +875,7 @@ class TestCrossModeWhenNoisy:
     @pytest.fixture(scope="class")
     def domain(self):
         model = GaussianModel(mu=np.array([0.8, -0.3, 0.5]), sigma=0.7)
-        xs = sample_batch(model, np.random.default_rng(np.random.SeedSequence(11)), 2_000_000)
+        xs = sample_batch(model, [np.random.default_rng(np.random.SeedSequence(11))], 2_000_000)
         return model, np.array([0.9, 0.2, 0.4]), xs
 
     @pytest.mark.parametrize("family", ["square", "logistic", "exp"])
@@ -932,11 +931,11 @@ class TestScalarDynamic:
         config = config_from_ab(0.4 * mu_norm, 1.0, model,
                                 make_loss("hard", "square"), 0.3,
                                 Mode.POPULATION, horizon=30)
-        points = run_population(config)
-        a_bar = points[0].a / mu_norm
-        for p in points[1:]:
+        first, *rest = run_population(config).a.tolist()
+        a_bar = first / mu_norm
+        for a in rest:
             a_bar = (1.0 - 0.3 * mu_norm**2) * a_bar + 0.3 * np.sign(a_bar) * mu_norm
-            assert p.a / mu_norm == pytest.approx(a_bar, rel=1e-12)
+            assert a / mu_norm == pytest.approx(a_bar, rel=1e-12)
 
 
 class TestClosedFormAndBound:
@@ -966,11 +965,10 @@ class TestClosedFormAndBound:
         eta, sigma, mu_norm = 0.5, 0.8, 1.5
         config = config_from_ab(-2.0, 1.0, axis_model(mu_norm, sigma),
                                 make_loss("conj", "square"), eta, Mode.POPULATION, horizon=8)
-        points = run_population(config)
-        for p in points:
-            expected = conj_square_ratio_closed_form(-2.0, eta, mu_norm, sigma, p.t - 1)
+        for t, r in enumerate(run_population(config).r.tolist()):
+            expected = conj_square_ratio_closed_form(-2.0, eta, mu_norm, sigma, t)
             assert expected < 0
-            assert abs(p.r - expected) <= 1e-12 * abs(expected)
+            assert abs(r - expected) <= 1e-12 * abs(expected)
 
     @pytest.mark.parametrize("r1,mu_norm,t,expected", [
         (1.0, 1e100, 3, math.inf),  # mu_norm**2 is past the float range
@@ -994,10 +992,9 @@ class TestClosedFormAndBound:
                 config = config_from_ab(0.5, 1.0, axis_model(1.0, sigma),
                                         make_loss("conj", "square"), 0.5,
                                         Mode.POPULATION, horizon=bound + 2)
-                points = run_population(config)
-                a, b = np.array([(p.a, p.b) for p in points]).T
-                optimal = is_epsilon_optimal(a, b, config.model, eps)
-                first = next(p.t for p, ok in zip(points, optimal) if ok)
+                run = run_population(config)
+                optimal = is_epsilon_optimal(run.a, run.b, config.model, eps)
+                first = np.flatnonzero(optimal)[0] + 1  # the first eps-optimal point's t
                 assert first <= bound + 1
 
 
@@ -1011,11 +1008,9 @@ class TestNoiselessMonotonicity:
         a1 = max(loss.club.a_min, 1e-3)
         config = config_from_ab(a1, 0.8, axis_model(1.0, 0.0),
                                 loss, 0.7, Mode.POPULATION, horizon=500)
-        points = run_population(config)
-        a_seq = np.array([p.a for p in points])
-        r_seq = np.array([p.r for p in points])
-        assert np.all(np.diff(a_seq) >= 0)
-        assert np.all(np.diff(r_seq) >= 0)
+        run = run_population(config)
+        assert np.all(np.diff(run.a) >= 0)
+        assert np.all(np.diff(run.r) >= 0)
 
 
 class TestRatioOrdering:

@@ -46,7 +46,7 @@ from ttalab import (
     run_population,
     run_stochastic,
 )
-from ttalab.dynamics import _HALF_WIDTH, _MARGIN_CUT
+from ttalab.dynamics import _HALF_WIDTH, _MARGIN_CUT, stochastic_sweep, trajectory
 from ttalab.serialize import config_flat, csv_with_meta_text, svg_line_chart
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -109,13 +109,18 @@ def golden_rows(name):
     rows = []
     for config in configs:
         if stream == "population":
-            points = run_population(config)
+            run = run_population(config)
         elif stream == "alternating-pm-mu":
-            points = run_stochastic(config, sampler=alternating_pm_mu_sampler(config.model))
+            ab, stopped = stochastic_sweep(config, [config.loss], [config.eta], [config.seed],
+                                           alternating_pm_mu_sampler(config.model))
+            run = trajectory(ab[:, 0, 0, 0], config.model, stop=int(stopped[0, 0, 0]))
         else:
-            points = run_stochastic(config)
-        rows += [[config.loss.name, p.t, p.a, p.b, p.r, p.cos, p.loss01, p.overflow]
-                 for p in points]
+            run = run_stochastic(config)
+        n = len(run)
+        overflow = [False] * n
+        overflow[-1] = run.stop > 0
+        rows += zip([config.loss.name] * n, range(1, n + 1),
+                    *(column.tolist() for column in run.columns), overflow)
     return rows
 
 

@@ -100,7 +100,7 @@ class TestZeroOneLoss:
 class TestSampleBatch:
     def test_noiseless_samples_sit_on_the_means(self):
         model = GaussianModel(mu=np.array([0.6, -0.8, 0.0]), sigma=0.0)
-        xs = sample_batch(model, np.random.default_rng(0), 16)
+        xs = sample_batch(model, [np.random.default_rng(0)], 16)
         assert isinstance(xs, np.ndarray) and xs.shape == (16, 3)
         for x in xs:
             assert np.array_equal(x, model.mu) or np.array_equal(x, -model.mu)
@@ -110,7 +110,7 @@ class TestSampleBatch:
         mu mu^T + sigma^2 I in every entry."""
         model = GaussianModel(mu=np.array([1.0, -0.5, 0.0, 0.3]), sigma=0.7)
         rng = np.random.default_rng(11)
-        xs = sample_batch(model, rng, 100_000)
+        xs = sample_batch(model, [rng], 100_000)
         outer = xs[:, :, None] * xs[:, None, :]
         want = np.outer(model.mu, model.mu) + model.sigma**2 * np.eye(model.d)
         err = np.abs(outer.mean(axis=0) - want)
@@ -120,20 +120,20 @@ class TestSampleBatch:
     def test_labels_roughly_balanced(self):
         """Balanced labels show in x alone: E[x] = E[y] mu = 0."""
         model = GaussianModel(mu=unit(2), sigma=0.5)
-        xs = sample_batch(model, np.random.default_rng(5), 20_000)
+        xs = sample_batch(model, [np.random.default_rng(5)], 20_000)
         se = xs.std(axis=0, ddof=1) / math.sqrt(len(xs))
         assert np.all(np.abs(xs.mean(axis=0)) <= 4 * se)
 
     def test_deterministic_given_seed(self):
         model = GaussianModel(mu=np.array([1.0, -2.0]), sigma=0.3)
-        a = sample_batch(model, np.random.default_rng(99), 64)
-        b = sample_batch(model, np.random.default_rng(99), 64)
+        a = sample_batch(model, [np.random.default_rng(99)], 64)
+        b = sample_batch(model, [np.random.default_rng(99)], 64)
         assert a.tobytes() == b.tobytes()
 
     def test_rejects_empty_batch(self):
         model = GaussianModel(mu=unit(2), sigma=1.0)
         with pytest.raises(ValueError):
-            sample_batch(model, np.random.default_rng(0), 0)
+            sample_batch(model, [np.random.default_rng(0)], 0)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.7])
     @pytest.mark.parametrize("n", [1, 3, 32, 33])
@@ -148,13 +148,13 @@ class TestSampleBatch:
             y = twin.integers(0, 2, size=n) * 2 - 1
             xi = twin.standard_normal((n, model.d))
             want = y[:, None] * (model.mu[None, :] + model.sigma * xi)
-            assert sample_batch(model, rng, n).tobytes() == want.tobytes()
+            assert sample_batch(model, [rng], n).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("streams", [1, 3])
     @pytest.mark.parametrize("sigma", [0.0, 0.7])
     def test_stacked_draw_is_each_generator_s_lone_draw(self, streams, sigma):
         """Row block s of a draw from a list of generators is generator s's
-        lone draw bit for bit (mu's 0.0 coordinate gives -0.0 where y = -1),
+        draw as a one-item list bit for bit (mu's 0.0 coordinate gives -0.0 where y = -1),
         and each generator's next draw is its lone twin's next draw."""
         model = GaussianModel(mu=np.array([0.6567, 0.0, -1.25]), sigma=sigma)
         n, seeds = 33, range(7, 7 + streams)
@@ -163,10 +163,12 @@ class TestSampleBatch:
         xs = sample_batch(model, rngs, n)
         assert xs.shape == (streams * n, model.d)
         for s, twin in enumerate(twins):
-            assert xs[s * n:(s + 1) * n].tobytes() == sample_batch(model, twin, n).tobytes()
+            assert xs[s * n:(s + 1) * n].tobytes() == sample_batch(model, [twin], n).tobytes()
         for rng, twin in zip(rngs, twins):
-            assert sample_batch(model, rng, n).tobytes() == sample_batch(model, twin, n).tobytes()
-        assert sample_batch(model, rngs[0], n).shape == (n, model.d)
+            assert (sample_batch(model, [rng], n).tobytes()
+                    == sample_batch(model, [twin], n).tobytes())
+        with pytest.raises(TypeError):  # a lone Generator, not in a list
+            sample_batch(model, rngs[0], n)
 
     def test_rejects_an_empty_generator_list(self):
         model = GaussianModel(mu=unit(2), sigma=1.0)

@@ -9,6 +9,28 @@ import ttalab
 
 MODULES = ("model", "losses", "dynamics", "analysis", "serialize", "presets", "harness")
 
+# the public surface, pinned: a name added or dropped is a deliberate edit here
+PUBLIC_NAMES = [
+    "ClubCertificate", "ClubParams", "ConfigError", "ETA_GRID", "ExperimentConfig",
+    "FIGURE_IDS", "FigureResult", "GaussianModel", "GridPoint", "LabelRule",
+    "LogRateReport", "LossFamily", "Mode", "OVERFLOW_LIMIT", "RecursionReport",
+    "RunManifest", "SelfTrainingLoss", "SteinReport", "TailRateCurve", "Trajectory",
+    "TrajectoryPoint", "UnsupportedLossError", "__version__", "all_losses",
+    "alternating_pm_mu_sampler", "build_benchmark_domains", "club_losses",
+    "conj_square_ratio_closed_form", "derive_stream_seed", "epsilon_iteration_bound",
+    "expectation_terms", "gauss_upper_tail", "gd_step", "is_epsilon_optimal",
+    "log_rate_check", "make_loss", "nu_star_upper", "parse_config_file", "parse_loss_id",
+    "population_step", "record_text", "recursion_bound_run", "render_figure_svg",
+    "reproduce_figure", "run_experiment", "run_population", "run_stochastic",
+    "sample_batch", "stein_identity_check", "step_size_sweep", "tail_rate_curve",
+    "verify_club", "zero_one_loss",
+]
+
+
+def test_public_names_are_the_pinned_list():
+    assert len(PUBLIC_NAMES) == 53
+    assert sorted(ttalab.__all__) == PUBLIC_NAMES
+
 
 def test_no_public_name_is_declared_twice():
     declared = [name for m in MODULES for name in importlib.import_module(f"ttalab.{m}").__all__]

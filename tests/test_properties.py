@@ -72,13 +72,13 @@ def test_first_point_is_the_initial_predictor(case, loss, mode):
                               seed=0, w_init=w, batch_size=2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        first = (run_population if mode is Mode.POPULATION else run_stochastic)(config)[0]
+        run = (run_population if mode is Mode.POPULATION else run_stochastic)(config)
     a, b = split_ab(w, model)
     r, cos, _ = ab_metrics(a, b, model)
-    assert first.t == 1 and not first.overflow
+    assert len(run) == 2
     # one path from (a, b) to the metrics: equal, not merely close
-    assert (first.a, first.b, first.r, first.cos) == (a, b, r, cos)
-    assert first.loss01 == zero_one_loss(model, w)
+    assert (run.a[0], run.b[0], run.r[0], run.cos[0]) == (a, b, r, cos)
+    assert run.loss01[0] == zero_one_loss(model, w)
 
 
 @settings(max_examples=60)
@@ -134,11 +134,12 @@ def test_population_orthogonal_size_contracts_by_the_curvature(case, loss, eta):
                               horizon=3, seed=0, w_init=w)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        points = run_population(config)
-        for p, q in zip(points, points[1:]):
-            e2 = expectation_terms(loss, p.a, p.b, model)[1]
-            want = abs(1.0 - eta * model.sigma**2 * e2) * p.b
-            assert q.b == pytest.approx(want, rel=1e-13) or math.isnan(want)
+        run = run_population(config)
+        a, b = run.a.tolist(), run.b.tolist()
+        for a_t, b_t, b_next in zip(a, b, b[1:]):
+            e2 = expectation_terms(loss, a_t, b_t, model)[1]
+            want = abs(1.0 - eta * model.sigma**2 * e2) * b_t
+            assert b_next == pytest.approx(want, rel=1e-13) or math.isnan(want)
 
 
 def two_reduction_stopped(w):
