@@ -30,8 +30,9 @@ record's stop.  The record also yields TrajectoryPoint rows, built when read
 (integer indexing and iteration), only for ttabench's two readers of rows
 until ttabench reads the columns.  stochastic_sweep steps R losses x S seed
 streams x K step sizes as one array, drawing each step's S batches in one
-call for all R losses, or from a sampler such as the alternating +-mu stream;
-run_stochastic is R = S = K = 1 on the model's own batches.
+sample_batch call for all R losses; run_stochastic is R = S = K = 1.  Every
+psi is even, so a step never reads a sample's label: at sigma = 0 the model's
++-mu batches give the iterates of any +-mu stream, fig1's alternating one too.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,6 +75,10 @@ OVERFLOW_LIMIT = 1e150
 class Mode(str, Enum):
     STOCHASTIC = "stochastic"
     POPULATION = "population"
+
+    @classmethod
+    def _missing_(cls, value):  # the message names the field, as every rejection's does
+        raise ValueError(f"mode must be 'stochastic' or 'population', got {value!r}")
 
 
 class UnsupportedLossError(Exception):
@@ -164,10 +169,6 @@ class Trajectory:
                    *(c[index].tolist() for c in (*self.columns, flags)))
 
 
-# (t, rng) -> the step's batch as an (n, d) array, one sample per row
-Sampler = Callable[[int, np.random.Generator], np.ndarray]
-
-
 def gd_step(w: np.ndarray, xs: np.ndarray, loss: SelfTrainingLoss,
             eta: float | np.ndarray) -> np.ndarray:
     """One descent step on the batch-mean self-training gradient.
@@ -196,26 +197,23 @@ def run_stochastic(config: ExperimentConfig) -> Trajectory:
     Deterministic given the seed.  If an iterate overflows or becomes exactly
     0, the run stops early at that step, the record's stop; direction-based
     metrics stay valid up to the stop.  It is stochastic_sweep on one loss,
-    one stream and one step size; another stream (e.g. the alternating +-mu
-    stream of the figure presets) is stochastic_sweep's sampler.
+    one stream and one step size.
     """
     ab, stopped = stochastic_sweep(config, [config.loss], [config.eta], [config.seed])
     return trajectory(ab[:, 0, 0, 0], config.model, stop=int(stopped[0, 0, 0]))
 
 
-def stochastic_sweep(base: ExperimentConfig, losses, etas, seeds,
-                     sampler: Sampler | None = None) -> tuple[np.ndarray, np.ndarray]:
+def stochastic_sweep(base: ExperimentConfig, losses, etas, seeds) -> tuple[np.ndarray, np.ndarray]:
     """Run base with every loss in losses at every step size in etas on every
     seed stream in seeds at once.
 
     The iterates are one (R, S, K, d) array.  Each step, stream s draws one
     batch as a lone run on seeds[s] would, and each loss steps its (S, K, d)
     block on those S batches, so every batch is drawn once for all R losses.
-    Without a sampler the S batches come from one sample_batch call on the S
-    generators, stream s's batch in row block s, and column (r, s, k) is
+    The S batches come from one sample_batch call on the S generators, stream
+    s's batch in row block s, and column (r, s, k) is
     run_stochastic(replace(base, loss=losses[r], eta=etas[k], seed=seeds[s]))
-    bit for bit; a sampler, called once per stream with (t, rng), replaces the
-    model's batches (the figure presets' alternating +-mu stream is one).
+    bit for bit.
     Every step's iterates are written in place into one preallocated
     (T+1, R, S, K, d) buffer, which is split into (a, b) after the last step,
     one loss block at a time.  A column stops when its largest |component| is
@@ -238,12 +236,9 @@ def stochastic_sweep(base: ExperimentConfig, losses, etas, seeds,
     w = ws[0]
     stopped = np.zeros(ws.shape[1:-1], dtype=int)
     for t in range(1, base.horizon + 1):
-        # (S, 1, n, d) meets each (S, K, d) block
-        if sampler is None:  # stream s is row block s of one draw
-            xs = sample_batch(base.model, rngs, base.batch_size).reshape(
-                len(rngs), 1, base.batch_size, base.model.d)
-        else:  # as np.stack, at a quarter of its cost
-            xs = np.array([sampler(t, rng) for rng in rngs])[:, None]
+        # stream s is row block s of one draw: (S, 1, n, d) meets each (S, K, d) block
+        xs = sample_batch(base.model, rngs, base.batch_size).reshape(
+            len(rngs), 1, base.batch_size, base.model.d)
         for r, loss in enumerate(losses):
             ws[t, r] = gd_step(w[r], xs, loss, etas[:, None])
         w = ws[t]

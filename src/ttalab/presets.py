@@ -14,9 +14,9 @@ from those CSVs alone, never from values held only in memory.  A figure's
 inputs are emit's parameters among seed, d, batch and horizon, and
 reproduce_figure rejects any other one given a non-default value.  The entries:
 
-    fig1a / fig1b   square-family losses on the deterministic alternating
-                    +-mu stream (one sample per step, +mu at odd t), eta = 1
-                    and eta = 100, plus a frozen no-adaptation baseline
+    fig1a / fig1b   square-family losses on the noiseless +-mu stream (one
+                    sample per step), eta = 1 and eta = 100, plus a frozen
+                    no-adaptation baseline, scored by the noisy domain's 0-1 loss
     fig2            the four tail-bounded losses psi(u) on a margin grid
     fig3            their pointwise tail exponents L(z)
     fig4-exp /      noisy mini-batch adaptation, hard vs conjugate labels,
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -53,7 +53,6 @@ __all__ = [
     "FIGURE_IDS",
     "FigureResult",
     "build_benchmark_domains",
-    "alternating_pm_mu_sampler",
     "reproduce_figure",
     "render_figure_svg",
 ]
@@ -95,16 +94,6 @@ def best_achievable_error(model: GaussianModel) -> float:
     return gauss_upper_tail(model.mu_norm / model.sigma) if model.sigma > 0 else 0.0
 
 
-def alternating_pm_mu_sampler(model: GaussianModel):
-    """Deterministic stream: +mu at odd steps, -mu at even steps (one row each)."""
-    plus, minus = model.mu[None, :], -model.mu[None, :]
-
-    def sampler(t: int, rng: np.random.Generator) -> np.ndarray:
-        return plus if t % 2 == 1 else minus
-
-    return sampler
-
-
 @dataclass(frozen=True)
 class FigureResult:
     id: str
@@ -120,13 +109,17 @@ def reproduce_figure(fig_id: str, seed: int = 0, d: int = 10, batch: int = 32,
 
     d, batch and horizon keep their defaults unless the figure reads them;
     horizon=None is the figure's own default horizon.  Every figure checks
-    seed, read or not, before out_dir is created."""
+    seed, read or not, and each input it reads, by its emitter's rule (d >= 2,
+    batch and horizon >= 1), before out_dir is created."""
     emit, _ = _figure(fig_id)
     reads = inspect.signature(emit).parameters
     defaults = inspect.signature(reproduce_figure).parameters
-    given = {"seed": check_count("seed", seed, 0), "d": d, "batch": batch, "horizon": horizon}
+    lowest = {"seed": 0, "d": 2, "batch": 1, "horizon": 1}
+    given = {"seed": seed, "d": d, "batch": batch, "horizon": horizon}
     for name, value in given.items():
-        if name != "seed" and name not in reads and value != defaults[name].default:
+        if name == "seed" or (name in reads and value is not None):
+            given[name] = check_count(name, value, lowest[name])
+        elif value != defaults[name].default:
             raise ValueError(f"{name} = {value!r} is not an input of {fig_id}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -173,9 +166,12 @@ def _emit_fig1(fig_id, out, *, seed, d, horizon=200, eta):
     first = configs[0]
     csv_paths = []
     summary: dict = {"best_error": best_achievable_error(first.model)}
-    # both rules step on one alternating stream, as two lone runs would
-    ab, stopped = stochastic_sweep(first, [config.loss for config in configs], [first.eta],
-                                   [first.seed], alternating_pm_mu_sampler(first.model))
+    # both rules step on the noiseless domain's batches, as two lone runs would; a
+    # step never reads a sample's sign (psi is even), so they are the alternating
+    # +-mu stream's iterates, bit for bit, the stream the CSVs name
+    noiseless = replace(first, model=GaussianModel(mu=first.model.mu, sigma=0.0))
+    ab, stopped = stochastic_sweep(noiseless, [config.loss for config in configs],
+                                   [first.eta], [first.seed])
     for r, config in enumerate(configs):
         name = config.loss.name
         run = trajectory(ab[:, r, 0, 0], config.model, stop=int(stopped[r, 0, 0]))

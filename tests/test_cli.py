@@ -581,6 +581,19 @@ class TestCliExitCodes:
         assert "seed must be a non-negative integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fig_id,option,value,message", [
+        ("fig1a", "--horizon", "0", "horizon must be >= 1"),
+        ("fig4-exp", "--dim", "1", "d must be >= 2"),
+        ("fig4-exp", "--batch", "0", "batch must be >= 1"),
+    ], ids=["fig1a-horizon", "fig4-exp-dim", "fig4-exp-batch"])
+    def test_figure_bad_read_input_is_one_and_writes_nothing(self, tmp_path, capsys, fig_id,
+                                                             option, value, message):
+        # each is checked by the emitter's own rule before the output directory exists
+        out = tmp_path / "out"
+        assert main(["figure", fig_id, option, value, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_figure_defaults_are_reproduce_figures(self, tmp_path, monkeypatch, capsys):
         written = {}
         for name, make in (("cli", lambda: main(["figure", "fig1a"])),

@@ -20,7 +20,6 @@ from ttalab import (
     TrajectoryPoint,
     UnsupportedLossError,
     all_losses,
-    alternating_pm_mu_sampler,
     build_benchmark_domains,
     conj_square_ratio_closed_form,
     epsilon_iteration_bound,
@@ -30,6 +29,7 @@ from ttalab import (
     log_rate_check,
     make_loss,
     population_step,
+    reproduce_figure,
     run_population,
     run_stochastic,
     stein_identity_check,
@@ -37,7 +37,8 @@ from ttalab import (
 from ttalab import dynamics
 from ttalab.dynamics import _UNIT, _gaussian_expectations, _window, stochastic_sweep
 from ttalab.model import ab_metrics, sample_batch, split_ab
-from ttalab.serialize import TRAJECTORY_HEADER, config_flat, csv_with_meta_text, trajectory_csv_text
+from ttalab.serialize import (TRAJECTORY_HEADER, config_flat, csv_with_meta_text,
+                              read_csv_with_meta, trajectory_csv_text)
 
 from test_losses import self_loss_gradient
 
@@ -57,14 +58,6 @@ def axis_model(mu_norm, sigma, d=3):
     mu = np.zeros(d)
     mu[0] = mu_norm
     return GaussianModel(mu=mu, sigma=sigma)
-
-
-def alternating_run(config):
-    """The sampled run of config on the alternating +-mu stream: the one
-    column of stochastic_sweep with alternating_pm_mu_sampler, as fig1 runs it."""
-    ab, stopped = stochastic_sweep(config, [config.loss], [config.eta], [config.seed],
-                                   alternating_pm_mu_sampler(config.model))
-    return dynamics.trajectory(ab[:, 0, 0, 0], config.model, stop=int(stopped[0, 0, 0]))
 
 
 class TestGdStep:
@@ -159,12 +152,12 @@ class TestRunStochastic:
         assert run.a[0] == pytest.approx(2.0, rel=1e-14)
 
     def test_conj_square_alternating_aligns(self):
-        """On the noiseless alternating stream the conjugate square loss drives
+        """On the noiseless +-mu stream the conjugate square loss drives
         cos to 1 monotonically and the noiseless 0-1 loss is 0 throughout."""
         model = axis_model(1.0, 0.0)
         config = config_from_ab(0.4, 1.0, model, make_loss("conj", "square"),
                                 1.0, Mode.STOCHASTIC, horizon=40, batch_size=1)
-        run = alternating_run(config)
+        run = run_stochastic(config)
         cosines = run.cos.tolist()
         # strictly increasing until it saturates at 1.0 in float
         assert all(c2 > c1 or c1 == c2 == 1.0
@@ -180,7 +173,7 @@ class TestRunStochastic:
         b1 = 0.8
         config = config_from_ab(0.4, b1, model, make_loss("hard", "square"),
                                 1.0, Mode.STOCHASTIC, horizon=60, batch_size=1)
-        run = alternating_run(config)
+        run = run_stochastic(config)
         assert run.b == pytest.approx(b1, rel=1e-14)
         limit = 1.0 / math.sqrt(1.0 + b1**2)
         assert run.cos[-1] == pytest.approx(limit, abs=1e-9)
@@ -200,7 +193,7 @@ class TestRunStochastic:
         config = ExperimentConfig(model=model, loss=make_loss("hard", "square"),
                                   eta=2.0, mode=Mode.STOCHASTIC, horizon=5, seed=0,
                                   w_init=np.array([2.0, 0.0]), batch_size=1)
-        run = alternating_run(config)
+        run = run_stochastic(config)
         assert len(run) == 2 and run.stop == 1
         assert run.a[-1] == 0.0 and run.b[-1] == 0.0
         assert math.isnan(run.cos[-1]) and math.isnan(run.loss01[-1])
@@ -426,6 +419,49 @@ class TestStochasticSweep:
         ab2, stopped2 = stochastic_sweep(base, [hard, base.loss], ETA_GRID, [11, 12, 13])
         np.testing.assert_array_equal(ab[:, 0], ab2[:, 1])
         np.testing.assert_array_equal(stopped[0], stopped2[1])
+
+
+def alternating_oracle(config):
+    """(a, b, stop) of config's sampled run on the alternating +-mu stream
+    (+mu at odd t, one row per step), one gd_step at a time, stopped by
+    stochastic_sweep's rule: a peak |component| that is NaN, past
+    OVERFLOW_LIMIT or 0.0."""
+    w, ws, stop = config.w_init, [config.w_init], 0
+    for t in range(1, config.horizon + 1):
+        x = config.model.mu if t % 2 == 1 else -config.model.mu
+        w = gd_step(w, x[None, :], config.loss, config.eta)
+        ws.append(w)
+        if not 0.0 < np.abs(w).max() <= dynamics.OVERFLOW_LIMIT:
+            stop = t
+            break
+    a, b = split_ab(np.array(ws), config.model)
+    return a, b, stop
+
+
+class TestFig1Stream:
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("fig_id,eta", [("fig1a", 1.0), ("fig1b", 100.0)])
+    def test_both_rules_are_the_alternating_stream_s_runs(self, tmp_path, fig_id, eta, seed):
+        """fig1 runs on the noiseless domain's own batches; the a and b columns
+        it writes and its stop are the alternating stream's, bit for bit."""
+        reproduce_figure(fig_id, seed=seed, out_dir=tmp_path)
+        _, mu, sigma, w_init = build_benchmark_domains(10, seed)
+        stops = []
+        for rule in ("hard", "conj"):
+            config = ExperimentConfig(model=GaussianModel(mu=mu, sigma=sigma),
+                                      loss=make_loss(rule, "square"), eta=eta,
+                                      mode=Mode.STOCHASTIC, horizon=200, seed=seed,
+                                      w_init=w_init, batch_size=1)
+            cols, rows, meta = read_csv_with_meta(tmp_path / f"{fig_id}_{rule}_square.csv")
+            columns = dict(zip(cols, np.array(rows).T))
+            a, b, stop = alternating_oracle(config)
+            assert meta["stream"] == "alternating-pm-mu"
+            assert columns["a"].tobytes() == a.tobytes()
+            assert columns["b"].tobytes() == b.tobytes()
+            assert (len(rows) - 1 if meta["overflow"] else 0) == stop
+            stops.append(stop)
+        # fig1b's runs overflow, so the stop is compared too; fig1a's run to the horizon
+        assert all(stops) == (fig_id == "fig1b") == any(stops)
 
 
 class TestExpectationTerms:
@@ -765,8 +801,8 @@ class TestRunPopulation:
         loss = make_loss("conj", "square")
         pop = run_population(config_from_ab(0.5, 1.0, model, loss, 1.0,
                                             Mode.POPULATION, horizon=30))
-        sto = alternating_run(config_from_ab(0.5, 1.0, model, loss, 1.0, Mode.STOCHASTIC,
-                                             horizon=30, batch_size=1))
+        sto = run_stochastic(config_from_ab(0.5, 1.0, model, loss, 1.0, Mode.STOCHASTIC,
+                                            horizon=30, batch_size=1))
         assert len(pop) == len(sto)
         for p, s in ((pop.a, sto.a), (pop.b, sto.b)):
             assert (abs(p - s) <= 1e-12 * np.maximum(1.0, abs(p))).all()

@@ -30,6 +30,7 @@ are not regenerated: a deliberate chart change edits them by hand.
 """
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,6 @@ from ttalab import (
     ExperimentConfig,
     GaussianModel,
     Mode,
-    alternating_pm_mu_sampler,
     build_benchmark_domains,
     parse_loss_id,
     reproduce_figure,
@@ -110,9 +110,10 @@ def golden_rows(name):
     for config in configs:
         if stream == "population":
             run = run_population(config)
-        elif stream == "alternating-pm-mu":
-            ab, stopped = stochastic_sweep(config, [config.loss], [config.eta], [config.seed],
-                                           alternating_pm_mu_sampler(config.model))
+        elif stream == "alternating-pm-mu":  # as fig1 runs it: the noiseless domain's
+            # batches, which a step reads as that stream, scored by the noisy 0-1 loss
+            noiseless = replace(config, model=GaussianModel(mu=config.model.mu, sigma=0.0))
+            ab, stopped = stochastic_sweep(noiseless, [config.loss], [config.eta], [config.seed])
             run = trajectory(ab[:, 0, 0, 0], config.model, stop=int(stopped[0, 0, 0]))
         else:
             run = run_stochastic(config)

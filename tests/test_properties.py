@@ -17,6 +17,7 @@ from ttalab import (
     Mode,
     all_losses,
     expectation_terms,
+    gd_step,
     parse_config_file,
     run_population,
     run_stochastic,
@@ -122,6 +123,35 @@ def test_dpsi_is_the_derivative_of_psi(loss, u):
         assume(abs(u) >= 1e-3)  # psi' jumps at 0 for the hard rules
     slope = float(loss.psi(u + h) - loss.psi(u - h)) / (2.0 * h)
     assert float(loss.dpsi(u)) == pytest.approx(slope, rel=1e-6, abs=1e-6)
+
+
+# w has no zero entry: at w = -0.0, w - eta * grad takes the sign of a zero grad
+nonzero = st.one_of(st.floats(min_value=1e-3, max_value=10.0),
+                    st.floats(min_value=-10.0, max_value=-1e-3))
+
+
+@st.composite
+def sweep_steps(draw):
+    """(w, xs, eta, flip) in stochastic_sweep's shapes: w (S, K, d), xs
+    (S, 1, n, d), eta (K, 1), and a mask of the rows of xs to negate."""
+    s, k, n, d = (draw(st.integers(min_value=1, max_value=m)) for m in (3, 3, 4, 4))
+    w = draw(hnp.arrays(np.float64, (s, k, d), elements=nonzero))
+    xs = draw(hnp.arrays(np.float64, (s, 1, n, d), elements=entries))
+    eta = draw(hnp.arrays(np.float64, (k, 1),
+                          elements=st.floats(min_value=1e-3, max_value=100.0)))
+    flip = draw(hnp.arrays(bool, (s, 1, n, 1)))
+    return w, xs, eta, flip
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(LOSSES), sweep_steps())
+def test_a_step_does_not_read_a_sample_s_sign(loss, case):
+    """psi' is odd bit for bit and rounding does not depend on sign, so a
+    gradient step on a batch and on the batch with any rows negated gives the
+    same bits: a step never reads a sample's label."""
+    w, xs, eta, flip = case
+    flipped = np.where(flip, -xs, xs)
+    assert gd_step(w, flipped, loss, eta).tobytes() == gd_step(w, xs, loss, eta).tobytes()
 
 
 @settings(max_examples=40)

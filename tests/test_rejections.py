@@ -88,6 +88,8 @@ REJECTIONS = [
     # dynamics
     pytest.param(lambda: config(horizon=0), "horizon must be >= 1", id="config-horizon"),
     pytest.param(lambda: config(batch_size=0), "batch must be >= 1", id="config-batch"),
+    pytest.param(lambda: config(mode="bad"),
+                 "mode must be 'stochastic' or 'population', got 'bad'", id="config-mode"),
     pytest.param(lambda: config(w_init=np.zeros(2)), "w must be a nonzero vector",
                  id="config-zero-w"),
     pytest.param(lambda: run_stochastic(config(mode=Mode.POPULATION)),
