@@ -31,8 +31,9 @@ record's stop.  The record also yields TrajectoryPoint rows, built when read
 until ttabench reads the columns.  stochastic_sweep steps R losses x S seed
 streams x K step sizes as one array, drawing each step's S batches in one
 sample_batch call for all R losses; run_stochastic is R = S = K = 1.  Every
-psi is even, so a step never reads a sample's label: at sigma = 0 the model's
-+-mu batches give the iterates of any +-mu stream, fig1's alternating one too.
+psi is even, so a step never reads a sample's label: at sigma = 0 the sweep
+steps on +mu rows, which give the iterates of any +-mu stream, fig1's
+alternating one too.
 """
 
 from __future__ import annotations
@@ -213,7 +214,9 @@ def stochastic_sweep(base: ExperimentConfig, losses, etas, seeds) -> tuple[np.nd
     The S batches come from one sample_batch call on the S generators, stream
     s's batch in row block s, and column (r, s, k) is
     run_stochastic(replace(base, loss=losses[r], eta=etas[k], seed=seeds[s]))
-    bit for bit.
+    bit for bit.  At sigma = 0 nothing is drawn: every step reads one
+    (S, 1, n, d) block of +mu rows, so the output does not depend on seeds,
+    which are still checked.
     Every step's iterates are written in place into one preallocated
     (T+1, R, S, K, d) buffer, which is split into (a, b) after the last step,
     one loss block at a time.  A column stops when its largest |component| is
@@ -235,10 +238,15 @@ def stochastic_sweep(base: ExperimentConfig, losses, etas, seeds) -> tuple[np.nd
     ws[0] = base.w_init
     w = ws[0]
     stopped = np.zeros(ws.shape[1:-1], dtype=int)
+    shape = (len(rngs), 1, base.batch_size, base.model.d)
+    # at sigma = 0 a sample is +-mu and a step never reads its sign, so every step
+    # reads one block of +mu rows: a real array, as matmul on a zero-stride view
+    # leaves BLAS and changes the bits
+    noiseless = np.tile(base.model.mu, shape[:-1] + (1,)) if base.model.sigma == 0.0 else None
     for t in range(1, base.horizon + 1):
         # stream s is row block s of one draw: (S, 1, n, d) meets each (S, K, d) block
-        xs = sample_batch(base.model, rngs, base.batch_size).reshape(
-            len(rngs), 1, base.batch_size, base.model.d)
+        xs = noiseless if noiseless is not None else sample_batch(
+            base.model, rngs, base.batch_size).reshape(shape)
         for r, loss in enumerate(losses):
             ws[t, r] = gd_step(w[r], xs, loss, etas[:, None])
         w = ws[t]

@@ -166,8 +166,8 @@ def _emit_fig1(fig_id, out, *, seed, d, horizon=200, eta):
     first = configs[0]
     csv_paths = []
     summary: dict = {"best_error": best_achievable_error(first.model)}
-    # both rules step on the noiseless domain's batches, as two lone runs would; a
-    # step never reads a sample's sign (psi is even), so they are the alternating
+    # both rules step on the noiseless domain, as two lone runs would; a step
+    # never reads a sample's sign (psi is even), so they are the alternating
     # +-mu stream's iterates, bit for bit, the stream the CSVs name
     noiseless = replace(first, model=GaussianModel(mu=first.model.mu, sigma=0.0))
     ab, stopped = stochastic_sweep(noiseless, [config.loss for config in configs],

@@ -96,11 +96,10 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
             f"({raw['loss.rule']!r}, {raw['loss.family']!r})"
         ) from None
 
-    mode_text = str(raw["run.mode"]).lower()
     try:
-        mode = Mode(mode_text)
-    except ValueError:
-        raise ConfigError(f"run.mode: must be 'stochastic' or 'population', got {mode_text!r}") from None
+        mode = Mode(str(raw["run.mode"]).lower())
+    except ValueError as exc:
+        raise ConfigError(_name_config_field(str(exc))) from None
 
     w_init = _vector(raw, "init.w")
     batch = {"batch_size": _integer(raw, "run.batch")} if "run.batch" in raw else {}

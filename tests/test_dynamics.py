@@ -421,6 +421,60 @@ class TestStochasticSweep:
         np.testing.assert_array_equal(stopped[0], stopped2[1])
 
 
+def sampled_oracle(base, losses, etas, seeds):
+    """(ab, stopped) in stochastic_sweep's layout, one column at a time: each
+    step is one gd_step on a model.sample_batch draw from the column's own
+    seeded generator, and a column stops by the sweep's rule (a peak |component|
+    that is NaN, past OVERFLOW_LIMIT or 0.0), NaN after its stop point."""
+    ws = np.full((base.horizon + 1, len(losses), len(seeds), len(etas), base.model.d), np.nan)
+    stopped = np.zeros(ws.shape[1:-1], dtype=int)
+    for (r, loss), (s, seed), (k, eta) in itertools.product(
+            enumerate(losses), enumerate(seeds), enumerate(etas)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        w = ws[0, r, s, k] = base.w_init
+        for t in range(1, base.horizon + 1):
+            w = ws[t, r, s, k] = gd_step(w, sample_batch(base.model, [rng], base.batch_size),
+                                         loss, eta)
+            if not 0.0 < np.abs(w).max() <= dynamics.OVERFLOW_LIMIT:
+                stopped[r, s, k] = t
+                break
+    last = stopped.max() if stopped.all() else base.horizon
+    return np.stack(split_ab(ws[:last + 1], base.model), axis=-1), stopped
+
+
+class TestNoiselessSweep:
+    """At sigma = 0 the sweep draws nothing: every step reads +mu rows, which a
+    step cannot tell from the model's +-mu batches."""
+
+    @pytest.mark.parametrize("losses,etas,stops", [
+        (all_losses(), [0.1, 1.0], False),
+        ([make_loss("conj", "square")], [1.0, 100.0], True),
+    ], ids=["six-losses", "conj-square-stops"])
+    def test_steps_are_the_sampled_batches_without_drawing(self, monkeypatch, losses, etas,
+                                                           stops):
+        _, mu, _, w_init = build_benchmark_domains(10, 0)
+        base = ExperimentConfig(model=GaussianModel(mu=mu, sigma=0.0), loss=losses[0],
+                                eta=1.0, mode=Mode.STOCHASTIC, horizon=80, seed=0,
+                                w_init=w_init, batch_size=3)
+
+        def no_draw(*args):
+            raise AssertionError("a noiseless sweep drew a batch")
+
+        monkeypatch.setattr(dynamics, "sample_batch", no_draw)
+        bits = set()
+        for seeds in ([0, 1], [7, 12345]):
+            ab, stopped = stochastic_sweep(base, losses, etas, seeds)
+            want_ab, want_stopped = sampled_oracle(base, losses, etas, seeds)
+            assert ab.tobytes() == want_ab.tobytes()
+            assert stopped.tobytes() == want_stopped.tobytes()
+            bits.add(ab.tobytes() + stopped.tobytes())
+        assert len(bits) == 1  # the outputs do not depend on the seeds
+        # only conj+square at eta = 100 overflows, on every stream
+        assert ((stopped > 0) == [False, stops]).all()
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            stochastic_sweep(base, losses, etas, [0, -1])  # unread, but still checked
+
+
 def alternating_oracle(config):
     """(a, b, stop) of config's sampled run on the alternating +-mu stream
     (+mu at odd t, one row per step), one gd_step at a time, stopped by
