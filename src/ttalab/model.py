@@ -78,24 +78,28 @@ def sample_batch(model: GaussianModel, rngs: Sequence[np.random.Generator],
     generators in rngs, as the (S n, d) rows of one array, generator s in the
     row block [s n, (s + 1) n).
 
-    Each generator draws its n labels first, then its n x d noise block into
-    its own rows, so a given generator state always yields the same batch,
-    alone or in a sequence.  The batch is built in the noise buffer, once over
-    all the rows: scaled by sigma, shifted by mu, and negated in the rows whose
-    label is y = -1, which is y's product bit for bit (-0.0 included).  The
-    labels are not returned: adaptation only ever reads x.
+    Each generator draws its n labels first, as n float32 uniforms u with
+    y = -1 where u < 0.5, then its n x d noise block into its own rows, so a
+    given generator state always yields the same batch, alone or in a
+    sequence.  The batch is built in the noise buffer, once over all the rows:
+    scaled by sigma, shifted by mu, and negated in the rows whose label is
+    y = -1, which is y's product bit for bit (-0.0 included).  The labels are
+    not returned: adaptation only ever reads x.
     """
     n = check_count("n", n, 1)
     rngs = check_non_empty("rng list", rngs)
     x = np.empty((len(rngs), n, model.d))
-    labels = []
-    for block, gen in zip(x, rngs):
-        labels.append(gen.integers(0, 2, size=n))
+    u = np.empty((len(rngs), n), dtype=np.float32)
+    for block, row, gen in zip(x, u, rngs):
+        # integers(0, 2) returns the top bit of one 32-bit word (Lemire's
+        # method) and a float32 uniform is that word >> 8 over 2**24, so
+        # u >= 0.5 is the same label from the same word and stream state
+        gen.random(dtype=np.float32, out=row)
         gen.standard_normal(out=block)
     x = x.reshape(-1, model.d)
     x *= model.sigma
     x += model.mu
-    return np.negative(x, out=x, where=(np.concatenate(labels) == 0)[:, None])
+    return np.negative(x, out=x, where=u.reshape(-1, 1) < 0.5)
 
 
 def derive_stream_seed(root_seed: int, index: int) -> int:
@@ -114,8 +118,9 @@ def gauss_upper_tail(u: float | np.ndarray) -> float | np.ndarray:
     x = np.asarray(u, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("u must be finite")
-    tail = [0.5 * math.erfc(v) for v in np.ravel(x / math.sqrt(2.0)).tolist()]
-    return tail[0] if x.ndim == 0 else np.reshape(tail, x.shape)
+    tail = 0.5 * np.fromiter(map(math.erfc, (x / math.sqrt(2.0)).ravel().tolist()),
+                             float, x.size)
+    return float(tail[0]) if x.ndim == 0 else tail.reshape(x.shape)
 
 
 def split_ab(w: np.ndarray, model: GaussianModel):
