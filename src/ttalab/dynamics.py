@@ -39,6 +39,7 @@ alternating one too.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -293,33 +294,40 @@ def _stopped(w: np.ndarray) -> np.ndarray | None:
 # one contiguous 641-long BLAS dot, so the trapezoid sums keep the bits of
 # `d @ w`, and the halved-grid sums are `(d * even) @ w` (they feed only the
 # check).  psi' and psi'' are the loss's own dpsi and ddpsi, the formulas the
-# sampled engine uses.  _window memoizes offsets and block by (loss, lo, hi): a
-# window cut on both sides is [-36, 36] on every step, so it is built once per
-# loss object.
+# sampled engine uses.  Only the window cut on both sides is memoized, by loss
+# object: it is [-36, 36] on every step, so a run builds it once.  Any other
+# window moves with (m, s) and is seen about once (a ttabench population pass
+# builds 762 of them), so it is built straight into its block, never memoized.
 _HALF_WIDTH, _MARGIN_CUT, _NODES = 14.0, 36.0, 641
 _UNIT = np.linspace(-1.0, 1.0, _NODES)
 _REFINE_ATOL, _REFINE_RTOL = 1e-12, 1e-9
-# a ttabench population pass (12 runs, one loss object each) misses 770 times: 762
-# uncut windows seen once and one cut window per smooth run, which is never evicted
-_WINDOW_CACHE_SIZE = 16
+_SQRT_HALF, _SQRT_2PI = math.sqrt(0.5), math.sqrt(2.0 * math.pi)
 # a module global, read on every step: an Enum class attribute costs ~0.2 us
 _SQUARE = LossFamily.SQUARE
 
 
-@functools.lru_cache(maxsize=_WINDOW_CACHE_SIZE)
 def _window(loss: SelfTrainingLoss, lo: float, hi: float
             ) -> tuple[float, np.ndarray, np.ndarray]:
-    """(mid, offsets, block) of the window [lo, hi], arrays read-only: block
-    holds psi' and psi'' on the nodes mid + offsets with the end columns
-    halved, then both rows with their odd columns zeroed, as a (4, 1, 641) block."""
+    """(mid, offsets, block) of the window [lo, hi]: offsets is a (641, 1)
+    column, and block holds psi' and psi'' on the nodes mid + offsets with the
+    end columns halved, then both rows with their odd columns zeroed, as a
+    (4, 1, 641) block."""
     mid, offset = 0.5 * (lo + hi), (0.5 * (hi - lo)) * _UNIT
-    rows = np.array((loss.dpsi(u := mid + offset), loss.ddpsi(u)))[:, None]
-    rows[..., ::_NODES - 1] *= 0.5
-    block = np.concatenate((rows, rows))
+    block = np.empty((4, 1, _NODES))
+    block[0, 0], block[1, 0] = loss.dpsi(u := mid + offset), loss.ddpsi(u)
+    block[:2, :, ::_NODES - 1] *= 0.5
+    block[2:] = block[:2]
     block[2:, :, 1::2] = 0.0
-    offset.setflags(write=False)
-    block.setflags(write=False)
-    return mid, offset, block
+    return mid, offset[:, None], block
+
+
+@functools.lru_cache(maxsize=16)  # the cut windows of the last 16 loss objects
+def _cut_window(loss: SelfTrainingLoss) -> tuple[float, np.ndarray, np.ndarray]:
+    """_window(loss, -36, 36), its arrays read-only."""
+    window = _window(loss, -_MARGIN_CUT, _MARGIN_CUT)
+    for array in window[1:]:
+        array.setflags(write=False)
+    return window
 
 
 def _gaussian_expectations(loss: SelfTrainingLoss, m: float, s: float
@@ -330,25 +338,28 @@ def _gaussian_expectations(loss: SelfTrainingLoss, m: float, s: float
     if loss.family is _SQUARE:
         return -m, -1.0, 0.0
     lo, hi = m - _HALF_WIDTH * s, m + _HALF_WIDTH * s
-    cut_lo = lo if lo > -_MARGIN_CUT else -_MARGIN_CUT  # comparisons: max/min cost ~0.3 us
-    cut_hi = hi if hi < _MARGIN_CUT else _MARGIN_CUT
-    if cut_lo < cut_hi:  # not wholly past the cut
-        lo, hi = cut_lo, cut_hi
+    if lo <= -_MARGIN_CUT and hi >= _MARGIN_CUT:  # cut on both sides
+        lo, hi = -_MARGIN_CUT, _MARGIN_CUT
+        mid, offset, block = _cut_window(loss)
+    else:
+        cut_lo = lo if lo > -_MARGIN_CUT else -_MARGIN_CUT  # comparisons: max/min cost ~0.3 us
+        cut_hi = hi if hi < _MARGIN_CUT else _MARGIN_CUT
+        if cut_lo < cut_hi:  # not wholly past the cut
+            lo, hi = cut_lo, cut_hi
+        mid, offset, block = _window(loss, lo, hi)
     # u and z from the offsets to the window's middle: neither inherits the other's rounding
-    mid, offset, block = _window(loss, lo, hi)
     w = offset + (mid - m)  # z, then the node weights over h / (s sqrt(2 pi))
-    w *= math.sqrt(0.5) / s
+    w *= _SQRT_HALF / s
     np.square(w, out=w)
     np.negative(w, out=w)
-    w = np.exp(w, out=w)[:, None]
-    scale = (hi - lo) / ((_NODES - 1) * s * math.sqrt(2.0 * math.pi))
+    np.exp(w, out=w)
+    scale = (hi - lo) / ((_NODES - 1) * s * _SQRT_2PI)  # 640 * sqrt(2 pi) first changes bits
     e1, e2, c1, c2 = (block @ w).ravel().tolist()
-    e1, e2, moved = e1 * scale, e2 * scale, 0.0
-    for e, c in ((e1, c1), (e2, c2)):
-        move = abs(e - 2.0 * scale * c)
-        if move > _REFINE_ATOL + _REFINE_RTOL * abs(e):
-            moved = max(moved, move)
-    return e1, e2, moved
+    e1, e2 = e1 * scale, e2 * scale
+    move1, move2 = abs(e1 - 2.0 * scale * c1), abs(e2 - 2.0 * scale * c2)
+    move1 = move1 if move1 > _REFINE_ATOL + _REFINE_RTOL * abs(e1) else 0.0
+    move2 = move2 if move2 > _REFINE_ATOL + _REFINE_RTOL * abs(e2) else 0.0
+    return e1, e2, move1 if move1 >= move2 else move2
 
 
 def expectation_terms(loss: SelfTrainingLoss, a: float, b: float,
@@ -406,18 +417,20 @@ def run_population(config: ExperimentConfig) -> Trajectory:
         raise ValueError(f"config.mode is {config.mode.value}, expected population")
     model = config.model
     a, b = split_ab(config.w_init, model)
+    loss, eta, step = config.loss, config.eta, population_step
     ab = [(a, b)]
     moves = []  # (t, move) of each step whose refinement check fired
     for t in range(1, config.horizon + 1):
-        a, b, moved = population_step(a, b, config.loss, model, config.eta)
+        a, b, moved = step(a, b, loss, model, eta)
         if moved:
             moves.append((t, moved))
         ab.append((a, b))
-        if stopped := (not (math.isfinite(a) and math.isfinite(b))
-                       or max(abs(a), b) > OVERFLOW_LIMIT or a == b == 0.0):
+        # NaN fails both comparisons, and b is never negative
+        if stopped := (not (abs(a) <= OVERFLOW_LIMIT and b <= OVERFLOW_LIMIT)
+                       or a == b == 0.0):
             break
     if moves:
-        warnings.warn(f"reduced quadrature precision in a {config.loss.name} population run: "
+        warnings.warn(f"reduced quadrature precision in a {loss.name} population run: "
                       f"refinement fired on {len(moves)} steps, first at t={moves[0][0]}, "
                       f"largest move {max(m for _, m in moves):.3e}", RuntimeWarning, stacklevel=2)
     return trajectory(ab, model, stop=t if stopped else 0)
@@ -481,9 +494,13 @@ def _increment(eta: float, mu_norm: float, sigma: float) -> float:
 
 
 def trajectory(ab, model: GaussianModel, stop: int = 0) -> Trajectory:
-    """The Trajectory of the iterates' (a, b) pairs, points t = 1, 2, ...: all
-    of them when stop is 0, else those up to step `stop`."""
-    a, b = np.array(ab[:stop + 1] if stop else ab, dtype=float).T
+    """The Trajectory of the iterates' (a, b) pairs, a list of pairs or an
+    (n, 2) array, points t = 1, 2, ...: all of them when stop is 0, else those
+    up to step `stop`."""
+    ab = ab[:stop + 1] if stop else ab
+    # a list is read in one pass over its flat values, not as one sequence per pair
+    a, b = (np.fromiter(itertools.chain.from_iterable(ab), float, 2 * len(ab)).reshape(-1, 2)
+            if isinstance(ab, list) else np.array(ab, dtype=float)).T
     columns = (a, b, *ab_metrics(a, b, model))
     for column in columns:
         column.setflags(write=False)

@@ -620,3 +620,9 @@ class TestReportSerialization:
         lines = text.strip().splitlines()
         assert "rule = conj" in lines
         assert any(line.startswith("max_violation = ") for line in lines)
+
+    def test_a_record_leaves_out_its_array_fields(self):
+        # z, rate and skipped are arrays: the record keeps the rule and family only
+        curve = tail_rate_curve(make_loss("hard", "square"), np.array([0.5, 1.0, 2.0]))
+        assert curve.skipped.size == 2
+        assert record_text(curve) == "rule = hard\nfamily = square\n"

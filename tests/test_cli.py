@@ -28,7 +28,7 @@ from ttalab import (
     step_size_sweep,
     zero_one_loss,
 )
-from ttalab import dynamics, model, serialize
+from ttalab import dynamics, model, presets, serialize
 from ttalab.cli import main
 from ttalab.serialize import TRAJECTORY_HEADER, config_flat, format_value, read_csv_with_meta
 
@@ -357,6 +357,15 @@ class TestFigurePresets:
         cols, rows, _ = read_csv_with_meta(result.csv_paths[0])
         idx = cols.index("hard_exp")
         assert all(abs(row[idx] - 1.0) <= 1e-12 for row in rows)
+
+    def test_fig3_names_a_loss_whose_tail_points_are_skipped(self):
+        # -psi' of this loss is 0 from z = 5 on, inside the fig3 grid (0.05 to 10)
+        grid = presets._FIGURES["fig3"][0].keywords["grid"]
+        base = make_loss("conj", "exp")
+        cut = replace(base, dpsi=lambda z: np.where(z < 5.0, base.dpsi(z), 0.0))
+        assert presets._tail_rate(base, grid).size == grid.size
+        with pytest.raises(RuntimeError, match=r"^unexpected skipped tail points for conj\+exp$"):
+            presets._tail_rate(cut, grid)
 
     def test_fig4_grid_is_the_eleven_point_grid(self, tmp_path):
         # tiny horizon keeps this a wiring test, not a statistics test

@@ -35,7 +35,7 @@ from ttalab import (
     stein_identity_check,
 )
 from ttalab import dynamics
-from ttalab.dynamics import _UNIT, _gaussian_expectations, _window, stochastic_sweep
+from ttalab.dynamics import _UNIT, _cut_window, _gaussian_expectations, stochastic_sweep
 from ttalab.model import ab_metrics, sample_batch, split_ab
 from ttalab.serialize import (TRAJECTORY_HEADER, config_flat, csv_with_meta_text,
                               read_csv_with_meta, trajectory_csv_text)
@@ -661,14 +661,17 @@ class TestQuadrature:
     @pytest.mark.parametrize("family", ["logistic", "exp"])
     def test_cut_window_pair_is_the_fresh_pair(self, family):
         loss = make_loss("conj", family)
-        mid, *stored = _window(loss, -36.0, 36.0)
+        _cut_window.cache_clear()
+        mid, *stored = _cut_window(loss)
         assert mid == 0.0
-        fresh = (36.0 * _UNIT, table_block(loss, 0.0 + 36.0 * _UNIT))
-        assert stored[1].shape == (4, 1, 641)
+        fresh = ((36.0 * _UNIT)[:, None], table_block(loss, 0.0 + 36.0 * _UNIT))
         for got, want in zip(stored, fresh, strict=True):
-            assert got.tobytes() == want.tobytes()
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
             with pytest.raises(ValueError):
                 got[0] = 1.0
+        # a second call reuses the entry: the same arrays, counted as a hit
+        assert all(again is got for again, got in zip(_cut_window(loss)[1:], stored))
+        assert _cut_window.cache_info()[:2] == (1, 1)
 
     def test_a_custom_dpsi_is_read_on_every_window(self):
         # (0.5, 1) gives an uncut window, (0.5, 10) one cut on both sides
@@ -686,11 +689,12 @@ class TestQuadrature:
         loss = make_loss("conj", family)
         s = spread * (36.0 + abs(m)) / 14.0
         _gaussian_expectations(loss, m, s)
-        hits = _window.cache_info().hits
+        hits, misses = _cut_window.cache_info()[:2]
         cached = _gaussian_expectations(loss, m, s)
-        _window(loss, -36.0, 36.0)  # the window the call built is the cut one
-        assert _window.cache_info().hits == hits + 2
-        _window.cache_clear()
+        # the call read the cut window the first one memoized, and built nothing
+        assert _cut_window.cache_info()[:2] == (hits + 1, misses)
+        assert not _cut_window(loss)[2].flags.writeable
+        _cut_window.cache_clear()
         fresh = _gaussian_expectations(loss, m, s)
         assert [x.hex() for x in cached] == [x.hex() for x in fresh]
 
@@ -949,6 +953,82 @@ class TestRunPopulation:
         calls.update(expectation_terms=0, population_step=0)
         log_rate_check(make_loss("conj", "exp"), 1.0, 1.0, 0.5, 1.0, 40)
         assert calls == {"expectation_terms": 0, "population_step": 39}
+
+    @pytest.mark.parametrize("case", ["conj+logistic@0.1", "conj+logistic@5", "conj+exp@0.1",
+                                      "conj+exp@5", "conj+square@5", "zero", "b-overflow"])
+    def test_run_is_the_hand_iterated_step(self, case):
+        # on the benchmark domain the smooth runs step from uncut to cut windows
+        # and conj+square at eta = 5 overflows; noiseless hard square at eta = 2
+        # from w = 2 mu reaches a = b = 0 in one step, and conj+square from
+        # a = 0 keeps a = 0 while b alone overflows
+        if case == "zero":
+            model = GaussianModel(mu=np.array([1.0, 0.0]), sigma=0.0)
+            config = ExperimentConfig(model=model, loss=make_loss("hard", "square"), eta=2.0,
+                                      mode=Mode.POPULATION, horizon=4, seed=0,
+                                      w_init=np.array([2.0, 0.0]))
+        elif case == "b-overflow":
+            model = axis_model(1.0, 1.0)
+            config = config_from_ab(0.0, 1.0, model, make_loss("conj", "square"), 100.0,
+                                    Mode.POPULATION, horizon=400)
+        else:
+            name, eta = case.split("@")
+            _, mu, sigma, w_init = build_benchmark_domains(10, 0)
+            model = GaussianModel(mu=mu, sigma=sigma)
+            config = ExperimentConfig(model=model, loss=make_loss(*name.split("+")),
+                                      eta=float(eta), mode=Mode.POPULATION, horizon=400,
+                                      seed=0, w_init=w_init)
+        a, b = split_ab(config.w_init, model)
+        pairs, stop = [(a, b)], 0
+        for t in range(1, config.horizon + 1):
+            a, b, _ = population_step(a, b, config.loss, model, config.eta)
+            pairs.append((a, b))
+            if (not (math.isfinite(a) and math.isfinite(b))
+                    or max(abs(a), b) > dynamics.OVERFLOW_LIMIT or a == b == 0.0):
+                stop = t
+                break
+        a, b = np.array(pairs, dtype=float).T
+        run = run_population(config)
+        assert run.stop == stop and (stop > 0) == (case in ("conj+square@5", "zero", "b-overflow"))
+        if case == "b-overflow":
+            assert a[-1] == 0.0 and b[-1] > dynamics.OVERFLOW_LIMIT
+        assert ([column.tobytes() for column in run.columns]
+                == [column.tobytes() for column in (a, b, *ab_metrics(a, b, model))])
+        if stop == 0:
+            s = model.sigma * np.hypot(a / model.mu_norm, b)
+            cut = (a - 14.0 * s <= -36.0) & (a + 14.0 * s >= 36.0)
+            assert not cut[0] and cut[-2]
+
+    def test_a_run_memoizes_only_its_cut_window(self, monkeypatch):
+        # the benchmark's conj+logistic run at eta = 0.1 steps on 371 uncut
+        # windows, each built afresh, then on the cut one 1629 times
+        built, real = [], dynamics._window
+        monkeypatch.setattr(dynamics, "_window",
+                            lambda loss, lo, hi: built.append((lo, hi)) or real(loss, lo, hi))
+        _, mu, sigma, w_init = build_benchmark_domains(10, 0)
+        loss = make_loss("conj", "logistic")
+        config = ExperimentConfig(model=GaussianModel(mu=mu, sigma=sigma), loss=loss, eta=0.1,
+                                  mode=Mode.POPULATION, horizon=2000, seed=0, w_init=w_init)
+        _cut_window.cache_clear()
+        run_population(config)
+        assert len(built) == 372 and built.index((-36.0, 36.0)) == 371
+        info = _cut_window.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1628, 1, 1)
+        # the one entry is this loss's cut window, and reading it builds nothing
+        assert _cut_window(loss)[0] == 0.0 and len(built) == 372
+        assert _cut_window.cache_info()[:2] == (1629, 1)
+        # an uncut window asked for twice is built twice, as a new writable block
+        blocks = []
+
+        def kept(*args):
+            window = real(*args)
+            blocks.append(window[2])
+            return window
+
+        monkeypatch.setattr(dynamics, "_window", kept)
+        for _ in range(2):
+            _gaussian_expectations(loss, 0.3, 1.0)
+        assert len(blocks) == 2 and blocks[0] is not blocks[1] and blocks[1].flags.writeable
+        assert _cut_window.cache_info().currsize == 1
 
     def test_population_overflow_flagged(self):
         config = config_from_ab(1.0, 1.0, axis_model(1.0, 0.0),
