@@ -26,7 +26,9 @@ tail node.  That grid and the checked range of the logarithmic bound are
 walked in blocks of _BLOCK indices, each block's nodes built from its index
 range with the formula the whole grid would use.  The minima, maxima and
 first violation are folded across blocks, so memory is O(_BLOCK) and no
-result depends on the block size.  Reports serialize to key = value text.
+result depends on the block size; the logarithmic bound's first violation is
+looked for only in a block whose minimum slack is negative.  Reports
+serialize to key = value text.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -173,6 +176,8 @@ def verify_club(loss: SelfTrainingLoss, L: float, a_min: float,
         raise ValueError(f"step = {step} is too small for a_max = {a_cap}: "
                          "the node count overflows")
     n = int(math.floor((a_cap - a_min) / step)) + 1  # tail nodes, k = 0 .. n-1
+    # only node k = 0 can be 0.0 (a_min = +-0.0, whose walk starts at k = 0)
+    drop_origin = a_min == 0.0 and not loss.smooth_second_derivative
     lows = []  # the smallest gap (-psi'(a)) - exp(-L a) of each block
     even_errs = []  # the largest relative |psi(u) - psi(-u)| of each block
     for i, j in _blocks(-math.ceil(a_min / step), n):
@@ -180,9 +185,7 @@ def verify_club(loss: SelfTrainingLoss, L: float, a_min: float,
         left = np.asarray(loss.psi(u), dtype=float)
         right = np.asarray(loss.psi(-u), dtype=float)
         even_errs.append(np.max(np.abs(left - right) / np.maximum(1.0, np.abs(left))))
-        tail = u[max(0, -i):]
-        if not loss.smooth_second_derivative:
-            tail = tail[tail != 0.0]
+        tail = u[1:] if drop_origin and i == 0 else u[max(0, -i):]
         if tail.size:
             gap = (-np.asarray(loss.dpsi(tail), dtype=float)) - np.exp(-L * tail)
             lows.append(gap.min())
@@ -307,10 +310,17 @@ def recursion_bound_run(r1: float, c: float, L: float, T: int,
 
 def _recursion(x: float, increment: float, L: float, T: int):
     """r_1 = x and r_{t+1} = r_t + increment exp(-L r_t): T floats, one per
-    step, with no array write per step (np.fromiter collects them)."""
+    step, with no array write per step (np.fromiter collects them).  The loop
+    runs over repeat, so no int is built per step, and takes two steps per
+    pass, plus a trailing one when T - 1 is odd."""
     exp, neg_L = math.exp, -L
     yield x
-    for _ in range(T - 1):
+    for _ in repeat(None, (T - 1) // 2):
+        x += increment * exp(neg_L * x)
+        yield x
+        x += increment * exp(neg_L * x)
+        yield x
+    if not T & 1:
         x += increment * exp(neg_L * x)
         yield x
 
@@ -318,7 +328,9 @@ def _recursion(x: float, increment: float, L: float, T: int):
 def _check_log_bound(seq: np.ndarray, c: float, L: float, tau: float,
                      T: int) -> tuple[bool, int | None, float]:
     """(holds, first violating t, minimum slack) of r_t >= log(c (t-1)) / (2 L)
-    over every integer t > tau + 1 up to T."""
+    over every integer t > tau + 1 up to T.  The minimum is folded block by
+    block, and the first violation is looked for only in the first block that
+    brings it below zero."""
     if c == 0.0 or tau + 1.0 >= T:
         # c = 0: log 0 = -inf, a vacuous bound; tau + 1 >= T: no t to check
         return True, None, math.inf
@@ -328,15 +340,14 @@ def _check_log_bound(seq: np.ndarray, c: float, L: float, tau: float,
     log_c = math.log(c) if c * (T - 1) == math.inf else None
     first, low = None, math.inf
     for i, j in _blocks(start, T + 1):
-        t = np.arange(i, j)
-        slack = seq[i - 1:j - 1] - (np.log(c * (t - 1)) if log_c is None
-                                    else log_c + np.log(t - 1)) / (2.0 * L)
-        if first is None:
-            violations = np.flatnonzero(slack < 0.0)
-            if violations.size:
-                first = int(t[violations[0]])
-        # fmin skips NaN slack, and the running minimum starts at inf
+        t_1 = np.arange(i - 1.0, j - 1.0)  # t - 1, exact integers as floats
+        slack = seq[i - 1:j - 1] - (np.log(c * t_1) if log_c is None
+                                    else log_c + np.log(t_1)) / (2.0 * L)
+        # fmin skips NaN slack, and the running minimum starts at inf; it stays
+        # >= 0 until the block that holds the first violation
         low = np.fmin.reduce(slack, initial=low)
+        if first is None and low < 0.0:
+            first = i + int(np.flatnonzero(slack < 0.0)[0])
     return first is None, first, float(low)
 
 
@@ -369,7 +380,7 @@ def log_rate_check(loss: SelfTrainingLoss, a1: float, b1: float, eta: float,
 
     model = GaussianModel(mu=np.array([mu_norm, 0.0]), sigma=0.0)
     a, b, a_seq = a1, b1, [a1]
-    for _ in range(T - 1):  # looked up per call, so a rebinding (a tracer's) sees every step
+    for _ in repeat(None, T - 1):  # looked up per call, so a rebinding (a tracer's) sees every step
         a, b, _moved = dynamics.population_step(a, b, loss, model, eta)
         a_seq.append(a)
     r_seq = np.array(a_seq) / b1

@@ -137,20 +137,29 @@ class TestBlockedGrids:
     no result may depend on the block size."""
 
     @pytest.mark.parametrize("block", [1, 7, 4096])
-    @pytest.mark.parametrize("a_min,step,n", [
-        (0.0, 1e-3, 1),
-        (0.75, 0.125, 7),
-        (0.0, 0.1, 10),
-        (0.5, 1e-3, 4096),
-        (0.0, 0.3, 4097),
+    @pytest.mark.parametrize("rule,a_min,step,n", [
+        # the conj+exp cases keep the ids they had before the rule was a parameter
+        pytest.param("conj", 0.0, 1e-3, 1, id="0.0-0.001-1"),
+        pytest.param("conj", 0.75, 0.125, 7, id="0.75-0.125-7"),
+        pytest.param("conj", 0.0, 0.1, 10, id="0.0-0.1-10"),
+        pytest.param("conj", 0.5, 1e-3, 4096, id="0.5-0.001-4096"),
+        pytest.param("conj", 0.0, 0.3, 4097, id="0.0-0.3-4097"),
+        ("conj", -0.0, 0.1, 10),
+        ("hard", 0.0, 1e-3, 1),
+        ("hard", 0.75, 0.125, 7),
+        ("hard", 0.0, 0.1, 10),
+        ("hard", -0.0, 0.1, 10),
+        ("hard", 0.5, 1e-3, 4096),
+        ("hard", 0.0, 0.3, 4097),
     ])
-    def test_walk_nodes_are_the_whole_grid(self, monkeypatch, block, a_min, step, n):
+    def test_walk_nodes_are_the_whole_grid(self, monkeypatch, block, rule, a_min, step, n):
         """psi sees each block's nodes u, then -u, and psi' the nodes with
         k >= 0: across blocks they are the whole grid a_min + step k from the
-        origin, its exact negation and the n-node tail grid."""
+        origin, its exact negation and the n-node tail grid, less the origin
+        for a hard loss (whose psi' jumps there) when a_min is +-0.0."""
         monkeypatch.setattr(analysis, "_BLOCK", block)
         seen = {"psi": [], "dpsi": []}
-        loss = _recording(make_loss("conj", "exp"), seen)
+        loss = _recording(make_loss(rule, "exp"), seen)
         verify_club(loss, 0.1, a_min, a_max=a_min + (n - 0.5) * step, step=step)  # cap 7000
         whole = a_min + step * np.arange(-math.ceil(a_min / step), n)
         assert -step < whole[0] <= 0.0
@@ -158,7 +167,11 @@ class TestBlockedGrids:
         mirrored = np.concatenate(seen["psi"][1::2])
         assert np.array_equal(mirrored, -whole)
         assert np.array_equal(np.signbit(mirrored), ~np.signbit(whole))
-        assert np.array_equal(np.concatenate(seen["dpsi"]), a_min + step * np.arange(n))
+        tail = a_min + step * np.arange(n)
+        if rule == "hard":
+            tail = tail[tail != 0.0]
+            assert tail.size == n - (a_min == 0.0)
+        assert np.array_equal(np.concatenate([np.empty(0), *seen["dpsi"]]), tail)
 
     @pytest.mark.parametrize("block", [1, 7, 4096])
     @pytest.mark.parametrize("loss", all_losses(), ids=lambda loss: loss.name)
@@ -269,6 +282,22 @@ class TestBlockedGrids:
             got = _check_log_bound(seq, 1.0, 1.0, tau, T)
             assert got == _whole_check_log_bound(seq, 1.0, 1.0, tau, T)
             assert got[:2] == (False, T - 3)
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_nan_slack_is_skipped_by_the_log_bound(self, monkeypatch, block):
+        """NaN r_t in earlier blocks and in the block of the only violation, on
+        both sides of it: neither the minimum nor the first violation sees them."""
+        monkeypatch.setattr(analysis, "_BLOCK", block)
+        T = 3 * 4096 + 1
+        t = np.arange(1, T + 1)
+        seq = 1.0 + np.log(np.maximum(t - 1, 1)) / 2.0
+        seq[T - 4] = 0.5  # t = T - 3, the only violation, in the last block at 4096
+        seq[[99, 4999, T - 7, T - 2]] = np.nan  # t = 100, 5000, T - 6 and T - 1
+        for tau in (0.0, 5.5, 4096.0):
+            got = _check_log_bound(seq, 1.0, 1.0, tau, T)
+            assert got == _whole_check_log_bound(seq, 1.0, 1.0, tau, T)
+            assert got == _loop_log_bound(seq, 1.0, 1.0, tau, T)
+            assert got[:2] == (False, T - 3) and got[2] < 0.0
 
     @pytest.mark.parametrize("block", [7, 4096])
     def test_log_bound_of_recursion_runs_equals_the_whole_array_check(self, monkeypatch,
@@ -511,10 +540,12 @@ class TestRecursionBound:
                 violated += got[1] is not None
         assert violated > 0
 
-    @pytest.mark.parametrize("T", [1, 2, 10**5])
+    @pytest.mark.parametrize("T", [1, 2, 3, 10**5, 10**5 + 1])
     @pytest.mark.parametrize("equality", [True, False])
     @pytest.mark.parametrize("c", [0.0, 0.3, 1.0])
     def test_sequence_matches_a_plain_loop(self, T, equality, c):
+        """T - 1 = 0, odd and even: the recursion's two-step passes, with and
+        without a trailing step, match a loop taking one step at a time."""
         seq, _ = recursion_bound_run(1.0, c, 0.7, T, equality=equality)
         assert np.array_equal(seq, _loop_recursion(1.0, c, 0.7, T, 1.0 if equality else 2.0))
 
