@@ -7,14 +7,16 @@ same config produces byte-identical CSV output (the manifest differs only in
 its wall-clock stamp), wherever out_dir points.
 
 step_size_sweep runs a base config with every loss at every step size on
-`streams` seed streams, stream k seeded with derive_stream_seed(base.seed, k)
-(a stochastic base as one dynamics.stochastic_sweep, which draws each batch
-once for all the losses).  Every loss and step size reads the same streams
-(common random numbers), so a loss's rows do not depend on the other losses,
-nor a row on the rest of the grid.  Per loss, overflowing step sizes rank
-last, then the lowest mean final expected 0-1 loss wins, ties going to the
-smaller step.  `ttalab grid` runs the base config's own loss on one stream;
-the fig4 presets run hard and conjugate labels on ten.
+`streams` seed streams, stream k seeded with derive_stream_seed(base.seed, k):
+a stochastic base as one dynamics.stochastic_sweep call, which draws each
+batch once for all the losses, and one ab_metrics scoring pass; a population
+base as one run per (loss, step size), which reads no seed and so stands for
+every stream.  Every loss and step size reads the same streams (common random
+numbers), so a loss's rows do not depend on the other losses, nor a row on
+the rest of the grid.  Per loss, overflowing step sizes rank last, then the
+lowest mean final expected 0-1 loss wins, ties going to the smaller step.
+`ttalab grid` runs the base config's own loss on one stream; the fig4 presets
+run hard and conjugate labels on ten.
 """
 
 from __future__ import annotations
@@ -75,31 +77,28 @@ def step_size_sweep(base: ExperimentConfig, losses, eta_grid,
     `streams` seed streams, stream k seeded with derive_stream_seed(base.seed, k);
     return one (best, rows) per loss, in the order of losses.
 
-    Rows come in ascending step-size order, duplicates merged.  Only the
-    final losses and one mean curve per step size are kept, not the
-    trajectories.
+    A stochastic base makes one stochastic_sweep call and one ab_metrics
+    scoring pass; a population base makes one run per (loss, step size), and
+    that run, which reads no seed, stands for every stream.  Rows come in
+    ascending step-size order, duplicates merged.  Only the final losses and
+    one mean curve per step size are kept, not the trajectories.
     """
     losses = check_non_empty("loss list", losses)
     etas = sorted(set(float(e) for e in check_non_empty("eta grid", eta_grid)))
-    seeds = [derive_stream_seed(base.seed, k)
-             for k in range(check_count("streams", streams, 1))]
+    streams = check_count("streams", streams, 1)
     if base.mode is Mode.STOCHASTIC:
+        seeds = [derive_stream_seed(base.seed, s) for s in range(streams)]
         ab, stopped = stochastic_sweep(base, losses, etas, seeds)
-    sweeps = []
-    for r, loss in enumerate(losses):
-        if base.mode is Mode.STOCHASTIC:
-            loss01 = ab_metrics(ab[:, r, ..., 0], ab[:, r, ..., 1], base.model)[2]
-        rows: list[GridPoint] = []
-        for k, eta in enumerate(etas):
-            if base.mode is Mode.STOCHASTIC:
-                curves = [loss01[:, s, k] for s in range(len(seeds)) if not stopped[r, s, k]]
-            else:
-                # a population run reads no seed: one run stands for every stream
-                run = run_population(replace(base, loss=loss, eta=eta))
-                curves = [] if run.stop else [run.loss01] * len(seeds)
-            rows.append(_grid_point(eta, curves, len(seeds), base.horizon))
-        sweeps.append((min(rows, key=lambda p: (p.overflow, p.mean_final_loss01, p.eta)), rows))
-    return sweeps
+        loss01 = ab_metrics(ab[..., 0], ab[..., 1], base.model)[2]
+        curves = [[[loss01[:, r, s, k] for s in range(streams) if not stopped[r, s, k]]
+                   for k in range(len(etas))] for r in range(len(losses))]
+    else:
+        curves = [[[] if (run := run_population(replace(base, loss=loss, eta=eta))).stop
+                   else [run.loss01] * streams for eta in etas] for loss in losses]
+    sweeps = [[_grid_point(eta, c, streams, base.horizon) for eta, c in zip(etas, loss_curves)]
+              for loss_curves in curves]
+    return [(min(rows, key=lambda p: (p.overflow, p.mean_final_loss01, p.eta)), rows)
+            for rows in sweeps]
 
 
 def _grid_point(eta: float, curves, streams: int, horizon: int) -> GridPoint:

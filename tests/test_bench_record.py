@@ -1,6 +1,8 @@
-"""tools/bench_record.py: the flags it sets from paired runs of two trees."""
+"""tools/bench_record.py: the trees it exports and the flags it sets from
+paired runs of them."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -30,3 +32,34 @@ def test_flag_from_paired_runs(new, expected):
 def test_one_pair_has_no_spread():
     assert bench_record.flag(WALL, [1.0], [0.9]) == (1, "BETTER")
     assert bench_record.flag(WALL, [1.0], [1.0]) == (0, "")
+
+
+def test_the_change_is_exported_as_git_add_all_sees_it(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+                               "-c", "commit.gpgsign=false", *args], cwd=repo,
+                              capture_output=True, text=True, check=True).stdout
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    (repo / "tracked.txt").write_text("old\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "tracked.txt").write_text("new\n")
+    (repo / "untracked.txt").write_text("fresh\n")
+    (repo / "ignored.txt").write_text("left out\n")
+    status = git("status", "--porcelain")
+    monkeypatch.setattr(bench_record, "ROOT", repo)
+    bench_record.export("HEAD", tmp_path / "parent")
+    bench_record.export(bench_record.snapshot(), tmp_path / "change")
+    assert git("status", "--porcelain") == status
+    assert sorted(p.name for p in (tmp_path / "parent").iterdir()) == [".gitignore", "tracked.txt"]
+    assert (tmp_path / "parent" / "tracked.txt").read_text() == "old\n"
+    change = tmp_path / "change"
+    assert sorted(p.name for p in change.iterdir()) == [".gitignore", "tracked.txt",
+                                                         "untracked.txt"]
+    assert (change / "tracked.txt").read_text() == "new\n"
+    assert (change / "untracked.txt").read_text() == "fresh\n"

@@ -28,7 +28,7 @@ from ttalab import (
     step_size_sweep,
     zero_one_loss,
 )
-from ttalab import dynamics, model, presets, serialize
+from ttalab import dynamics, harness, model, presets, serialize
 from ttalab.cli import main
 from ttalab.serialize import TRAJECTORY_HEADER, config_flat, format_value, read_csv_with_meta
 
@@ -203,6 +203,9 @@ def test_every_zero_one_loss_goes_through_gauss_upper_tail(monkeypatch):
     assert calls == [1, 5] and not math.isnan(run.loss01[-1])
     step_size_sweep(replace(base, mode=Mode.STOCHASTIC), [base.loss], [0.1, 0.5], 2)
     assert calls == [1, 5, 5 * 2 * 2]  # one call on all 5 points x 2 seeds x 2 step sizes
+    step_size_sweep(replace(base, mode=Mode.STOCHASTIC), [base.loss, make_loss("hard", "exp")],
+                    [0.1, 0.5], 2)
+    assert calls == [1, 5, 20, 5 * 2 * 2 * 2]  # and one scoring pass for both losses
 
 
 class TestGridSearch:
@@ -251,6 +254,29 @@ class TestGridSearch:
         np.testing.assert_array_equal(rows[0].curve,
                                       np.mean([lone.loss01] * 3, axis=0))
         assert rows[1].mean_final_loss01 == math.inf and np.isnan(rows[1].curve).all()
+
+    def test_population_losses_sweep_as_they_do_alone(self, monkeypatch):
+        # one run per (loss, eta), not per stream; conj+square overflows at eta = 100
+        runs = []
+
+        def counted(config, _real=harness.run_population):
+            runs.append((config.loss.name, config.eta))
+            return _real(config)
+
+        monkeypatch.setattr(harness, "run_population", counted)
+        base = replace(self.base(horizon=200), mode=Mode.POPULATION,
+                       model=GaussianModel(mu=np.array([1.0, 0.0]), sigma=0.6))
+        losses = [make_loss("conj", "square"), make_loss("conj", "exp")]
+        etas = [0.05, 0.5, 100.0]
+        together = step_size_sweep(base, losses, etas, 3)
+        assert len(runs) == 6
+        assert together[0][1][-1].overflow
+        for loss, (best, rows) in zip(losses, together):
+            [(best_alone, rows_alone)] = step_size_sweep(base, [loss], etas, 3)
+            assert best == best_alone and rows == rows_alone
+            for row, alone in zip([best, *rows], [best_alone, *rows_alone]):
+                assert np.array_equal(row.curve, alone.curve, equal_nan=True)
+        assert len(runs) == 12
 
     @pytest.mark.parametrize("streams", [1, 3])
     def test_stream_k_is_seeded_with_derive_stream_seed_k(self, streams):

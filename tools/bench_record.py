@@ -4,9 +4,15 @@ working tree, in alternating runs, and write BENCH_<pr>.json.
     python3 tools/bench_record.py PR
 
 Run it from anywhere, before committing the change it measures: it works on
-the checkout that holds this file, and HEAD is the base.  HEAD is exported with
-`git archive` into .ttabench/parent/.  For each workload named in BENCHMARK.json
-it then makes PAIRS pairs of runs, one of each tree, alternating which runs
+the checkout that holds this file, and HEAD is the base.  Both sides run from
+exports, so they differ in code only, not in directory or leftover files.
+HEAD is exported with `git archive` into .ttabench/parent/.  The working tree
+is snapshot as a git tree through a temporary index (`git add -A`, then `git
+write-tree`; the checkout's own index and `git status` are left untouched) and
+exported the same way into .ttabench/change/.  The snapshot holds tracked
+files as edited and new files, which need not be committed or staged;
+ignored files are left out.  For each workload named in BENCHMARK.json it
+then makes PAIRS pairs of runs, one of each tree, alternating which runs
 first; each run is `python3 ttabench/run.py --workload W --seed 0 --seconds S
 --trace 0` with S BENCHMARK.json's run_seconds.  Runs of both trees in the same
 minutes keep machine drift out of the comparison.
@@ -15,6 +21,7 @@ The file, at the root of the checkout, holds the working tree's numbers per
 workload: the median over runs of each run's end-to-end median, the run medians,
 the quartiles of the pooled per-pass values, the pass count, the correctness
 verdict and the environment line; the same for the base tree under "base".
+"base" at the top level is HEAD's commit id and "change" the snapshot's tree id.
 Successive BENCH_<pr>.json files form the committed bench trajectory.
 
 It prints one line per (workload, end-to-end metric): base -> working tree
@@ -37,31 +44,46 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import re
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-BASE = ROOT / ".ttabench" / "parent"
 SEED = 0
 PAIRS = 10
 
 
-def export_base() -> str:
-    """Write the tree of HEAD to BASE; return its commit id."""
-    commit = subprocess.run(["git", "rev-parse", "--verify", "HEAD^{commit}"], cwd=ROOT,
-                            capture_output=True, text=True, check=True).stdout.strip()
-    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
+def git(*args: str, env: dict | None = None) -> str:
+    """Run git in ROOT; return its stripped stdout."""
+    return subprocess.run(["git", *args], cwd=ROOT, env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def snapshot() -> str:
+    """The id of a git tree of the working tree as `git add -A` sees it.
+
+    The tree is built through a temporary index, so the checkout's own index
+    and `git status` are left as they were."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        git("add", "-A", env=env)
+        return git("write-tree", env=env)
+
+
+def export(tree: str, dest: Path) -> None:
+    """Write the files of tree (a commit or tree id) to dest, replacing it."""
+    archive = subprocess.run(["git", "archive", "--format=tar", tree], cwd=ROOT,
                              capture_output=True, check=True).stdout
-    shutil.rmtree(BASE, ignore_errors=True)
-    BASE.mkdir(parents=True)
+    shutil.rmtree(dest, ignore_errors=True)
+    dest.mkdir(parents=True)
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(BASE, filter="data")
-    return commit
+        tar.extractall(dest, filter="data")
 
 
 def run_workload(root: Path, workload: str, seconds: int) -> dict:
@@ -148,19 +170,22 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
     metrics = [m["name"] for m in spec["end_to_end"]]
-    commit = export_base()
+    commit, tree = git("rev-parse", "--verify", "HEAD^{commit}"), snapshot()
+    base, change = ROOT / ".ttabench" / "parent", ROOT / ".ttabench" / "change"
+    export(commit, base)
+    export(tree, change)
     workloads = {}
     for w in spec["workloads"]:
-        runs = {BASE: [], ROOT: []}
+        runs = {base: [], change: []}
         for i in range(PAIRS):
-            for root in (BASE, ROOT) if i % 2 == 0 else (ROOT, BASE):
+            for root in (base, change) if i % 2 == 0 else (change, base):
                 runs[root].append(run_workload(root, w["name"], seconds))
-        workloads[w["name"]] = {**summary(runs[ROOT], metrics),
-                                "base": summary(runs[BASE], metrics)}
+        workloads[w["name"]] = {**summary(runs[change], metrics),
+                                "base": summary(runs[base], metrics)}
         print(f"{w['name']}: correct={workloads[w['name']]['correct']} "
               f"median={workloads[w['name']]['median']}", file=sys.stderr)
     record = {"pr": args.pr, "seed": SEED, "seconds": seconds, "pairs": PAIRS,
-              "base": commit,
+              "base": commit, "change": tree,
               "command": "python3 ttabench/run.py --workload W "
                          f"--seed {SEED} --seconds {seconds} --trace 0",
               "workloads": workloads}
