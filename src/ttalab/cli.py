@@ -24,7 +24,7 @@ from .dynamics import UnsupportedLossError
 from .harness import run_experiment, step_size_sweep
 from .losses import club_losses, parse_loss_id
 from .presets import FIGURE_IDS, reproduce_figure
-from .serialize import ConfigError, config_flat, csv_with_meta_text, parse_config_file
+from .serialize import config_flat, csv_with_meta_text, parse_config_file
 
 __all__ = ["main"]
 
@@ -84,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnsupportedLossError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

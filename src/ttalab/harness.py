@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ExperimentConfig, Mode, run_population, run_stochastic, stochastic_sweep
-from .model import ab_metrics, check_count, check_non_empty, derive_stream_seed
+from .model import ab_metrics, check_count, check_non_empty, check_positive, derive_stream_seed
 from .serialize import RunManifest, config_flat, parse_config_file, trajectory_csv_text, write_manifest
 
 __all__ = ["GridPoint", "run_experiment", "step_size_sweep"]
@@ -84,7 +84,7 @@ def step_size_sweep(base: ExperimentConfig, losses, eta_grid,
     one mean curve per step size are kept, not the trajectories.
     """
     losses = check_non_empty("loss list", losses)
-    etas = sorted(set(float(e) for e in check_non_empty("eta grid", eta_grid)))
+    etas = sorted(set(check_positive("eta", e) for e in check_non_empty("eta grid", eta_grid)))
     streams = check_count("streams", streams, 1)
     if base.mode is Mode.STOCHASTIC:
         seeds = [derive_stream_seed(base.seed, s) for s in range(streams)]

@@ -62,7 +62,8 @@ _KEYS = (
 
 
 def parse_config_file(path: str | Path) -> ExperimentConfig:
-    """Parse and validate a flat JSON config into an ExperimentConfig."""
+    """Parse and validate a flat JSON config into an ExperimentConfig.  A rejected
+    file raises ConfigError, whose message names the keys at fault or the path."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -78,43 +79,26 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
     if missing:
         raise ConfigError(f"missing config key(s): {', '.join(missing)}")
 
-    mu = _vector(raw, "model.mu")
-    sigma = _number(raw, "model.sigma")
-    dim = _integer(raw, "model.dim")
-    if dim != mu.size:
-        raise ConfigError(f"model.dim: is {dim} but model.mu has length {mu.size}")
-    try:
+    try:  # a constructor's ValueError names its parameter; _name_config_field names its key
+        mu = _vector(raw, "model.mu")
+        sigma = _number(raw, "model.sigma")
+        dim = _integer(raw, "model.dim")
+        if dim != mu.size:
+            raise ConfigError(f"model.dim: is {dim} but model.mu has length {mu.size}")
         model = GaussianModel(mu=mu, sigma=sigma)
-    except ValueError as exc:
-        raise ConfigError(_name_config_field(str(exc))) from None
-
-    try:
-        loss = make_loss(str(raw["loss.rule"]), str(raw["loss.family"]))
-    except ValueError:
-        raise ConfigError(
-            f"loss.rule/loss.family: unknown combination "
-            f"({raw['loss.rule']!r}, {raw['loss.family']!r})"
-        ) from None
-
-    try:
+        try:
+            loss = make_loss(str(raw["loss.rule"]), str(raw["loss.family"]))
+        except ValueError:
+            raise ConfigError(
+                f"loss.rule/loss.family: unknown combination "
+                f"({raw['loss.rule']!r}, {raw['loss.family']!r})"
+            ) from None
         mode = Mode(str(raw["run.mode"]).lower())
-    except ValueError as exc:
-        raise ConfigError(_name_config_field(str(exc))) from None
-
-    w_init = _vector(raw, "init.w")
-    batch = {"batch_size": _integer(raw, "run.batch")} if "run.batch" in raw else {}
-
-    try:
-        return ExperimentConfig(
-            model=model,
-            loss=loss,
-            eta=_number(raw, "run.eta"),
-            mode=mode,
-            horizon=_integer(raw, "run.horizon"),
-            seed=_integer(raw, "run.seed"),
-            w_init=w_init,
-            **batch,
-        )
+        w_init = _vector(raw, "init.w")
+        batch = {"batch_size": _integer(raw, "run.batch")} if "run.batch" in raw else {}
+        return ExperimentConfig(model=model, loss=loss, eta=_number(raw, "run.eta"), mode=mode,
+                                horizon=_integer(raw, "run.horizon"),
+                                seed=_integer(raw, "run.seed"), w_init=w_init, **batch)
     except ValueError as exc:
         raise ConfigError(_name_config_field(str(exc))) from None
 

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -278,6 +281,22 @@ class TestGridSearch:
                 assert np.array_equal(row.curve, alone.curve, equal_nan=True)
         assert len(runs) == 12
 
+    @pytest.mark.parametrize("grid", [[0.5, 1.0, math.nan], [0.5, math.inf], [0.5, 0.0]],
+                             ids=["nan", "inf", "zero"])
+    def test_population_grid_rejects_a_bad_eta_before_any_run(self, monkeypatch, grid):
+        # a stochastic base's stochastic_sweep checks the grid before stepping too
+        runs = []
+
+        def counted(config, _real=harness.run_population):
+            runs.append(config.eta)
+            return _real(config)
+
+        monkeypatch.setattr(harness, "run_population", counted)
+        base = replace(self.base(), mode=Mode.POPULATION)
+        with pytest.raises(ValueError, match="eta must be positive"):
+            step_size_sweep(base, [base.loss], grid, 1)
+        assert runs == []
+
     @pytest.mark.parametrize("streams", [1, 3])
     def test_stream_k_is_seeded_with_derive_stream_seed_k(self, streams):
         base = replace(self.base(horizon=40),
@@ -544,6 +563,16 @@ class TestCliExitCodes:
                      "--T", "2000"]) == 0
         out = capsys.readouterr().out
         assert "bound_holds = True" in out
+
+    def test_module_run_exits_with_mains_code(self):
+        # `python -m ttalab.cli` passes main's return value to sys.exit
+        env = {**os.environ, "PYTHONPATH": str(Path(serialize.__file__).parents[1])}
+        command = [sys.executable, "-m", "ttalab.cli", "recursion", "--c", "1", "--L", "1",
+                   "--r1", "1", "--T"]
+        ok = subprocess.run([*command, "10"], env=env, capture_output=True, text=True)
+        assert ok.returncode == 0 and "bound_holds = True" in ok.stdout
+        bad = subprocess.run([*command, "0"], env=env, capture_output=True, text=True)
+        assert bad.returncode == 1 and bad.stderr == "error: T must be >= 1\n"
 
     def test_recursion_command_past_the_float_range_of_c_t(self, capsys):
         # c (t - 1) overflows at t = 3; the bound still holds there

@@ -854,7 +854,11 @@ class TestRunPopulation:
 
     def test_population_equals_stochastic_on_noiseless_stream(self):
         """With sigma = 0 the sampled gradient is deterministic, so the two
-        modes produce identical (a, b) sequences for the conjugate square loss."""
+        modes produce the same (a, b) sequences for the conjugate square loss.
+        For every loss, batch 1 and 3 and eta 0.1 and 1, the sampled a at point t
+        is within 4 t eps max(1, |a|) of the population a, which steps b not at
+        all.  The sampled b is left out there: w's rounding moves it (conj+square
+        at eta = 1 reaches b = 1.00000048, which split_ab zeroes from t = 35)."""
         model = axis_model(1.0, 0.0)
         loss = make_loss("conj", "square")
         pop = run_population(config_from_ab(0.5, 1.0, model, loss, 1.0,
@@ -864,6 +868,17 @@ class TestRunPopulation:
         assert len(pop) == len(sto)
         for p, s in ((pop.a, sto.a), (pop.b, sto.b)):
             assert (abs(p - s) <= 1e-12 * np.maximum(1.0, abs(p))).all()
+        model, eps = axis_model(1.3, 0.0), np.finfo(float).eps
+        for loss, eta in itertools.product(all_losses(), (0.1, 1.0)):
+            pop = run_population(config_from_ab(0.5, 1.0, model, loss, eta,
+                                                Mode.POPULATION, horizon=60))
+            assert (pop.b == 1.0).all() and len(pop) == 61, (loss.name, eta)
+            bound = 4 * np.arange(1, 62) * eps * np.maximum(1.0, abs(pop.a))
+            for batch in (1, 3):
+                sto = run_stochastic(config_from_ab(0.5, 1.0, model, loss, eta, Mode.STOCHASTIC,
+                                                    horizon=60, batch_size=batch))
+                assert len(sto) == 61, (loss.name, eta, batch)
+                assert (abs(sto.a - pop.a) <= bound).all(), (loss.name, eta, batch)
 
     def test_small_step_freezes_the_orthogonal_gap(self):
         """Hard square, sigma = 0, small step: a_bar -> 1/||mu||, b frozen, and

@@ -327,6 +327,50 @@ def test_config_file_names_the_bad_key(tmp_path, key, value, named, message):
     assert str(err.value).startswith(f"{named}: {message}")
 
 
+# single-key faults in the order a config file is read: mu, sigma and dim as
+# values, then the dim check, the model, the loss (rule and family are read as
+# one), the mode, init.w, run.batch, eta, horizon and seed as values, and last
+# ExperimentConfig's own checks
+READ_ORDER_FAULTS = [
+    ("model.mu", "x", "model.mu: must be a non-empty list of numbers"),
+    ("model.sigma", "x", "model.sigma: must be a number"),
+    ("model.dim", 2.5, "model.dim: must be an integer"),
+    ("model.dim", 3, "model.dim: is 3 but model.mu has length 2"),
+    ("model.mu", [0, 0], "model.mu: mu must be a nonzero vector"),
+    ("model.sigma", -1.0, "model.sigma: sigma must be finite and non-negative"),
+    ("loss.family", "cubic", "loss.rule/loss.family: unknown combination ('conj', 'cubic')"),
+    ("run.mode", "sideways",
+     "run.mode: mode must be 'stochastic' or 'population', got 'sideways'"),
+    ("init.w", "x", "init.w: must be a non-empty list of numbers"),
+    ("run.batch", 1.5, "run.batch: must be an integer"),
+    ("run.eta", "x", "run.eta: must be a number"),
+    ("run.horizon", 2.5, "run.horizon: must be an integer"),
+    ("run.seed", 2.5, "run.seed: must be an integer"),
+    ("run.eta", 0, "run.eta: eta must be positive"),
+    ("run.horizon", 0, "run.horizon: horizon must be >= 1"),
+    ("run.batch", 0, "run.batch: batch must be >= 1"),
+    ("run.seed", -1, "run.seed: seed must be a non-negative integer"),
+    ("init.w", [1.0, 0.0, 0.0], "init.w: w has length 3 but the model dimension is 2"),
+]
+
+
+def test_config_file_reports_the_fault_read_first(tmp_path):
+    path = tmp_path / "c.json"
+
+    def message(faults):
+        path.write_text(json.dumps({**VALID_CONFIG, **faults}))
+        with pytest.raises(ConfigError) as err:
+            parse_config_file(path)
+        return str(err.value)
+
+    for key, value, want in READ_ORDER_FAULTS:
+        assert message({key: value}) == want
+    for i, (key, value, want) in enumerate(READ_ORDER_FAULTS):
+        for later_key, later_value, _ in READ_ORDER_FAULTS[i + 1:]:
+            if later_key != key:
+                assert message({key: value, later_key: later_value}) == want, later_key
+
+
 @pytest.mark.parametrize("text,message", [
     ("{", "not valid JSON"),
     ("[1, 2]", "top level must be a flat JSON object"),
