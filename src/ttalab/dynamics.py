@@ -277,28 +277,36 @@ def _stopped(w: np.ndarray) -> np.ndarray | None:
 
 # --- population dynamics ------------------------------------------------------
 
-# E[g(Z)], Z ~ N(m, s^2), by the trapezoid rule on the margin axis u: 641 nodes
-# on [m - 14 s, m + 14 s] (Gaussian mass outside < 1e-43) cut to |u| <= 36,
-# past which the conjugate psi' and psi'' are below 5e-16 (a window wholly past
-# the cut is kept whole).  The spacing h is <= 0.044 s, and <= 0.11 once cut;
-# the poles at u = +-i pi/2 bound the error by ~exp(-pi^2 / h) (Trefethen &
-# Weideman, SIAM Review 2014, secs. 4-5).  Against scipy.integrate.quad: within
-# 1e-15 + 1e-12 |E| for s in [1e-3, 1e6] and |m| <= 3 max(s, 1), the halved grid
-# (even nodes) inside the refinement tolerance.  conj+square is exact.  An s
-# too small for m +- 14 s to differ from m gives the s -> 0 point evaluation.
-# One kernel per step: the rows are psi' and psi'' with the end columns halved
-# (exact, as every end weight is >= exp(-98)), then the same two rows with their
-# odd columns zeroed, as one (4, 1, 641) block.  The weights are built in one
-# buffer, and one stacked matmul gives the two trapezoid sums and the two
+# E[g(Z)], Z ~ N(m, s^2), by the trapezoid rule on the margin axis u with 641
+# nodes, on a grid chosen by resolution.  The fixed grid is [-36, 36], past which
+# the conjugate psi' and psi'' are below 5e-16, with spacing h = 72/640 = 0.1125.
+# It serves every s >= 4 h (h <= s/4) whose window [m - 14 s, m + 14 s] (Gaussian
+# mass outside < 1e-43) overlaps (-36, 36).  A smaller s gets a window of its
+# own, cut to |u| <= 36, with spacing h <= 0.044 s; a window wholly past the cut
+# is kept whole.  By the poles at u = +-i pi/2 the error decays like
+# exp(-pi^2 / h) times the Gaussian's growth there, exp(pi^2 / (8 s^2))
+# (Trefethen & Weideman, SIAM Review 2014, secs. 4-5).  On the fixed grid the halved grid's
+# estimate moves by <= 3e-13 at s = 4 h, and the refinement check first fires
+# near s = 0.25.  Against scipy.integrate.quad: within 1e-15 + 1e-12 |E| for s in
+# [1e-3, 1e6] and |m| <= 3 max(s, 1), the fixed grid's error at most 0.13 of
+# that for every s >= 0.3, and the halved grid (even nodes) inside the refinement
+# tolerance.  conj+square is exact.  An s too small for m +- 14 s to differ
+# from m gives the s -> 0 point evaluation.
+# One kernel per step: the rows are psi' and psi'' with the end columns halved,
+# then the same two rows with their odd columns zeroed, as one (4, 1, 641) block.
+# Halving the end columns gives the bits of halving the end weights: on a window
+# of its own every end weight is >= exp(-98), and on the fixed grid an end term
+# is below 1e-300 wherever its weight is subnormal.  The weights are built in
+# one buffer, and one stacked matmul gives the two trapezoid sums and the two
 # halved-grid sums of the refinement check.  Each item of a stacked matmul is
 # one contiguous 641-long BLAS dot, so the trapezoid sums keep the bits of
 # `d @ w`, and the halved-grid sums are `(d * even) @ w` (they feed only the
 # check).  psi' and psi'' are the loss's own dpsi and ddpsi, the formulas the
-# sampled engine uses.  Only the window cut on both sides is memoized, by loss
-# object: it is [-36, 36] on every step, so a run builds it once.  Any other
-# window moves with (m, s) and is seen about once (a ttabench population pass
-# builds 762 of them), so it is built straight into its block, never memoized.
+# sampled engine uses.  The fixed grid is memoized by loss object, so a run
+# builds it once.  A window of its own moves with (m, s) and is seen about once,
+# so it is built straight into its block, never memoized.
 _HALF_WIDTH, _MARGIN_CUT, _NODES = 14.0, 36.0, 641
+_FIXED_GRID_MIN_S = 4.0 * (2.0 * _MARGIN_CUT / (_NODES - 1))  # 4 h = 0.45
 _UNIT = np.linspace(-1.0, 1.0, _NODES)
 _REFINE_ATOL, _REFINE_RTOL = 1e-12, 1e-9
 _SQRT_HALF, _SQRT_2PI = math.sqrt(0.5), math.sqrt(2.0 * math.pi)
@@ -321,9 +329,9 @@ def _window(loss: SelfTrainingLoss, lo: float, hi: float
     return mid, offset[:, None], block
 
 
-@functools.lru_cache(maxsize=16)  # the cut windows of the last 16 loss objects
+@functools.lru_cache(maxsize=16)  # the fixed grids of the last 16 loss objects
 def _cut_window(loss: SelfTrainingLoss) -> tuple[float, np.ndarray, np.ndarray]:
-    """_window(loss, -36, 36), its arrays read-only."""
+    """The fixed grid, _window(loss, -36, 36), its arrays read-only."""
     window = _window(loss, -_MARGIN_CUT, _MARGIN_CUT)
     for array in window[1:]:
         array.setflags(write=False)
@@ -334,11 +342,16 @@ def _gaussian_expectations(loss: SelfTrainingLoss, m: float, s: float
                            ) -> tuple[float, float, float]:
     """(E[psi'], E[psi'']) at s > 0 (m +- 14 s distinct from m), and the largest
     move of the halved-grid estimate past the refinement tolerance (0.0 when
-    neither moved past it)."""
+    neither moved past it).
+
+    The grid is chosen by resolution: s >= 4 h, with h = 0.1125 the fixed
+    grid's spacing, takes the memoized fixed grid [-36, 36] whenever the window
+    [m - 14 s, m + 14 s] overlaps (-36, 36).  A smaller s, or a window wholly
+    past the cut, gets a window of its own."""
     if loss.family is _SQUARE:
         return -m, -1.0, 0.0
     lo, hi = m - _HALF_WIDTH * s, m + _HALF_WIDTH * s
-    if lo <= -_MARGIN_CUT and hi >= _MARGIN_CUT:  # cut on both sides
+    if s >= _FIXED_GRID_MIN_S and lo < _MARGIN_CUT and hi > -_MARGIN_CUT:  # fixed grid
         lo, hi = -_MARGIN_CUT, _MARGIN_CUT
         mid, offset, block = _cut_window(loss)
     else:

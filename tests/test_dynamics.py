@@ -598,10 +598,12 @@ def table_block(loss, u):
 def four_dot_expectations(loss, m, s):
     """The quadrature as four 641-long dots on one weight vector with halved end
     weights (the formulation before the block kernel), refinement move included:
-    the halved-grid sums are the masked dots (d * even) @ w."""
+    the halved-grid sums are the masked dots (d * even) @ w.  The window is the
+    fixed grid [-36, 36] for s >= 4 h (h = 72/640) when [m - 14 s, m + 14 s]
+    overlaps it, else [m - 14 s, m + 14 s] cut to [-36, 36] unless wholly past it."""
     lo, hi = m - 14.0 * s, m + 14.0 * s
     if max(lo, -36.0) < min(hi, 36.0):
-        lo, hi = max(lo, -36.0), min(hi, 36.0)
+        lo, hi = (-36.0, 36.0) if s >= 4.0 * 72.0 / 640.0 else (max(lo, -36.0), min(hi, 36.0))
     mid, offset = 0.5 * (lo + hi), (0.5 * (hi - lo)) * _UNIT
     z = (offset + (mid - m)) * (math.sqrt(0.5) / s)
     w = np.exp(z * -z)
@@ -650,6 +652,31 @@ class TestQuadrature:
                                            quad_oracle(family, m, s),
                                            rtol=1e-12, atol=0.0, err_msg=f"m={m}, s={s}")
 
+    @pytest.mark.parametrize("family", ["logistic", "exp"])
+    def test_the_fixed_grid_band_matches_the_oracle(self, family, monkeypatch):
+        # s from 4 h up to 36/14, the least s whose window can be cut on both
+        # sides: the fixed grid serves these windows, uncut ones and ones cut on
+        # one side (m within 14 s of +-36) too, and builds no window
+        loss = make_loss("conj", family)
+        _cut_window(loss)
+        built, real = [], dynamics._window
+        monkeypatch.setattr(dynamics, "_window",
+                            lambda loss, lo, hi: built.append((lo, hi)) or real(loss, lo, hi))
+        for s in (dynamics._FIXED_GRID_MIN_S, 0.6, 1.0, 1.7, 2.5, 36.0 / 14.0):
+            for m in (-3.0, -1.0, 0.0, 0.5, 2.0, 36.0 - 7.0 * s, -(36.0 - 3.0 * s),
+                      36.0 + 5.0 * s, -(36.0 + 13.0 * s)):
+                e1, e2, moved = _gaussian_expectations(loss, m, s)
+                np.testing.assert_allclose([e1, e2], quad_oracle(family, m, s),
+                                           rtol=1e-12, atol=1e-15, err_msg=f"m={m}, s={s}")
+                assert moved == 0.0
+        assert built == []
+        # just below 4 h a window gets its own grid
+        s = math.nextafter(dynamics._FIXED_GRID_MIN_S, 0.0)
+        e1, e2, moved = _gaussian_expectations(loss, 0.5, s)
+        assert built == [(0.5 - 14.0 * s, 0.5 + 14.0 * s)]
+        np.testing.assert_allclose([e1, e2], quad_oracle(family, 0.5, s), rtol=1e-12, atol=1e-15)
+        assert moved == 0.0
+
     @pytest.mark.parametrize("family", ["square", "logistic", "exp"])
     def test_zero_spread_is_the_point_evaluation(self, family):
         # a = b = 0 makes s = 0 at any sigma, as sigma = 0 does
@@ -674,8 +701,8 @@ class TestQuadrature:
         assert _cut_window.cache_info()[:2] == (1, 1)
 
     def test_a_custom_dpsi_is_read_on_every_window(self):
-        # (0.5, 1) gives an uncut window, (0.5, 10) one cut on both sides
-        base, model = make_loss("conj", "exp"), axis_model(1.0, 1.0, d=2)
+        # (0.5, 1) gives s = 0.28, a window of its own, and (0.5, 10) s = 2.5, the fixed grid
+        base, model = make_loss("conj", "exp"), axis_model(1.0, 0.25, d=2)
         doubled = replace(base, dpsi=lambda u: 2.0 * base.dpsi(u))
         for b in (1.0, 10.0):
             e1, e2, _ = expectation_terms(base, 0.5, b, model)
@@ -1014,8 +1041,8 @@ class TestRunPopulation:
             assert not cut[0] and cut[-2]
 
     def test_a_run_memoizes_only_its_cut_window(self, monkeypatch):
-        # the benchmark's conj+logistic run at eta = 0.1 steps on 371 uncut
-        # windows, each built afresh, then on the cut one 1629 times
+        # every step of the benchmark's conj+logistic run at eta = 0.1 has
+        # s >= 4 h, so all 2000 read the fixed grid, built once
         built, real = [], dynamics._window
         monkeypatch.setattr(dynamics, "_window",
                             lambda loss, lo, hi: built.append((lo, hi)) or real(loss, lo, hi))
@@ -1025,13 +1052,14 @@ class TestRunPopulation:
                                   mode=Mode.POPULATION, horizon=2000, seed=0, w_init=w_init)
         _cut_window.cache_clear()
         run_population(config)
-        assert len(built) == 372 and built.index((-36.0, 36.0)) == 371
+        assert built == [(-36.0, 36.0)]
         info = _cut_window.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1628, 1, 1)
-        # the one entry is this loss's cut window, and reading it builds nothing
-        assert _cut_window(loss)[0] == 0.0 and len(built) == 372
-        assert _cut_window.cache_info()[:2] == (1629, 1)
-        # an uncut window asked for twice is built twice, as a new writable block
+        assert (info.hits, info.misses, info.currsize) == (1999, 1, 1)
+        # the one entry is this loss's fixed grid, and reading it builds nothing
+        assert _cut_window(loss)[0] == 0.0 and len(built) == 1
+        assert _cut_window.cache_info()[:2] == (2000, 1)
+        # a window of its own (s < 4 h) asked for twice is built twice, as a new
+        # writable block
         blocks = []
 
         def kept(*args):
@@ -1041,7 +1069,7 @@ class TestRunPopulation:
 
         monkeypatch.setattr(dynamics, "_window", kept)
         for _ in range(2):
-            _gaussian_expectations(loss, 0.3, 1.0)
+            _gaussian_expectations(loss, 0.3, 0.4)
         assert len(blocks) == 2 and blocks[0] is not blocks[1] and blocks[1].flags.writeable
         assert _cut_window.cache_info().currsize == 1
 

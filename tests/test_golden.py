@@ -190,7 +190,9 @@ def test_golden_set_covers_an_overflow():
 
 def test_population_golden_covers_both_quadrature_windows():
     """Each loss of population_benchmark takes >= 10 steps whose window
-    [a - 14 s, a + 14 s] the margin cut clips on both sides, and >= 10 others."""
+    [a - 14 s, a + 14 s] the margin cut clips on both sides, and >= 10 others.
+    Every one has s >= 4 h and reads the fixed grid [-36, 36]; a window of its
+    own (s < 4 h) is pinned by test_dynamics' quadrature tests, not here."""
     (config, *_), _ = _configs("population_benchmark")
     sigma, mu_norm = config.model.sigma, config.model.mu_norm
     for loss in GOLDEN["population_benchmark"][1]:

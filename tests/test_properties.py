@@ -172,6 +172,59 @@ def test_population_orthogonal_size_contracts_by_the_curvature(case, loss, eta):
             assert b_next == pytest.approx(want, rel=1e-13) or math.isnan(want)
 
 
+def population_run(mu, sigma, w, loss, eta):
+    config = ExperimentConfig(model=GaussianModel(mu=mu, sigma=sigma), loss=loss, eta=eta,
+                              mode=Mode.POPULATION, horizon=40, seed=0, w_init=w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return run_population(config)
+
+
+def far_from_the_float_limits(run):
+    """Every nonzero |a| and b within [1e-290, OVERFLOW_LIMIT / 16].
+
+    b scales by 1/c while OVERFLOW_LIMIT does not, so a run that nears the
+    limit may stop at another step once scaled, and a b near the subnormal
+    range loses bits when divided by c; neither is a fault of the dynamics."""
+    values = np.abs(np.concatenate((run.a, run.b)))
+    return bool(np.all((values == 0.0) | ((values >= 1e-290) & (values <= OVERFLOW_LIMIT / 16))))
+
+
+@settings(max_examples=40)
+@given(model_and_w(), st.sampled_from(SMOOTH_LOSSES), st.floats(min_value=0.1, max_value=2.0),
+       st.sampled_from([0.05, 0.5, 5.0]))
+def test_population_runs_are_scale_free(case, loss, sigma, eta):
+    """(mu, sigma, w, eta) -> (c mu, c sigma, w / c, eta / c^2) with c a power of
+    two scales every IEEE operation of a population step exactly: a, cos,
+    loss01 and stop keep their bytes and b becomes exactly b / c.  The spread s
+    of the margin, and so the quadrature grid it picks, is scale-free."""
+    model, w = case
+    run = population_run(model.mu, sigma, w, loss, eta)
+    assume(far_from_the_float_limits(run))
+    for c in (0.125, 2.0, 16.0):
+        scaled = population_run(c * model.mu, c * sigma, w / c, loss, eta / (c * c))
+        assert scaled.stop == run.stop
+        assert ([x.tobytes() for x in (scaled.a, scaled.cos, scaled.loss01)]
+                == [x.tobytes() for x in (run.a, run.cos, run.loss01)])
+        assert scaled.b.tobytes() == (run.b / c).tobytes()
+
+
+@settings(max_examples=40)
+@given(st.floats(min_value=0.25, max_value=8.0), st.integers(min_value=1, max_value=6),
+       st.data(), st.sampled_from(SMOOTH_LOSSES), st.floats(min_value=0.1, max_value=2.0),
+       st.sampled_from([0.05, 0.5, 5.0]))
+def test_population_runs_ignore_zero_padding(mu_len, d, data, loss, sigma, eta):
+    """A population run sees only (a, b, ||mu||, sigma): mu = mu_len e_1 in d
+    dimensions and in d + 2, with w padded by zeros, give the same bytes."""
+    w = data.draw(hnp.arrays(np.float64, d, elements=entries))
+    assume(np.linalg.norm(w) >= 1e-3)
+    mu = mu_len * np.eye(d)[0]
+    run = population_run(mu, sigma, w, loss, eta)
+    padded = population_run(np.pad(mu, (0, 2)), sigma, np.pad(w, (0, 2)), loss, eta)
+    assert padded.stop == run.stop
+    assert ([x.tobytes() for x in padded.columns] == [x.tobytes() for x in run.columns])
+
+
 def two_reduction_stopped(w):
     """The sampled engine's stop rule before it took one reduction."""
     return ~((np.abs(w).max(axis=-1) <= OVERFLOW_LIMIT) & w.any(axis=-1))
